@@ -15,6 +15,7 @@ from .forms import (
     delta_eisenstein,
     delta_eta,
     eisenstein_coeffs,
+    eta_product,
     eta_quotient,
     export_qexp,
     ingest_qexp,
@@ -58,6 +59,7 @@ __all__ = [
     "delta_eisenstein",
     "delta_eta",
     "eisenstein_coeffs",
+    "eta_product",
     "eta_quotient",
     "eta_raw",
     "export_qexp",

@@ -5,6 +5,8 @@ from __future__ import annotations
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
+# factorize trial-divides by primes up to this bound and no further.
+TRIAL_DIVISION_LIMIT = 10**6
 
 
 def sieve_primes(bound: int) -> list[int]:
@@ -47,7 +49,12 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] by trial division, p ascending."""
+    """Prime factorization [(p, e), ...] by trial division, p ascending.
+
+    Trial division stops at TRIAL_DIVISION_LIMIT, which covers every n below
+    its square.  A cofactor left above that square must be proven prime, or
+    the call raises ValueError rather than run for ever.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
@@ -59,7 +66,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
     d = 5
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_LIMIT:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -67,6 +74,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 2 if d % 6 == 5 else 4  # step over multiples of 2 and 3
+    if d * d <= n and not (n < _MR_LIMIT and is_prime(n)):
+        raise ValueError(
+            f"cannot factor: cofactor {n} has no prime factor up to "
+            f"{TRIAL_DIVISION_LIMIT} and is not provably prime"
+        )
     if n > 1:
         out.append((n, 1))
     return out

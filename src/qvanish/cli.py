@@ -14,13 +14,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import ec, forms, vanish
 from .arith import is_prime
 from .forms import FormSpec
-from .hecke import CoefficientOracle
 from .series import LANE_PRIMES, QSeries
 
 CACHE_ENV = "QVANISH_CACHE_DIR"
@@ -28,18 +27,43 @@ DEFAULT_CACHE = os.path.join("~", ".cache", "qvanish")
 FULL_LEHMER_BOUND = 3316799  # smallest n with tau(n) = 0 exceeds this
 SCAN_GATE = 200000
 ZEROS_CAP = 1000
+# Part of every cache key: bump it when the cached payload or the code that
+# computes it changes, so entries written before are never read again.
+CACHE_FORMAT = 1
 
 
 @dataclass
 class ResolvedForm:
     spec: FormSpec
-    kind: str  # "product" (sparse eta pipeline), "oracle" (curve), "series"
     exact_series: Callable[[int], QSeries]
+    # lane builder (bound, modulus) -> ResidueSeries, for forms built as a product
     residue_series: Callable[[int, int], object] | None = None
-    exact_coeff: Callable[[int], int] | None = None
-    oracle_factory: Callable[[int], CoefficientOracle] | None = None
+    # what a scan to a bound reads, when it is not the exact series
+    scan_source: Callable[[int], object] | None = None
     budget: int | None = None
     cacheable: bool = False
+
+
+def _eta_product_form(level: int) -> ResolvedForm:
+    """Delta (level 1) or an eta quotient: residue lanes with an exact fallback."""
+    if level == 1:
+        exact, lane, coeff = forms.delta_eta, forms.delta_eta_mod, forms.delta_coefficient
+    else:
+        exact, lane, coeff = (
+            lambda b: forms.eta_quotient(level, b)[1],
+            lambda b, m: forms.eta_quotient_mod(level, b, m),
+            lambda n: forms.eta_quotient_coefficient(level, n),
+        )
+    return ResolvedForm(
+        spec=forms.eta_product_spec(level),
+        exact_series=exact,
+        residue_series=lane,
+        scan_source=lambda b: vanish.ResidueLaneSource(
+            lanes=[lane(b, m) for m in LANE_PRIMES], exact=coeff
+        ),
+        budget=5000,
+        cacheable=True,
+    )
 
 
 def _resolve_form(args, parser) -> ResolvedForm:
@@ -53,15 +77,7 @@ def _resolve_form(args, parser) -> ResolvedForm:
     if args.form:
         name = args.form
         if name == "delta":
-            return ResolvedForm(
-                spec=forms.delta_spec(),
-                kind="product",
-                exact_series=forms.delta_eta,
-                residue_series=forms.delta_eta_mod,
-                exact_coeff=forms.delta_coefficient,
-                budget=5000,
-                cacheable=True,
-            )
+            return _eta_product_form(1)
         if name in ("e4", "e6"):
             half = 2 if name == "e4" else 3
             spec = FormSpec(
@@ -69,7 +85,6 @@ def _resolve_form(args, parser) -> ResolvedForm:
             )
             return ResolvedForm(
                 spec=spec,
-                kind="series",
                 exact_series=lambda b, h=half: forms.eisenstein_coeffs(h, b),
                 budget=200000,
             )
@@ -82,16 +97,7 @@ def _resolve_form(args, parser) -> ResolvedForm:
                 parser.error(
                     f"eta quotient level must be one of {forms.ETA_QUOTIENT_LEVELS}"
                 )
-            spec, _ = forms.eta_quotient(level, 1)
-            return ResolvedForm(
-                spec=spec,
-                kind="product",
-                exact_series=lambda b, lv=level: forms.eta_quotient(lv, b)[1],
-                residue_series=lambda b, m, lv=level: forms.eta_quotient_mod(lv, b, m),
-                exact_coeff=lambda n, lv=level: forms.eta_quotient_coefficient(lv, n),
-                budget=5000,
-                cacheable=True,
-            )
+            return _eta_product_form(level)
         parser.error(f"unknown form selector {name!r}")
     if args.curve or args.fixture:
         if args.fixture:
@@ -105,9 +111,8 @@ def _resolve_form(args, parser) -> ResolvedForm:
                 parser.error(str(exc))
         return ResolvedForm(
             spec=ec.curve_form(curve),
-            kind="oracle",
             exact_series=lambda b, c=curve: _curve_series(c, b),
-            oracle_factory=lambda b, c=curve: ec.oracle_for_curve(c, b),
+            scan_source=lambda b, c=curve: ec.oracle_for_curve(c, max(b, 2)),
             budget=100000,
             cacheable=True,
         )
@@ -117,7 +122,6 @@ def _resolve_form(args, parser) -> ResolvedForm:
         parser.error(f"cannot ingest {args.file}: {exc}")
     return ResolvedForm(
         spec=spec,
-        kind="series",
         exact_series=lambda b, q=qs: _slice_series(q, b, args.file),
     )
 
@@ -136,16 +140,6 @@ def _slice_series(qs: QSeries, bound: int, path) -> QSeries:
     return QSeries(qs.coeffs[: bound + 1])
 
 
-def _form_dict(spec: FormSpec) -> dict:
-    return {
-        "character": spec.character,
-        "label": spec.label,
-        "level": spec.level,
-        "source": spec.source,
-        "weight": spec.weight,
-    }
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -157,8 +151,31 @@ def _cache_dir() -> str:
 
 
 def _cache_key(spec: FormSpec, bound: int) -> str:
-    ident = f"{spec.source}|weight={spec.weight}|level={spec.level}|bound={bound}"
+    ident = (
+        f"format={CACHE_FORMAT}|{spec.source}|weight={spec.weight}"
+        f"|level={spec.level}|bound={bound}"
+    )
     return hashlib.sha256(ident.encode("ascii")).hexdigest()
+
+
+def _cache_hit(path: str, spec: FormSpec, bound: int) -> QSeries | None:
+    """The entry at path if it is whole and answers the request, else None.
+
+    A damaged entry (unparsable, cut short, or written for another form or
+    bound) is not trusted; the caller recomputes and overwrites it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":  # cut inside its last line
+                return None
+        got, qs = forms.ingest_qexp(path)
+    except (OSError, ValueError):
+        return None
+    want = (bound, spec.weight, spec.level, spec.label)
+    if (qs.trunc_bound, got.weight, got.level, got.label) != want:
+        return None
+    return qs
 
 
 def _cached_series(rf: ResolvedForm, bound: int) -> QSeries:
@@ -166,8 +183,9 @@ def _cached_series(rf: ResolvedForm, bound: int) -> QSeries:
         return rf.exact_series(bound)
     path = os.path.join(_cache_dir(), _cache_key(rf.spec, bound) + ".qexp")
     if os.path.exists(path):
-        _, qs = forms.ingest_qexp(path)
-        return qs
+        qs = _cache_hit(path, rf.spec, bound)
+        if qs is not None:
+            return qs
     qs = rf.exact_series(bound)
     payload = forms.export_qexp(rf.spec, qs)
     os.makedirs(_cache_dir(), exist_ok=True)
@@ -201,28 +219,20 @@ def cmd_coeffs(args, parser) -> int:
         for m in args.mod:
             if m % 2 == 0 or not is_prime(m):
                 parser.error(f"--mod {m}: modulus must be an odd prime")
-        exact = None
-        if rf.kind != "product":
-            # non-product forms have no direct residue pipeline: compute the
-            # exact coefficients once and reduce per modulus
+        if rf.residue_series is None:
+            # no residue pipeline: compute the exact coefficients once and
+            # reduce them per modulus
             _check_budget(rf, args.limit, args, parser)
-            if rf.kind == "oracle":
-                oracle = rf.oracle_factory(max(args.limit, 2))
-                exact = [oracle.coeff(n) for n in range(1, args.limit + 1)]
-            else:
-                qs = rf.exact_series(args.limit)
-                exact = [qs[n] for n in range(1, args.limit + 1)]
-        blocks = {}
-        for m in args.mod:
-            if exact is None:
-                lane = rf.residue_series(args.limit, m)
-                blocks[m] = [int(v) for v in lane.coeffs[1 : args.limit + 1]]
-            else:
-                blocks[m] = [c % m for c in exact]
+            exact = rf.exact_series(args.limit).coeffs[1:]
+            blocks = {m: [c % m for c in exact] for m in args.mod}
+        else:
+            blocks = {
+                m: rf.residue_series(args.limit, m).coeffs[1:].tolist() for m in args.mod
+            }
         if args.json:
             _emit_json(
                 {
-                    "form": _form_dict(rf.spec),
+                    "form": asdict(rf.spec),
                     "residues": {str(m): [[n + 1, r] for n, r in enumerate(v)]
                                  for m, v in blocks.items()},
                 }
@@ -230,12 +240,7 @@ def cmd_coeffs(args, parser) -> int:
         else:
             for m in args.mod:
                 print(f"# modulus: {m}")
-                print(f"# weight: {rf.spec.weight}")
-                print(f"# level: {rf.spec.level}")
-                print("# character: trivial")
-                print(f"# label: {rf.spec.label}")
-                for n, r in enumerate(blocks[m], start=1):
-                    print(f"{n} {r}")
+                sys.stdout.write(forms.export_qexp(rf.spec, QSeries((0, *blocks[m]))))
         return 0
     _check_budget(rf, args.limit, args, parser)
     qs = _cached_series(rf, args.limit)
@@ -243,7 +248,7 @@ def cmd_coeffs(args, parser) -> int:
         _emit_json(
             {
                 "coefficients": [[n, qs[n]] for n in range(1, args.limit + 1)],
-                "form": _form_dict(rf.spec),
+                "form": asdict(rf.spec),
             }
         )
     else:
@@ -275,9 +280,6 @@ def cmd_classify(args, parser) -> int:
 
 
 def _a2_a3(rf: ResolvedForm) -> tuple[int, int]:
-    if rf.kind == "oracle":
-        oracle = rf.oracle_factory(3)
-        return oracle.coeff(2), oracle.coeff(3)
     qs = rf.exact_series(3)
     return qs[2], qs[3]
 
@@ -311,25 +313,12 @@ def cmd_scan(args, parser) -> int:
             f"(or --full-lehmer for the classical tau bound)"
         )
 
-    coprime_to = None
-    mf_value = None
-    if args.coprime_mf:
-        mf, _ = _mf_payload(rf)
-        mf_value = mf.value
-        coprime_to = mf.value
-
-    if rf.kind == "product":
-        lanes = [rf.residue_series(limit, m) for m in LANE_PRIMES]
-        source = vanish.ResidueLaneSource(lanes=lanes, exact=rf.exact_coeff)
-    elif rf.kind == "oracle":
-        source = rf.oracle_factory(max(limit, 2))
-    else:
-        source = rf.exact_series(limit)
-
+    mf_value = _mf_payload(rf)[0].value if args.coprime_mf else None
+    source = (rf.scan_source or rf.exact_series)(limit)
     report = vanish.first_vanishing(
         source,
         limit,
-        coprime_to=coprime_to,
+        coprime_to=mf_value,
         mf_guarantee=args.coprime_mf,
         form=rf.spec,
     )
@@ -348,7 +337,7 @@ def cmd_scan(args, parser) -> int:
         "first_zero_coprime_is_prime": report.first_zero_coprime_is_prime,
         "first_zero_divides_level": report.first_zero_divides_level,
         "first_zero_is_prime": report.first_zero_is_prime,
-        "form": _form_dict(rf.spec),
+        "form": asdict(rf.spec),
         "lane_moduli": list(report.lane_moduli),
         "mf": mf_value,
         "zeros": report.zeros[:ZEROS_CAP],

@@ -122,7 +122,8 @@ def ap_good(curve: WeierstrassCurve, p: int) -> int:
     else:
         # #E = p + 1 + char sum, so a_p is minus the sum.
         ap = -_char_sum(curve, p)
-    assert ap * ap <= 4 * p, f"Hasse bound violated at p={p}: a_p={ap}"
+    if ap * ap > 4 * p:
+        raise ValueError(f"Hasse bound violated at p={p}: a_p={ap}")
     return ap
 
 
@@ -167,7 +168,8 @@ def ap_bad(curve: WeierstrassCurve, p: int) -> int:
     if curve.discriminant % p != 0:
         raise ValueError(f"{p} does not divide the discriminant; use ap_good")
     ap = p - nonsingular_count(curve, p)
-    assert ap in (-1, 0, 1), f"bad-prime a_p={ap} outside {{-1,0,1}} at p={p}"
+    if ap not in (-1, 0, 1):
+        raise ValueError(f"bad-prime a_p={ap} outside {{-1,0,1}} at p={p}")
     return ap
 
 

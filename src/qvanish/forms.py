@@ -1,10 +1,12 @@
 """Coefficient providers for the classical primitive forms in scope.
 
-The weight-12 level-1 discriminant form is built by two independent routes
-(the 24th-power eta product and the normalized Eisenstein combination), the
-Shimura eta quotients eta(z)^a eta(Nz)^a for N in {2, 3, 5, 11}, plus the
-normalized Eisenstein series themselves and a line-oriented q-expansion file
-format for externally supplied forms.
+Every product form here is one eta product, built by eta_product over Z or
+over Z/m: the weight-12 level-1 discriminant form Delta = eta(z)^24 is its
+level-1 entry, and the Shimura eta quotients eta(z)^a eta(Nz)^a for N in
+{2, 3, 5, 11} are the others.  Delta also has an independent route through
+the normalized Eisenstein series, which live here too, and Niebur's formula
+gives single values of tau.  A line-oriented q-expansion file format carries
+externally supplied forms.
 """
 
 from __future__ import annotations
@@ -21,15 +23,10 @@ from .arith import factorize
 from .series import (
     QSeries,
     ResidueSeries,
-    SparseSeries,
     eta_raw,
     exact_divide,
     mul_sparse,
     mul_sparse_mod,
-    one_mod,
-    reduce_mod,
-    shift,
-    shift_mod,
 )
 
 # Levels N for which (Delta(z)/Delta(Nz))^(1/(N+1)) is a cusp form spanning a
@@ -48,18 +45,18 @@ class FormSpec:
     character: str = "trivial"
 
     def __post_init__(self):
+        if self.source.startswith("eta-quotient"):
+            n = int(self.source.split(":")[1])
+            if n not in ETA_QUOTIENT_LEVELS:
+                raise ValueError(f"eta quotient level must be one of {ETA_QUOTIENT_LEVELS}")
+            if self.weight != 24 // (n + 1):
+                raise ValueError("eta quotient weight is forced to 24/(N+1)")
         if self.weight < 2 or self.weight % 2:
             raise ValueError("weight must be even and >= 2")
         if self.level < 1:
             raise ValueError("level must be >= 1")
         if self.character != "trivial":
             raise ValueError("only the trivial character is supported")
-        if self.source.startswith("eta-quotient"):
-            n = int(self.source.split(":")[1])
-            if n not in ETA_QUOTIENT_LEVELS:
-                raise ValueError(f"eta quotient level must be in {ETA_QUOTIENT_LEVELS}")
-            if self.weight != 24 // (n + 1):
-                raise ValueError("eta quotient weight is forced to 24/(N+1)")
 
 
 def sigma(n: int, m: int) -> int:
@@ -147,21 +144,6 @@ def eisenstein_coeffs(half_weight: int, bound: int) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-def delta_eta(bound: int) -> QSeries:
-    """The discriminant form q prod (1-q^n)^24; coefficient n is tau(n).
-
-    Computed as 24 sparse passes with the pentagonal expansion, then one
-    shift for the leading q.  Cost O(24 * bound^1.5), exact throughout.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    pent = eta_raw(bound)
-    acc = QSeries.one(bound)
-    for _ in range(24):
-        acc = mul_sparse(acc, pent)
-    return shift(acc, 1)
-
-
 def delta_eisenstein(bound: int) -> QSeries:
     """The discriminant form as (E4^3 - E6^2)/1728; agrees with delta_eta.
 
@@ -177,74 +159,75 @@ def delta_eisenstein(bound: int) -> QSeries:
     return exact_divide(e4**3 - e6**2, 1728)
 
 
-def _dilated_eta_terms(level: int, bound: int) -> SparseSeries:
-    # Pentagonal expansion of prod (1 - q^(N*n)): indices scaled by N.
-    base = eta_raw(max(bound // level, 1))
-    terms = tuple(
-        (idx * level, c) for idx, c in base.terms if idx * level <= bound
-    )
-    return SparseSeries(terms, bound)
+def eta_product_spec(level: int) -> FormSpec:
+    """Identity of eta_product(level, ...): delta at level 1, else the eta quotient.
 
-
-def eta_quotient(level: int, bound: int) -> tuple[FormSpec, QSeries]:
-    """The cusp form eta(z)^a eta(Nz)^a, a = 24/(N+1), for N in {2, 3, 5, 11}.
-
-    Equal to (Delta(z)/Delta(Nz))^(1/(N+1)), but built by multiplying the two
-    sparse eta expansions (one dilated by N) a times each -- no power-series
-    division.  The eta prefactors contribute q^(a(1+N)/24) = q^1, so the
-    expansion starts q + O(q^2); weight is 24/(N+1).
+    Raises ValueError for a level outside 1 and ETA_QUOTIENT_LEVELS.
     """
-    if level not in ETA_QUOTIENT_LEVELS:
-        raise ValueError(f"level must be one of {ETA_QUOTIENT_LEVELS}")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    a = 24 // (level + 1)
-    pent = eta_raw(bound)
-    dilated = _dilated_eta_terms(level, bound)
-    acc = QSeries.one(bound)
-    for _ in range(a):
-        acc = mul_sparse(acc, pent)
-    for _ in range(a):
-        acc = mul_sparse(acc, dilated)
-    spec = FormSpec(
+    if level == 1:
+        return FormSpec(weight=12, level=1, label="delta", source="delta-eta")
+    return FormSpec(
         weight=24 // (level + 1),
         level=level,
         label=f"eta-quotient-{level}",
         source=f"eta-quotient:{level}",
     )
-    return spec, shift(acc, 1)
+
+
+def eta_product(level: int, bound: int, modulus: int | None = None):
+    """q prod_{n>=1} (1 - q^n)^a (1 - q^(N*n))^a, a = 24/(N+1), truncated at bound.
+
+    Level N = 1 is the discriminant form Delta = eta(z)^24, with coefficient
+    n equal to tau(n); N in {2, 3, 5, 11} gives the Shimura eta quotient
+    eta(z)^a eta(Nz)^a of weight a, equal to (Delta(z)/Delta(Nz))^(1/(N+1)).
+    The eta prefactors contribute q^(a(1+N)/24) = q^1, so the accumulator
+    starts at q.  Then come a sparse passes with the pentagonal expansion and
+    a with its dilation by N (12 + 12 for Delta): O(2a * bound^1.5), with no
+    power-series division.
+
+    With modulus None the product is exact over Z and returns a QSeries;
+    otherwise the same passes run over Z/modulus and return the residue lane
+    as a ResidueSeries.
+    """
+    eta_product_spec(level)  # rejects levels out of scope
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if modulus is None:
+        acc, mul = QSeries((0, 1) + (0,) * (bound - 1)), mul_sparse
+    else:
+        q = np.zeros(bound + 1, dtype=np.int64)
+        q[1] = 1
+        acc, mul = ResidueSeries(modulus, q), mul_sparse_mod
+    a = 24 // (level + 1)
+    for dilation in (1, level):
+        factor = eta_raw(bound, dilation)
+        for _ in range(a):
+            acc = mul(acc, factor)
+    return acc
 
 
 def delta_spec() -> FormSpec:
-    return FormSpec(weight=12, level=1, label="delta", source="delta-eta")
+    return eta_product_spec(1)
+
+
+def delta_eta(bound: int) -> QSeries:
+    """The discriminant form q prod (1-q^n)^24; coefficient n is tau(n)."""
+    return eta_product(1, bound)
 
 
 def delta_eta_mod(bound: int, m: int) -> ResidueSeries:
-    """Residue-lane twin of delta_eta: the same 24 passes modulo m."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    pent = eta_raw(bound)
-    acc = one_mod(bound, m)
-    for _ in range(24):
-        acc = mul_sparse_mod(acc, pent)
-    return shift_mod(acc, 1)
+    """delta_eta modulo the odd prime m, built directly in the residue lane."""
+    return eta_product(1, bound, m)
+
+
+def eta_quotient(level: int, bound: int) -> tuple[FormSpec, QSeries]:
+    """The level-N eta quotient with its spec, for N in {2, 3, 5, 11}."""
+    return eta_product_spec(level), eta_product(level, bound)
 
 
 def eta_quotient_mod(level: int, bound: int, m: int) -> ResidueSeries:
-    """Residue-lane twin of eta_quotient (series only)."""
-    if level not in ETA_QUOTIENT_LEVELS:
-        raise ValueError(f"level must be one of {ETA_QUOTIENT_LEVELS}")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    a = 24 // (level + 1)
-    pent = eta_raw(bound)
-    dilated = _dilated_eta_terms(level, bound)
-    acc = one_mod(bound, m)
-    for _ in range(a):
-        acc = mul_sparse_mod(acc, pent)
-    for _ in range(a):
-        acc = mul_sparse_mod(acc, dilated)
-    return shift_mod(acc, 1)
+    """The level-N eta quotient modulo the odd prime m (series only)."""
+    return eta_product(level, bound, m)
 
 
 def delta_coefficient(n: int) -> int:
@@ -270,15 +253,11 @@ def delta_coefficient(n: int) -> int:
 
 
 def eta_quotient_coefficient(level: int, n: int) -> int:
-    """Exact single coefficient of the level-N eta quotient.
+    """Exact a(n) of the level-N eta quotient, by rebuilding the product to n.
 
-    Recomputes the truncated product at bound n; O(n^1.5).  Only the scan's
-    all-residues-zero fallback takes this path, so the cost is acceptable.
+    O(n^1.5); only the scan's all-residues-zero fallback takes this path.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _, qs = eta_quotient(level, n)
-    return qs[n]
+    return eta_quotient(level, n)[1][n]
 
 
 def export_qexp(spec: FormSpec, qs: QSeries) -> str:

@@ -6,6 +6,10 @@ product), and ResidueSeries holding the same coefficients modulo a fixed
 word-size prime.  The residue lane exists so a scan can certify a(n) != 0 from
 a single nonzero residue; only an all-lanes-zero index needs exact arithmetic.
 
+Dense-by-sparse products run through one loop over two rings, Z and Z/m,
+told apart by the numpy dtype of the accumulator; mul_sparse and
+mul_sparse_mod are its entry points for the two carriers.
+
 All values are immutable after construction and every operation is a pure
 function, so anything here may be called from concurrent code.  Truncation
 bounds are always explicit: operations on mismatched bounds raise rather than
@@ -42,10 +46,6 @@ class QSeries:
     @classmethod
     def one(cls, bound: int) -> QSeries:
         return cls((1,) + (0,) * bound)
-
-    @classmethod
-    def zero(cls, bound: int) -> QSeries:
-        return cls((0,) * (bound + 1))
 
     @property
     def trunc_bound(self) -> int:
@@ -159,20 +159,8 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def mul_sparse(a: QSeries, s: SparseSeries) -> QSeries:
-    """a * s, costing O(bound * len(s.terms)); equals mul(a, s.densify())."""
-    _check_bounds(a, s)
-    bound = a.trunc_bound
-    out = [0] * (bound + 1)
-    ac = a.coeffs
-    for idx, c in s.terms:
-        seg = ac[: bound + 1 - idx]
-        if c == 1:
-            out[idx:] = [x + y for x, y in zip(out[idx:], seg)]
-        elif c == -1:
-            out[idx:] = [x - y for x, y in zip(out[idx:], seg)]
-        else:
-            out[idx:] = [x + c * y for x, y in zip(out[idx:], seg)]
-    return QSeries(tuple(out))
+    """a * s over Z, costing O(bound * len(s.terms)); equals mul(a, s.densify())."""
+    return QSeries(tuple(_sparse_product(a, s, None).tolist()))
 
 
 def power(a: QSeries, e: int) -> QSeries:
@@ -190,18 +178,6 @@ def power(a: QSeries, e: int) -> QSeries:
         base = mul(base, base)
 
 
-def shift(a: QSeries, j: int) -> QSeries:
-    """Multiply by q^j, truncating at the same bound (top j coefficients drop)."""
-    if j < 0:
-        raise ValueError("shift must be nonnegative")
-    if j == 0:
-        return a
-    bound = a.trunc_bound
-    if j > bound:
-        return QSeries.zero(bound)
-    return QSeries((0,) * j + a.coeffs[: bound + 1 - j])
-
-
 def exact_divide(a: QSeries, d: int) -> QSeries:
     """Coefficientwise division by d, raising if any coefficient is not divisible."""
     out = []
@@ -213,19 +189,22 @@ def exact_divide(a: QSeries, d: int) -> QSeries:
     return QSeries(tuple(out))
 
 
-def eta_raw(bound: int) -> SparseSeries:
-    """Euler's pentagonal expansion of prod_{n>=1} (1 - q^n), truncated.
+def eta_raw(bound: int, dilation: int = 1) -> SparseSeries:
+    """Euler's pentagonal expansion of prod_{n>=1} (1 - q^(dilation*n)), truncated.
 
-    Terms sit at the generalized pentagonal numbers m(3m-1)/2 and m(3m+1)/2
-    with coefficient (-1)^m, so only Theta(sqrt(bound)) of them survive.
+    Terms sit at dilation times the generalized pentagonal numbers m(3m-1)/2
+    and m(3m+1)/2 with coefficient (-1)^m, so only Theta(sqrt(bound)) of
+    them survive.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if dilation < 1:
+        raise ValueError("dilation must be >= 1")
     terms = {0: 1}
     m = 1
     while True:
-        g1 = m * (3 * m - 1) // 2
-        g2 = m * (3 * m + 1) // 2
+        g1 = dilation * (m * (3 * m - 1) // 2)
+        g2 = dilation * (m * (3 * m + 1) // 2)
         if g1 > bound:
             break
         sign = -1 if m % 2 else 1
@@ -242,43 +221,35 @@ def reduce_mod(a: QSeries, m: int) -> ResidueSeries:
     return ResidueSeries(m, arr)
 
 
-def one_mod(bound: int, m: int) -> ResidueSeries:
-    arr = np.zeros(bound + 1, dtype=np.int64)
-    arr[0] = 1
-    return ResidueSeries(m, arr)
-
-
 def mul_sparse_mod(a: ResidueSeries, s: SparseSeries) -> ResidueSeries:
-    """Residue-lane twin of mul_sparse, vectorized over int64.
+    """a * s over Z/m, m = a.modulus; reduce_mod of mul_sparse on the lifts."""
+    return ResidueSeries(a.modulus, _sparse_product(a, s, a.modulus))
 
-    Accumulates len(s.terms) shifted copies before reducing; the guard below
-    keeps the unreduced partial sums inside int64.
+
+def _sparse_product(a, s: SparseSeries, m: int | None) -> np.ndarray:
+    """The one sparse product loop: a * s over Z (m None) or Z/m.
+
+    The ring is the dtype: object arrays of Python integers for Z, int64 for
+    Z/m.  Over Z/m, len(s.terms) shifted copies accumulate before the final
+    reduction; the guard keeps those unreduced partial sums inside int64, and
+    each coefficient other than +-1 is reduced before it multiplies.
     """
     _check_bounds(a, s)
-    m = a.modulus
-    if (len(s.terms) + 1) * m >= 2**62:
+    if m is not None and (len(s.terms) + 1) * m >= 2**62:
         raise OverflowError("sparse accumulation would overflow int64")
+    ac = np.asarray(a.coeffs, dtype=object if m is None else np.int64)
     bound = a.trunc_bound
-    out = np.zeros(bound + 1, dtype=np.int64)
-    ac = a.coeffs
+    out = np.zeros(bound + 1, dtype=ac.dtype)
     for idx, c in s.terms:
         seg = ac[: bound + 1 - idx]
         if c == 1:
             out[idx:] += seg
         elif c == -1:
             out[idx:] -= seg
+        elif m is None:
+            out[idx:] += c * seg
         else:
             out[idx:] += (c % m) * seg % m
-    out %= m
-    return ResidueSeries(m, out)
-
-
-def shift_mod(a: ResidueSeries, j: int) -> ResidueSeries:
-    """Residue-lane twin of shift."""
-    if j < 0:
-        raise ValueError("shift must be nonnegative")
-    if j == 0:
-        return a
-    out = np.zeros(len(a.coeffs), dtype=np.int64)
-    out[j:] = a.coeffs[: len(a.coeffs) - j]
-    return ResidueSeries(a.modulus, out)
+    if m is not None:
+        out %= m
+    return out

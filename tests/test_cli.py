@@ -1,8 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
+from qvanish import cli, ec
 from qvanish.cli import main
 from qvanish.forms import delta_eta, delta_spec, export_qexp
 
@@ -126,6 +128,64 @@ class TestCache:
         spec, qs = ingest_qexp(os.path.join(cache_dir, entry))
         assert spec.weight == 2 and spec.level == 37
         assert qs[8] == 0
+
+
+def _keep_six_coefficients(good: bytes) -> bytes:
+    return b"".join(good.splitlines(keepends=True)[:10])  # 4 headers, a(1..6)
+
+
+CACHE_DAMAGE = {
+    "truncated": _keep_six_coefficients,
+    "cut-in-last-line": lambda good: good[:-3],
+    "empty": lambda good: b"",
+    "garbage": lambda good: b"\x00\xff not a q-expansion\n",
+    "other-label": lambda good: good.replace(b"# label: delta", b"# label: e4"),
+}
+
+
+class TestDamagedCache:
+    @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+    def test_recomputed_byte_identical(self, capsys, damage, json_out):
+        args = ("coeffs", "--form", "delta", "--limit", "20")
+        args += ("--json",) if json_out else ()
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        cache_dir = os.environ["QVANISH_CACHE_DIR"]
+        (entry,) = os.listdir(cache_dir)
+        path = os.path.join(cache_dir, entry)
+        with open(path, "rb") as fh:
+            good = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(CACHE_DAMAGE[damage](good))
+        code, warm, err = run(capsys, *args)
+        assert (code, warm) == (0, cold), err
+        assert os.listdir(cache_dir) == [entry]
+        with open(path, "rb") as fh:
+            assert fh.read() == good  # overwritten with a whole entry
+
+    def test_format_version_is_in_the_key(self, capsys, monkeypatch):
+        args = ("coeffs", "--form", "delta", "--limit", "20")
+        _, cold, _ = run(capsys, *args)
+        monkeypatch.setattr(cli, "CACHE_FORMAT", cli.CACHE_FORMAT + 1)
+        _, again, _ = run(capsys, *args)
+        assert again == cold
+        assert len(os.listdir(os.environ["QVANISH_CACHE_DIR"])) == 2
+
+
+class TestRefusals:
+    def test_failed_hasse_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: 3 * p)
+        code, out, err = run(capsys, "coeffs", "--fixture", "37a1", "--limit", "9")
+        assert (code, out) == (2, "")
+        assert "Hasse bound" in err
+
+    def test_unfactorable_discriminant_exits_2_quickly(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "mf", "--curve", "0,0,1,-1,100000000000000000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert "cannot factor" in err
 
 
 class TestClassify:

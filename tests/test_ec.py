@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import qvanish
+from qvanish import ec
 from qvanish.arith import sieve_primes
 from qvanish.ec import (
     ADDITIVE,
@@ -133,3 +139,40 @@ class TestPrimeTable:
         for p, ap in pt.table.items():
             if pt.provenance[p] == "good":
                 assert ap * ap <= 4 * p
+
+
+class TestResultChecks:
+    """The checks that guard a_p are exceptions, so python -O keeps them."""
+
+    def test_hasse_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: 3 * p)
+        with pytest.raises(ValueError, match="Hasse bound violated at p=5"):
+            ap_good(C37, 5)
+
+    def test_bad_prime_value_out_of_range_raises(self, monkeypatch):
+        monkeypatch.setattr(ec, "nonsingular_count", lambda curve, p: p - 2)
+        with pytest.raises(ValueError, match="outside"):
+            ap_bad(C37, 37)
+
+    def test_hasse_check_survives_python_O(self):
+        script = (
+            "from qvanish import ec\n"
+            "assert False, 'asserts are live: not running under -O'\n"
+            "ec._char_sum = lambda curve, p: 3 * p\n"
+            "try:\n"
+            "    ec.ap_good(ec.FIXTURES['37a1'], 5)\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qvanish.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("refused: Hasse bound violated at p=5")

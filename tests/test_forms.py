@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qvanish.forms import (
+    ETA_QUOTIENT_LEVELS,
     FormSpec,
     bernoulli,
     delta_coefficient,
@@ -11,6 +12,7 @@ from qvanish.forms import (
     delta_eta,
     delta_eta_mod,
     eisenstein_coeffs,
+    eta_product,
     eta_quotient,
     eta_quotient_coefficient,
     eta_quotient_mod,
@@ -19,7 +21,7 @@ from qvanish.forms import (
     parse_qexp,
     sigma,
 )
-from qvanish.series import LANE_PRIMES, reduce_mod
+from qvanish.series import LANE_PRIMES, eta_raw, reduce_mod
 
 from .oracles import sigma_by_divisors, tau_by_product
 
@@ -118,7 +120,11 @@ class TestDeltaRoutes:
         assert list(delta_eta(10).coeffs[1:]) == TAU_10
 
     def test_tau_matches_naive_product(self):
-        assert list(delta_eta(25).coeffs) == tau_by_product(25)
+        tau = tau_by_product(25)
+        assert list(delta_eta(25).coeffs) == tau
+        assert list(eta_product(1, 25).coeffs) == tau
+        for m in LANE_PRIMES:
+            assert eta_product(1, 25, m).coeffs.tolist() == [t % m for t in tau]
 
     def test_multiplicativity_spot(self):
         d = delta_eta(20)
@@ -203,6 +209,44 @@ class TestEtaQuotients:
         _, exact = eta_quotient(3, 60)
         assert eta_quotient_coefficient(3, 60) == exact[60]
         assert eta_quotient_coefficient(3, 17) == exact[17]
+
+
+class TestEtaProduct:
+    """One builder over Z and Z/m; level 1 is Delta."""
+
+    @pytest.mark.parametrize("m", LANE_PRIMES)
+    @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
+    def test_lane_matches_exact(self, level, m):
+        bound = 300
+        exact = eta_product(level, bound)
+        want = reduce_mod(exact, m).coeffs.tolist()
+        assert eta_product(level, bound, m).coeffs.tolist() == want
+        if level == 1:
+            assert delta_eta_mod(bound, m).coeffs.tolist() == want
+        else:
+            assert eta_quotient_mod(level, bound, m).coeffs.tolist() == want
+
+    def test_bound_one(self):
+        assert eta_product(1, 1).coeffs == (0, 1)
+        assert eta_product(11, 1, LANE_PRIMES[0]).coeffs.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("level", [0, 4, 7, 12])
+    def test_rejects_levels_out_of_scope(self, level):
+        with pytest.raises(ValueError):
+            eta_product(level, 10)
+
+    def test_rejects_bad_bound_and_modulus(self):
+        with pytest.raises(ValueError):
+            eta_product(1, 0)
+        with pytest.raises(ValueError):
+            eta_product(2, 10, 9)
+
+    def test_dilated_pentagonal_expansion(self):
+        # prod (1 - q^(3n)) is prod (1 - q^n) with every index tripled
+        plain = eta_raw(40)
+        assert eta_raw(120, 3).terms == tuple((3 * i, c) for i, c in plain.terms)
+        with pytest.raises(ValueError):
+            eta_raw(10, 0)
 
 
 class TestFormSpec:

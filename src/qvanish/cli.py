@@ -29,7 +29,7 @@ SCAN_GATE = 200000
 ZEROS_CAP = 1000
 # Part of every cache key: bump it when the cached payload or the code that
 # computes it changes, so entries written before are never read again.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 @dataclass
@@ -158,17 +158,23 @@ def _cache_key(spec: FormSpec, bound: int) -> str:
     return hashlib.sha256(ident.encode("ascii")).hexdigest()
 
 
+def _checksum_line(body: bytes) -> bytes:
+    return b"# sha256: " + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+
+
 def _cache_hit(path: str, spec: FormSpec, bound: int) -> QSeries | None:
     """The entry at path if it is whole and answers the request, else None.
 
-    A damaged entry (unparsable, cut short, or written for another form or
-    bound) is not trusted; the caller recomputes and overwrites it.
+    An entry is a '# sha256:' line over the body, then the body in the
+    q-expansion format.  A damaged entry (checksum mismatch, unparsable, or
+    written for another form or bound) is not trusted; the caller
+    recomputes and overwrites it.
     """
     try:
         with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":  # cut inside its last line
-                return None
+            head, body = fh.readline(), fh.read()
+        if head != _checksum_line(body):
+            return None
         got, qs = forms.ingest_qexp(path)
     except (OSError, ValueError):
         return None
@@ -187,12 +193,12 @@ def _cached_series(rf: ResolvedForm, bound: int) -> QSeries:
         if qs is not None:
             return qs
     qs = rf.exact_series(bound)
-    payload = forms.export_qexp(rf.spec, qs)
+    body = forms.export_qexp(rf.spec, qs).encode()
     os.makedirs(_cache_dir(), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=_cache_dir(), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_checksum_line(body) + body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,12 +1,14 @@
 """Newform coefficients from rational elliptic curves by point counting.
 
-A good prime contributes a_p = p + 1 - #E(F_p); the count is O(p) for odd p
-by completing the square (the substitution u = 2y + a1*x + a3 turns the model
-into u^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes 1 + chi(g(x))
-points with chi the quadratic character).  At a bad prime the nonsingular
-count #E_ns(F_p) = p - a_p pins a_p to +1 (split multiplicative), -1
-(nonsplit) or 0 (additive).  Input models are assumed minimal; the two
-shipped fixtures are minimal Weierstrass models.
+For a model minimal at p, one count gives a_p at every prime: a_p = p -
+#{affine points of the model mod p}.  At a good prime that is p + 1 -
+#E(F_p); at a bad prime the reduction has one singular point, so it is
+p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
+(additive).  The count is O(p) for odd p by completing the square: the
+substitution u = 2y + a1*x + a3 turns the model into
+u^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes 1 + chi(g(x))
+points with chi the quadratic character.  At p = 2 the four pairs (x, y)
+are tried.  Models that may not be minimal are refused (see curve_level).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import radical, sieve_primes
+from .arith import factorize, sieve_primes
 from .forms import FormSpec
 from .hecke import CoefficientOracle, PrimeEigenvalues
 
@@ -72,8 +74,25 @@ def parse_curve(text: str) -> WeierstrassCurve:
 
 
 def curve_level(curve: WeierstrassCurve) -> int:
-    """Radical of |disc|: the conductor's prime support for a minimal model."""
-    return radical(abs(curve.discriminant))
+    """Radical of |disc|: the conductor's prime support for a minimal model.
+
+    A model that may not be minimal is refused with ValueError: one with a
+    prime p where v_p(disc) >= 12, v_p(c4) >= 4 and v_p(c6) >= 6.  For
+    p >= 5 that test is exact (Kraus); at p = 2 and 3 it is necessary but
+    not sufficient, so some minimal models are refused there too.
+    """
+    b2, b4, b6, _ = curve.b_invariants
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    level = 1
+    for p, e in factorize(abs(curve.discriminant)):
+        if e >= 12 and c4 % p**4 == 0 and c6 % p**6 == 0:
+            raise ValueError(
+                f"the model may not be minimal at p={p} (v_p of disc, c4, c6 "
+                "at least 12, 4, 6); give a minimal model"
+            )
+        level *= p
+    return level
 
 
 def curve_form(curve: WeierstrassCurve) -> FormSpec:
@@ -96,78 +115,41 @@ def _char_sum(curve: WeierstrassCurve, p: int) -> int:
     return int(chi.sum())
 
 
-def _count_small(curve: WeierstrassCurve, p: int) -> int:
-    # affine points by full enumeration; used at p = 2, 3.
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    n = 0
-    for x in range(p):
-        rhs = (x**3 + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y) % p == rhs:
-                n += 1
-    return n
-
-
-def count_points_naive(curve: WeierstrassCurve, p: int) -> int:
-    """#E(F_p) by enumerating every (x, y) pair; the slow reference count."""
-    return _count_small(curve, p) + 1
+def _ap(curve: WeierstrassCurve, p: int) -> int:
+    """p - #{affine points of the model mod p}: a_p at any prime of a minimal model."""
+    if p == 2:
+        a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+        affine = sum(
+            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
+        )
+    else:
+        affine = p + _char_sum(curve, p)
+    return p - affine
 
 
 def ap_good(curve: WeierstrassCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at a prime of good reduction."""
     if curve.discriminant % p == 0:
         raise ValueError(f"{p} divides the discriminant; use ap_bad")
-    if p < 5:
-        ap = p + 1 - count_points_naive(curve, p)
-    else:
-        # #E = p + 1 + char sum, so a_p is minus the sum.
-        ap = -_char_sum(curve, p)
+    ap = _ap(curve, p)
     if ap * ap > 4 * p:
         raise ValueError(f"Hasse bound violated at p={p}: a_p={ap}")
     return ap
 
 
-def _singular_points(curve: WeierstrassCurve, p: int) -> list[tuple[int, int]]:
-    # On-curve points where both partials vanish, by enumeration (small p).
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    out = []
-    for x in range(p):
-        for y in range(p):
-            on = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p
-            if on:
-                continue
-            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-            fy = (2 * y + a1 * x + a3) % p
-            if fx == 0 and fy == 0:
-                out.append((x, y))
-    return out
-
-
-def nonsingular_count(curve: WeierstrassCurve, p: int) -> int:
-    """#E_ns(F_p): nonsingular affine points plus the point at infinity."""
-    if p < 5:
-        return _count_small(curve, p) - len(_singular_points(curve, p)) + 1
-    b2, b4, b6, _ = curve.b_invariants
-    affine = p + _char_sum(curve, p)
-    # On u^2 = g(x), a singular point is (x0, u=0) with g(x0) = g'(x0) = 0.
-    c3, c2, c1, c0 = 4 % p, b2 % p, (2 * b4) % p, b6 % p
-    x = np.arange(p, dtype=np.int64)
-    g = (((c3 * x + c2) % p * x + c1) % p * x + c0) % p
-    dg = ((12 % p) * x % p * x + (2 * b2 % p) * x + 2 * b4 % p) % p
-    singular = int(np.count_nonzero((g == 0) & (dg == 0)))
-    return affine - singular + 1
-
-
 def ap_bad(curve: WeierstrassCurve, p: int) -> int:
-    """a_p at a bad prime, from #E_ns(F_p) = p - a_p.
+    """a_p = p - #E_ns(F_p) at a bad prime, for a model minimal at p.
 
     +1 split multiplicative, -1 nonsplit multiplicative, 0 additive.  The
-    model is assumed minimal at p (true of the shipped fixtures; no global
-    minimality test is performed).
+    reduction has one singular point, which #E_ns drops and the point at
+    infinity replaces, so the affine count gives a_p here as at a good
+    prime.  prime_table refuses models that may not be minimal.
     """
     if curve.discriminant % p != 0:
         raise ValueError(f"{p} does not divide the discriminant; use ap_good")
-    ap = p - nonsingular_count(curve, p)
+    ap = _ap(curve, p)
     if ap not in (-1, 0, 1):
         raise ValueError(f"bad-prime a_p={ap} outside {{-1,0,1}} at p={p}")
     return ap
@@ -185,26 +167,15 @@ def reduction_type(curve: WeierstrassCurve, p: int) -> str:
 
 
 def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
-    """a_p for every prime p <= bound, dispatching on good/bad reduction."""
+    """a_p for every prime p <= bound, from ap_good or ap_bad."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    disc = curve.discriminant
-    table: dict[int, int] = {}
-    provenance: dict[int, str] = {}
-    for p in sieve_primes(bound):
-        if disc % p == 0:
-            table[p] = ap_bad(curve, p)
-            provenance[p] = "bad"
-        else:
-            table[p] = ap_good(curve, p)
-            provenance[p] = "good"
-    return PrimeEigenvalues(
-        weight=2,
-        level=curve_level(curve),
-        table=table,
-        bound=bound,
-        provenance=provenance,
-    )
+    level = curve_level(curve)
+    table = {
+        p: ap_bad(curve, p) if level % p == 0 else ap_good(curve, p)
+        for p in sieve_primes(bound)
+    }
+    return PrimeEigenvalues(weight=2, level=level, table=table, bound=bound)
 
 
 def oracle_for_curve(curve: WeierstrassCurve, bound: int) -> CoefficientOracle:

@@ -38,17 +38,12 @@ def coeff_prime_power(
 
 @dataclass
 class PrimeEigenvalues:
-    """Map p -> a(p) for every prime p <= bound, with weight/level context.
-
-    provenance optionally records how each entry was obtained (e.g. "good" /
-    "bad" reduction for elliptic-curve sources).
-    """
+    """Map p -> a(p) for every prime p <= bound, with weight/level context."""
 
     weight: int
     level: int
     table: dict[int, int]
     bound: int
-    provenance: dict[int, str] | None = None
 
     def __post_init__(self):
         if self.weight < 2 or self.weight % 2:
@@ -59,16 +54,11 @@ class PrimeEigenvalues:
 
 
 class CoefficientOracle:
-    """Memoized a(n) lookups over a prime table.
-
-    Cache writes are idempotent (a key always maps to the same value), so
-    concurrent readers and racing writers are harmless.
-    """
+    """a(n) lookups over a prime table."""
 
     def __init__(self, primes: PrimeEigenvalues, spec: FormSpec | None = None):
         self.primes = primes
         self.spec = spec
-        self._cache: dict[int, int] = {1: 1}
 
     def coeff(self, n: int) -> int:
         """a(n) = prod a(p^e) over the factorization of n; a(1) = 1."""
@@ -78,16 +68,12 @@ class CoefficientOracle:
             raise ValueError(
                 f"n = {n} exceeds the prime-table bound {self.primes.bound}"
             )
-        got = self._cache.get(n)
-        if got is not None:
-            return got
         pe = self.primes
         out = 1
         for p, e in factorize(n):
             out *= coeff_prime_power(
                 pe.table[p], p, e, pe.weight, pe.level % p == 0
             )
-        self._cache[n] = out
         return out
 
 

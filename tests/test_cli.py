@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -131,11 +132,19 @@ class TestCache:
 
 
 def _keep_six_coefficients(good: bytes) -> bytes:
-    return b"".join(good.splitlines(keepends=True)[:10])  # 4 headers, a(1..6)
+    return b"".join(good.splitlines(keepends=True)[:11])  # 5 headers, a(1..6)
+
+
+def _delete_a7(good: bytes) -> bytes:
+    lines = good.splitlines(keepends=True)
+    assert lines[11] == b"7 -16744\n"
+    return b"".join(lines[:11] + lines[12:])
 
 
 CACHE_DAMAGE = {
     "truncated": _keep_six_coefficients,
+    "flipped-digit": lambda good: good.replace(b"\n5 4830\n", b"\n5 4831\n"),
+    "deleted-line": _delete_a7,
     "cut-in-last-line": lambda good: good[:-3],
     "empty": lambda good: b"",
     "garbage": lambda good: b"\x00\xff not a q-expansion\n",
@@ -164,6 +173,15 @@ class TestDamagedCache:
         with open(path, "rb") as fh:
             assert fh.read() == good  # overwritten with a whole entry
 
+    def test_entry_starts_with_checksum_of_body(self, capsys):
+        run(capsys, "coeffs", "--form", "delta", "--limit", "20")
+        cache_dir = os.environ["QVANISH_CACHE_DIR"]
+        (entry,) = os.listdir(cache_dir)
+        with open(os.path.join(cache_dir, entry), "rb") as fh:
+            head, body = fh.readline(), fh.read()
+        assert head == b"# sha256: " + hashlib.sha256(body).hexdigest().encode() + b"\n"
+        assert body.startswith(b"# weight: 12\n")
+
     def test_format_version_is_in_the_key(self, capsys, monkeypatch):
         args = ("coeffs", "--form", "delta", "--limit", "20")
         _, cold, _ = run(capsys, *args)
@@ -186,6 +204,32 @@ class TestRefusals:
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (2, "")
         assert "cannot factor" in err
+
+
+NON_MINIMAL = ["0,0,8,-16,0", "0,0,0,-16,0"]  # 37a1 and 32a2 scaled by u = 2
+MINIMAL = ["0,0,1,-1,0", "1,-1,1,0,0", "0,-1,1,-10,-20", "0,0,1,0,-7", "0,0,0,25,0"]
+CURVE_COMMANDS = {
+    "coeffs": ("--limit", "9"),
+    "mf": (),
+    "scan": ("--limit", "100"),
+}
+
+
+class TestMinimality:
+    @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
+    @pytest.mark.parametrize("model", NON_MINIMAL)
+    def test_non_minimal_model_exits_2(self, capsys, model, command):
+        code, out, err = run(capsys, command, f"--curve={model}", *CURVE_COMMANDS[command])
+        assert (code, out) == (2, "")
+        assert "may not be minimal at p=2" in err
+        assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
+
+    @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
+    @pytest.mark.parametrize("model", MINIMAL)
+    def test_minimal_model_answers(self, capsys, model, command):
+        code, out, err = run(capsys, command, f"--curve={model}", *CURVE_COMMANDS[command])
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestClassify:

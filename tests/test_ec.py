@@ -1,8 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvanish
 from qvanish import ec
@@ -16,13 +20,12 @@ from qvanish.ec import (
     WeierstrassCurve,
     ap_bad,
     ap_good,
-    count_points_naive,
     curve_level,
-    nonsingular_count,
     parse_curve,
     prime_table,
     reduction_type,
 )
+from qvanish.cli import main
 from qvanish.hecke import qexp_from_primes
 
 from .oracles import count_affine_points, count_nonsingular
@@ -33,6 +36,40 @@ C53 = FIXTURES["53a1"]
 C_ADD = WeierstrassCurve(0, 0, 0, 25, 0, label="additive-5")
 # split multiplicative at 11 (the level-11 curve)
 C11 = WeierstrassCurve(0, -1, 1, -10, -20, label="11a1")
+# additive at 3, where the character sum now counts the bad prime too
+C27 = WeierstrassCurve(0, 0, 1, 0, -7, label="27a1")
+CURVES = [C37, C53, C11, C27, C_ADD]
+CURVE_IDS = [c.label for c in CURVES]
+
+
+def change_coordinates(curve, r, s, t):
+    """The model in x = x' + r, y = y' + s x' + t (Silverman, Table 3.1, u = 1)."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    return WeierstrassCurve(
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+def scaled(curve, u):
+    """The model with every a_i multiplied by u^i: the curve again, not minimal at u's primes."""
+    return WeierstrassCurve(
+        curve.a1 * u, curve.a2 * u**2, curve.a3 * u**3, curve.a4 * u**4, curve.a6 * u**6
+    )
+
+
+def curve_arg(curve):
+    return f"{curve.a1},{curve.a2},{curve.a3},{curve.a4},{curve.a6}"
+
+
+def cli_mf(curve):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["mf", f"--curve={curve_arg(curve)}"])
+    return code, out.getvalue()
 
 
 class TestModel:
@@ -53,6 +90,22 @@ class TestModel:
     def test_levels(self):
         assert curve_level(C37) == 37
         assert curve_level(C53) == 53
+        assert [curve_level(c) for c in (C11, C27, C_ADD)] == [11, 3, 10]
+
+    @pytest.mark.parametrize(
+        "model, p",
+        [
+            (scaled(C37, 2), 2),
+            (WeierstrassCurve(0, 0, 0, -16, 0), 2),  # 32a2 scaled by u = 2
+            (scaled(C37, 5), 5),
+        ],
+        ids=["37a1-u2", "32a2-u2", "37a1-u5"],
+    )
+    def test_non_minimal_models_refused(self, model, p):
+        with pytest.raises(ValueError, match=f"may not be minimal at p={p}"):
+            curve_level(model)
+        with pytest.raises(ValueError, match=f"may not be minimal at p={p}"):
+            prime_table(model, 10)
 
 
 class TestGoodPrimes:
@@ -68,7 +121,7 @@ class TestGoodPrimes:
         with pytest.raises(ValueError, match="divides the discriminant"):
             ap_good(C37, 37)
 
-    @pytest.mark.parametrize("curve", [C37, C53], ids=["37a1", "53a1"])
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_char_sum_equals_enumeration_to_200(self, curve):
         for p in sieve_primes(200):
             if curve.discriminant % p == 0:
@@ -79,7 +132,6 @@ class TestGoodPrimes:
                 count_affine_points(a.a1, a.a2, a.a3, a.a4, a.a6, p) + 1
             )
             assert ap == naive, (curve.label, p)
-            assert ap == p + 1 - count_points_naive(curve, p)
             assert ap * ap <= 4 * p
 
 
@@ -89,8 +141,16 @@ class TestBadPrimes:
         # (both fixtures reduce to a nonsplit node).
         assert ap_bad(C37, 37) == -1
         assert ap_bad(C53, 53) == -1
-        assert nonsingular_count(C37, 37) == count_nonsingular(0, 0, 1, -1, 0, 37)
-        assert nonsingular_count(C53, 53) == count_nonsingular(1, -1, 1, 0, 0, 53)
+
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_every_bad_prime_from_brute_force(self, curve):
+        a = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+        bad = [p for p in sieve_primes(200) if curve.discriminant % p == 0]
+        assert bad
+        for p in bad:
+            ap = ap_bad(curve, p)
+            assert ap == p - count_affine_points(*a, p), (curve.label, p)
+            assert ap == p - count_nonsingular(*a, p), (curve.label, p)
 
     def test_additive_fixture(self):
         assert ap_bad(C_ADD, 5) == 0
@@ -113,7 +173,6 @@ class TestPrimeTable:
     def test_37a1_table_to_7(self):
         pt = prime_table(C37, 7)
         assert pt.table == {2: -2, 3: -3, 5: -2, 7: -1}
-        assert pt.provenance == {2: "good", 3: "good", 5: "good", 7: "good"}
 
     def test_53a1_table_to_7(self):
         assert prime_table(C53, 7).table == {2: -1, 3: -3, 5: 0, 7: -4}
@@ -121,9 +180,9 @@ class TestPrimeTable:
     def test_bound_two(self):
         assert len(prime_table(C37, 2).table) == 1
 
-    def test_provenance_marks_bad(self):
+    def test_bad_prime_entry(self):
         pt = prime_table(C37, 40)
-        assert pt.provenance[37] == "bad"
+        assert pt.level % 37 == 0
         assert pt.table[37] == -1
 
     def test_known_expansions_through_q9(self):
@@ -137,7 +196,7 @@ class TestPrimeTable:
     def test_hasse_everywhere(self):
         pt = prime_table(C53, 300)
         for p, ap in pt.table.items():
-            if pt.provenance[p] == "good":
+            if pt.level % p:
                 assert ap * ap <= 4 * p
 
 
@@ -150,7 +209,7 @@ class TestResultChecks:
             ap_good(C37, 5)
 
     def test_bad_prime_value_out_of_range_raises(self, monkeypatch):
-        monkeypatch.setattr(ec, "nonsingular_count", lambda curve, p: p - 2)
+        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: -2)
         with pytest.raises(ValueError, match="outside"):
             ap_bad(C37, 37)
 
@@ -176,3 +235,31 @@ class TestResultChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("refused: Hasse bound violated at p=5")
+
+
+TABLE_BOUND = 500
+REFERENCE = {
+    c.label: (prime_table(c, TABLE_BOUND).table, cli_mf(c)) for c in CURVES
+}
+
+
+class TestIsomorphicModels:
+    """A change of coordinates gives the same curve, so the same answers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        curve=st.sampled_from(CURVES),
+        r=st.integers(-50, 50),
+        s=st.integers(-50, 50),
+        t=st.integers(-50, 50),
+    )
+    def test_same_table_and_mf(self, curve, r, s, t):
+        model = change_coordinates(curve, r, s, t)
+        assert model.discriminant == curve.discriminant
+        table, mf = REFERENCE[curve.label]
+        assert prime_table(model, TABLE_BOUND).table == table
+        assert cli_mf(model) == mf
+
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_scaled_by_two_exits_2(self, curve):
+        assert cli_mf(scaled(curve, 2)) == (2, "")

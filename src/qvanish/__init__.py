@@ -27,6 +27,7 @@ from .vanish import (
     GuaranteeViolationError,
     MfResult,
     ScanReport,
+    ScanSource,
     VanishClass,
     classify,
     compute_mf,
@@ -47,6 +48,7 @@ __all__ = [
     "QSeries",
     "ResidueSeries",
     "ScanReport",
+    "ScanSource",
     "SparseSeries",
     "VanishClass",
     "WeierstrassCurve",

@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from . import ec, forms, vanish
+from . import ec, forms, hecke, vanish
 from .arith import is_prime
 from .forms import FormSpec
 from .series import LANE_PRIMES, QSeries
@@ -39,7 +39,7 @@ class ResolvedForm:
     # lane builder (bound, modulus) -> ResidueSeries, for forms built as a product
     residue_series: Callable[[int, int], object] | None = None
     # what a scan to a bound reads, when it is not the exact series
-    scan_source: Callable[[int], object] | None = None
+    scan_source: Callable[[int], vanish.ScanSource] | None = None
     budget: int | None = None
     cacheable: bool = False
 
@@ -58,8 +58,8 @@ def _eta_product_form(level: int) -> ResolvedForm:
         spec=forms.eta_product_spec(level),
         exact_series=exact,
         residue_series=lane,
-        scan_source=lambda b: vanish.ResidueLaneSource(
-            lanes=[lane(b, m) for m in LANE_PRIMES], exact=coeff
+        scan_source=lambda b: vanish.ScanSource(
+            b, coeff, tuple(lane(b, m) for m in LANE_PRIMES)
         ),
         budget=5000,
         cacheable=True,
@@ -112,7 +112,7 @@ def _resolve_form(args, parser) -> ResolvedForm:
         return ResolvedForm(
             spec=ec.curve_form(curve),
             exact_series=lambda b, c=curve: _curve_series(c, b),
-            scan_source=lambda b, c=curve: ec.oracle_for_curve(c, max(b, 2)),
+            scan_source=lambda b, c=curve: _curve_source(c, b),
             budget=100000,
             cacheable=True,
         )
@@ -127,9 +127,12 @@ def _resolve_form(args, parser) -> ResolvedForm:
 
 
 def _curve_series(curve, bound):
-    from .hecke import qexp_from_primes
+    return hecke.qexp_from_primes(ec.prime_table(curve, max(bound, 2)), bound)
 
-    return qexp_from_primes(ec.prime_table(curve, max(bound, 2)), bound)
+
+def _curve_source(curve, bound) -> vanish.ScanSource:
+    pe = ec.prime_table(curve, max(bound, 2))
+    return vanish.ScanSource(pe.bound, hecke.CoefficientOracle(pe).coeff)
 
 
 def _slice_series(qs: QSeries, bound: int, path) -> QSeries:
@@ -320,31 +323,27 @@ def cmd_scan(args, parser) -> int:
         )
 
     mf_value = _mf_payload(rf)[0].value if args.coprime_mf else None
-    source = (rf.scan_source or rf.exact_series)(limit)
+    if rf.scan_source:
+        source = rf.scan_source(limit)
+    else:
+        source = vanish.ScanSource.from_series(rf.exact_series(limit))
     report = vanish.first_vanishing(
         source,
         limit,
         coprime_to=mf_value,
         mf_guarantee=args.coprime_mf,
-        form=rf.spec,
+        level=rf.spec.level,
     )
     cert = report.certification
+    # vars, not asdict: asdict would deep-copy every zero before the cap
     payload = {
-        "bound": report.bound,
+        **vars(report),
         "certification": {
             "exact": cert.count(vanish.CERT_EXACT),
             "residue": cert.count(vanish.CERT_RESIDUE),
             "zero": cert.count(vanish.CERT_ZERO),
         },
-        "coprime_to": report.coprime_to,
-        "first_zero": report.first_zero,
-        "first_zero_coprime": report.first_zero_coprime,
-        "first_zero_coprime_divides_level": report.first_zero_coprime_divides_level,
-        "first_zero_coprime_is_prime": report.first_zero_coprime_is_prime,
-        "first_zero_divides_level": report.first_zero_divides_level,
-        "first_zero_is_prime": report.first_zero_is_prime,
         "form": asdict(rf.spec),
-        "lane_moduli": list(report.lane_moduli),
         "mf": mf_value,
         "zeros": report.zeros[:ZEROS_CAP],
         "zeros_omitted": max(0, len(report.zeros) - ZEROS_CAP),

@@ -14,12 +14,13 @@ are tried.  Models that may not be minimal are refused (see curve_level).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .arith import factorize, sieve_primes
 from .forms import FormSpec
-from .hecke import CoefficientOracle, PrimeEigenvalues
+from .hecke import PrimeEigenvalues
 
 GOOD = "good"
 SPLIT_MULTIPLICATIVE = "split-multiplicative"
@@ -56,6 +57,29 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
+    @cached_property
+    def level(self) -> int:
+        """Radical of |disc|: the conductor's prime support for a minimal model.
+
+        A model that may not be minimal is refused with ValueError: one with a
+        prime p where v_p(disc) >= 12, v_p(c4) >= 4 and v_p(c6) >= 6.  For
+        p >= 5 that test is exact (Kraus); at p = 2 and 3 it is necessary but
+        not sufficient, so some minimal models are refused there too.  The
+        discriminant is factorized once per curve object.
+        """
+        b2, b4, b6, _ = self.b_invariants
+        c4 = b2 * b2 - 24 * b4
+        c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+        level = 1
+        for p, e in factorize(abs(self.discriminant)):
+            if e >= 12 and c4 % p**4 == 0 and c6 % p**6 == 0:
+                raise ValueError(
+                    f"the model may not be minimal at p={p} (v_p of disc, c4, c6 "
+                    "at least 12, 4, 6); give a minimal model"
+                )
+            level *= p
+        return level
+
 
 # Minimal models of the two counterexample curves, by Cremona label.
 FIXTURES = {
@@ -65,7 +89,9 @@ FIXTURES = {
 
 
 def parse_curve(text: str) -> WeierstrassCurve:
-    """Curve from 'a1,a2,a3,a4,a6' (five comma-separated integers)."""
+    """Curve from 'a1,a2,a3,a4,a6' (five comma-separated ASCII integers)."""
+    if not text.isascii():
+        raise ValueError("curve coefficients must be ASCII integers a1,a2,a3,a4,a6")
     parts = text.split(",")
     if len(parts) != 5:
         raise ValueError("expected five comma-separated integers a1,a2,a3,a4,a6")
@@ -74,25 +100,8 @@ def parse_curve(text: str) -> WeierstrassCurve:
 
 
 def curve_level(curve: WeierstrassCurve) -> int:
-    """Radical of |disc|: the conductor's prime support for a minimal model.
-
-    A model that may not be minimal is refused with ValueError: one with a
-    prime p where v_p(disc) >= 12, v_p(c4) >= 4 and v_p(c6) >= 6.  For
-    p >= 5 that test is exact (Kraus); at p = 2 and 3 it is necessary but
-    not sufficient, so some minimal models are refused there too.
-    """
-    b2, b4, b6, _ = curve.b_invariants
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    level = 1
-    for p, e in factorize(abs(curve.discriminant)):
-        if e >= 12 and c4 % p**4 == 0 and c6 % p**6 == 0:
-            raise ValueError(
-                f"the model may not be minimal at p={p} (v_p of disc, c4, c6 "
-                "at least 12, 4, 6); give a minimal model"
-            )
-        level *= p
-    return level
+    """The curve's level; see WeierstrassCurve.level."""
+    return curve.level
 
 
 def curve_form(curve: WeierstrassCurve) -> FormSpec:
@@ -177,7 +186,3 @@ def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     }
     return PrimeEigenvalues(weight=2, level=level, table=table, bound=bound)
 
-
-def oracle_for_curve(curve: WeierstrassCurve, bound: int) -> CoefficientOracle:
-    """CoefficientOracle covering n <= bound for the curve's newform."""
-    return CoefficientOracle(prime_table(curve, bound), spec=curve_form(curve))

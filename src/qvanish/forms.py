@@ -12,7 +12,6 @@ externally supplied forms.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -79,32 +78,17 @@ def sigma(n: int, m: int) -> int:
     return out
 
 
-_bernoulli_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-_bernoulli_lock = threading.Lock()
-
-
 def bernoulli(idx: int) -> Fraction:
-    """Bernoulli number B_idx for even idx >= 2, via sum_j C(n+1, j) B_j = 0.
-
-    Values are cached process-wide; the lock makes first computation of an
-    index exclusive while readers of already-cached values never block.
-    """
+    """Bernoulli number B_idx for even idx >= 2, via sum_j C(n+1, j) B_j = 0."""
     if idx < 2 or idx % 2:
         raise ValueError("only even Bernoulli indices >= 2 are supported")
-    got = _bernoulli_cache.get(idx)
-    if got is not None:
-        return got
-    with _bernoulli_lock:
-        if idx in _bernoulli_cache:
-            return _bernoulli_cache[idx]
-        top = max(_bernoulli_cache)
-        for n in range(top + 1, idx + 1):
-            if n % 2 and n > 1:
-                _bernoulli_cache[n] = Fraction(0)
-                continue
-            s = sum(comb(n + 1, j) * _bernoulli_cache[j] for j in range(n))
-            _bernoulli_cache[n] = Fraction(-s, n + 1)
-        return _bernoulli_cache[idx]
+    b = [Fraction(1), Fraction(-1, 2)]
+    for n in range(2, idx + 1):
+        if n % 2:
+            b.append(Fraction(0))
+        else:
+            b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b[idx]
 
 
 def _sigma_sieve(bound: int, m: int) -> list[int]:

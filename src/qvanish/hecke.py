@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, sieve_primes
-from .forms import FormSpec
 from .series import QSeries
 
 
@@ -56,9 +55,8 @@ class PrimeEigenvalues:
 class CoefficientOracle:
     """a(n) lookups over a prime table."""
 
-    def __init__(self, primes: PrimeEigenvalues, spec: FormSpec | None = None):
+    def __init__(self, primes: PrimeEigenvalues):
         self.primes = primes
-        self.spec = spec
 
     def coeff(self, n: int) -> int:
         """a(n) = prod a(p^e) over the factorization of n; a(1) = 1."""

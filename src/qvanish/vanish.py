@@ -31,8 +31,6 @@ from typing import Callable
 import numpy as np
 
 from .arith import is_prime
-from .forms import FormSpec
-from .hecke import CoefficientOracle
 from .series import LANE_PRIMES, QSeries, ResidueSeries, reduce_mod
 
 AP_ZERO = "ap_zero"
@@ -162,7 +160,6 @@ class ScanReport:
     be an exact zero ('z').  Every index below a reported zero is certified.
     """
 
-    form: FormSpec | None
     bound: int
     first_zero: int | None
     first_zero_is_prime: bool | None
@@ -176,63 +173,45 @@ class ScanReport:
     lane_moduli: tuple[int, ...]
 
 
-@dataclass
-class ResidueLaneSource:
-    """Scan source: residue-lane series plus an exact per-index fallback.
+@dataclass(frozen=True)
+class ScanSource:
+    """What a scan reads: a(n) for 1 <= n <= bound.
 
-    Used when materializing the exact series is too expensive: the lanes are
-    computed directly modulo each prime and only all-lanes-zero indices reach
-    the exact callback.
+    exact(n) gives a(n) exactly.  The residue lanes, when there are any,
+    certify most nonzeros at once; only all-lanes-zero indices reach exact.
+    Each lane covers bound.
     """
 
-    lanes: list[ResidueSeries]
+    bound: int
     exact: Callable[[int], int]
+    lanes: tuple[ResidueSeries, ...] = ()
 
     def __post_init__(self):
-        if not self.lanes:
-            raise ValueError("at least one residue lane required")
-        bounds = {lane.trunc_bound for lane in self.lanes}
-        if len(bounds) != 1:
-            raise ValueError("residue lanes must share a truncation bound")
+        short = [lane.modulus for lane in self.lanes if lane.trunc_bound < self.bound]
+        if short:
+            raise ValueError(f"residue lanes mod {short} do not cover {self.bound}")
 
-
-def _lanes_and_exact(source, bound):
-    if isinstance(source, QSeries):
-        if source.trunc_bound < bound:
-            raise ValueError(
-                f"series bound {source.trunc_bound} below scan bound {bound}"
-            )
-        lanes = [reduce_mod(source, m) for m in LANE_PRIMES]
-        return lanes, source.__getitem__
-    if isinstance(source, CoefficientOracle):
-        if source.primes.bound < bound:
-            raise ValueError(
-                f"prime table bound {source.primes.bound} below scan bound {bound}"
-            )
-        return [], source.coeff
-    if isinstance(source, ResidueLaneSource):
-        if source.lanes[0].trunc_bound < bound:
-            raise ValueError(
-                f"lane bound {source.lanes[0].trunc_bound} below scan bound {bound}"
-            )
-        return source.lanes, source.exact
-    raise TypeError(f"cannot scan a {type(source).__name__}")
+    @classmethod
+    def from_series(cls, qs: QSeries) -> ScanSource:
+        """The series itself as exact values, with one lane per LANE_PRIMES."""
+        lanes = tuple(reduce_mod(qs, m) for m in LANE_PRIMES)
+        return cls(qs.trunc_bound, qs.__getitem__, lanes)
 
 
 def first_vanishing(
-    source,
+    source: ScanSource,
     bound: int,
     coprime_to: int | None = None,
     *,
     mf_guarantee: bool = False,
-    form: FormSpec | None = None,
+    level: int | None = None,
 ) -> ScanReport:
     """Scan for vanishing coefficients over 1 <= n <= bound.
 
-    source is a QSeries (residue lanes are derived from it), a
-    CoefficientOracle (exact per-index checks), or a ResidueLaneSource.
-    Every nonzero is certified -- by a nonzero residue in some lane or by an
-    exact check -- and every reported zero is verified in exact arithmetic.
+    Every nonzero is certified -- by a nonzero residue in some lane of the
+    source or by its exact value -- and every reported zero is verified in
+    exact arithmetic.  With level set, each reported zero also says whether
+    it shares a factor with the level.
 
     With coprime_to set, the first zero coprime to it is also reported.  Set
     mf_guarantee when coprime_to is (a multiple of) the form's M_f: a
@@ -241,9 +220,9 @@ def first_vanishing(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if form is None and isinstance(source, CoefficientOracle):
-        form = source.spec
-    lanes, exact = _lanes_and_exact(source, bound)
+    if source.bound < bound:
+        raise ValueError(f"source bound {source.bound} below scan bound {bound}")
+    lanes, exact = source.lanes, source.exact
 
     cert = bytearray(bound)
     if lanes:
@@ -262,8 +241,6 @@ def first_vanishing(
             zeros.append(n)
         else:
             cert[n - 1] = CERT_EXACT
-
-    level = form.level if form is not None else None
 
     def _flags(n):
         if n is None:
@@ -289,7 +266,6 @@ def first_vanishing(
             )
 
     return ScanReport(
-        form=form,
         bound=bound,
         first_zero=first_zero,
         first_zero_is_prime=fz_prime,

@@ -9,7 +9,7 @@ import random
 import time
 
 from qvanish.arith import sieve_primes
-from qvanish.ec import FIXTURES, ap_good, oracle_for_curve, prime_table
+from qvanish.ec import FIXTURES, ap_good, prime_table
 from qvanish.forms import (
     delta_coefficient,
     delta_eisenstein,
@@ -18,12 +18,17 @@ from qvanish.forms import (
     eisenstein_coeffs,
     eta_quotient,
 )
-from qvanish.hecke import PrimeEigenvalues, coeff_prime_power, qexp_from_primes
+from qvanish.hecke import (
+    CoefficientOracle,
+    PrimeEigenvalues,
+    coeff_prime_power,
+    qexp_from_primes,
+)
 from qvanish.series import LANE_PRIMES
 from qvanish.vanish import (
     CERT_ZERO,
     PERIODIC,
-    ResidueLaneSource,
+    ScanSource,
     classify,
     compute_mf,
     first_vanishing,
@@ -50,7 +55,8 @@ def test_criterion_01_counterexample_37a1():
     curve = FIXTURES["37a1"]
     expansion = qexp_from_primes(prime_table(curve, 9), 9)
     ok = expansion.coeffs == KNOWN_37A1 and expansion[8] == 0
-    scan = first_vanishing(oracle_for_curve(curve, 100), 100)
+    pe = prime_table(curve, 100)
+    scan = first_vanishing(ScanSource(pe.bound, CoefficientOracle(pe).coeff), 100)
     ok = ok and scan.first_zero == 8 and scan.first_zero_is_prime is False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -93,8 +99,8 @@ def test_criterion_03_optimal_mf_values():
 def test_criterion_04_scaled_lehmer_scan():
     t0 = time.perf_counter()
     bound = 100000
-    lanes = [delta_eta_mod(bound, m) for m in LANE_PRIMES]
-    src = ResidueLaneSource(lanes=lanes, exact=delta_coefficient)
+    lanes = tuple(delta_eta_mod(bound, m) for m in LANE_PRIMES)
+    src = ScanSource(bound, delta_coefficient, lanes)
     scan = first_vanishing(src, bound)
     ok = scan.first_zero is None
     ok = ok and scan.certification.count(CERT_ZERO) == 0

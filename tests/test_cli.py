@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -191,6 +192,15 @@ class TestDamagedCache:
         assert len(os.listdir(os.environ["QVANISH_CACHE_DIR"])) == 2
 
 
+NON_MINIMAL = ["0,0,8,-16,0", "0,0,0,-16,0"]  # 37a1 and 32a2 scaled by u = 2
+MINIMAL = ["0,0,1,-1,0", "1,-1,1,0,0", "0,-1,1,-10,-20", "0,0,1,0,-7", "0,0,0,25,0"]
+CURVE_COMMANDS = {
+    "coeffs": ("--limit", "9"),
+    "mf": (),
+    "scan": ("--limit", "100"),
+}
+
+
 class TestRefusals:
     def test_failed_hasse_check_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ec, "_char_sum", lambda curve, p: 3 * p)
@@ -205,14 +215,12 @@ class TestRefusals:
         assert (code, out) == (2, "")
         assert "cannot factor" in err
 
-
-NON_MINIMAL = ["0,0,8,-16,0", "0,0,0,-16,0"]  # 37a1 and 32a2 scaled by u = 2
-MINIMAL = ["0,0,1,-1,0", "1,-1,1,0,0", "0,-1,1,-10,-20", "0,0,1,0,-7", "0,0,0,25,0"]
-CURVE_COMMANDS = {
-    "coeffs": ("--limit", "9"),
-    "mf": (),
-    "scan": ("--limit", "100"),
-}
+    @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
+    def test_non_ascii_curve_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curve=٠,٠,١,-١,٠", *CURVE_COMMANDS[command]])
+        assert exc.value.code == 2
+        assert "curve coefficients must be ASCII" in capsys.readouterr().err
 
 
 class TestMinimality:
@@ -225,11 +233,35 @@ class TestMinimality:
         assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
 
     @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
+    def test_non_minimal_model_counts_no_point(self, capsys, monkeypatch, command):
+        counted = []
+        monkeypatch.setattr(ec, "_ap", lambda curve, p: counted.append(p))
+        code, _, err = run(capsys, command, f"--curve={NON_MINIMAL[0]}", *CURVE_COMMANDS[command])
+        assert (code, counted) == (2, [])
+        assert "may not be minimal" in err
+
+    @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
     @pytest.mark.parametrize("model", MINIMAL)
     def test_minimal_model_answers(self, capsys, model, command):
         code, out, err = run(capsys, command, f"--curve={model}", *CURVE_COMMANDS[command])
         assert (code, err) == (0, "")
         assert out
+
+
+class TestLevelOnce:
+    @pytest.mark.parametrize("selector", ["--fixture=37a1", "--curve=0,0,1,-1,0"])
+    @pytest.mark.parametrize(
+        "argv", [("coeffs", "--limit", "100"), ("mf",), ("scan", "--limit", "100", "--coprime-mf")]
+    )
+    def test_discriminant_factorized_once(self, capsys, monkeypatch, argv, selector):
+        # a fresh fixture object, so no earlier test has cached its level
+        monkeypatch.setitem(ec.FIXTURES, "37a1", dataclasses.replace(ec.FIXTURES["37a1"]))
+        factorized = []
+        real = ec.factorize
+        monkeypatch.setattr(ec, "factorize", lambda n: factorized.append(n) or real(n))
+        code, _, err = run(capsys, argv[0], selector, *argv[1:])
+        assert (code, err) == (0, "")
+        assert len(factorized) == 1
 
 
 class TestClassify:

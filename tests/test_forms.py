@@ -68,10 +68,6 @@ class TestBernoulli:
     def test_concurrent_initialization(self):
         import threading
 
-        import qvanish.forms as forms_mod
-
-        forms_mod._bernoulli_cache.clear()
-        forms_mod._bernoulli_cache.update({0: Fraction(1), 1: Fraction(-1, 2)})
         results = []
 
         def worker():

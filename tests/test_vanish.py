@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvanish.ec import FIXTURES, oracle_for_curve, prime_table
+from qvanish.ec import FIXTURES, prime_table
 from qvanish.forms import delta_coefficient, delta_eta, delta_eta_mod
-from qvanish.hecke import qexp_from_primes
+from qvanish.hecke import CoefficientOracle, qexp_from_primes
 from qvanish.series import LANE_PRIMES
 from qvanish.vanish import (
     AP_ZERO,
@@ -16,7 +16,7 @@ from qvanish.vanish import (
     CERT_ZERO,
     GuaranteeViolationError,
     MfResult,
-    ResidueLaneSource,
+    ScanSource,
     VanishClass,
     classify,
     compute_mf,
@@ -27,6 +27,11 @@ from qvanish.vanish import (
 )
 
 from .oracles import prime_power_zeros
+
+
+def curve_source(curve, bound):
+    pe = prime_table(curve, bound)
+    return ScanSource(pe.bound, CoefficientOracle(pe).coeff)
 
 
 class TestClassify:
@@ -168,7 +173,7 @@ class TestComputeMf:
 
 class TestFirstVanishing:
     def test_37a1_oracle_scan(self):
-        report = first_vanishing(oracle_for_curve(FIXTURES["37a1"], 100), 100)
+        report = first_vanishing(curve_source(FIXTURES["37a1"], 100), 100, level=37)
         assert report.first_zero == 8
         assert report.first_zero_is_prime is False
         assert report.first_zero_divides_level is False
@@ -176,7 +181,7 @@ class TestFirstVanishing:
 
     def test_37a1_coprime_six(self):
         report = first_vanishing(
-            oracle_for_curve(FIXTURES["37a1"], 100), 100, coprime_to=6,
+            curve_source(FIXTURES["37a1"], 100), 100, coprime_to=6,
             mf_guarantee=True,
         )
         # a(17) = 0 with a_p = 0 at the good prime 17: the hit is prime
@@ -184,34 +189,32 @@ class TestFirstVanishing:
         assert report.first_zero_coprime_is_prime is True
 
     def test_53a1_zeros_include_243(self):
-        report = first_vanishing(oracle_for_curve(FIXTURES["53a1"], 300), 300)
+        report = first_vanishing(curve_source(FIXTURES["53a1"], 300), 300)
         assert report.first_zero == 5
         assert 243 in report.zeros
 
     def test_series_and_oracle_paths_agree(self):
         pe = prime_table(FIXTURES["53a1"], 300)
         series = qexp_from_primes(pe, 300)
-        via_series = first_vanishing(series, 300)
-        via_oracle = first_vanishing(oracle_for_curve(FIXTURES["53a1"], 300), 300)
+        via_series = first_vanishing(ScanSource.from_series(series), 300)
+        via_oracle = first_vanishing(curve_source(FIXTURES["53a1"], 300), 300)
         assert via_series.zeros == via_oracle.zeros
         assert via_series.first_zero == via_oracle.first_zero
         assert via_series.lane_moduli == LANE_PRIMES
 
     def test_residue_lane_source(self):
         bound = 2000
-        lanes = [delta_eta_mod(bound, m) for m in LANE_PRIMES]
-        src = ResidueLaneSource(lanes=lanes, exact=delta_coefficient)
+        lanes = tuple(delta_eta_mod(bound, m) for m in LANE_PRIMES)
+        src = ScanSource(bound, delta_coefficient, lanes)
         report = first_vanishing(src, bound)
         assert report.first_zero is None
         assert report.certification.count(CERT_RESIDUE) == bound
 
     def test_lane_and_series_scans_agree(self):
         bound = 1500
-        lanes = [delta_eta_mod(bound, m) for m in LANE_PRIMES]
-        via_lanes = first_vanishing(
-            ResidueLaneSource(lanes=lanes, exact=delta_coefficient), bound
-        )
-        via_series = first_vanishing(delta_eta(bound), bound)
+        lanes = tuple(delta_eta_mod(bound, m) for m in LANE_PRIMES)
+        via_lanes = first_vanishing(ScanSource(bound, delta_coefficient, lanes), bound)
+        via_series = first_vanishing(ScanSource.from_series(delta_eta(bound)), bound)
         assert via_lanes.zeros == via_series.zeros
         assert via_lanes.certification == via_series.certification
 
@@ -219,14 +222,13 @@ class TestFirstVanishing:
         # A single lane modulo 7 has zero residues (tau(5) = 4830 = 7 * 690);
         # the exact fallback must rescue those indices, not report zeros.
         bound = 50
-        lanes = [delta_eta_mod(bound, 7)]
-        src = ResidueLaneSource(lanes=lanes, exact=delta_coefficient)
+        src = ScanSource(bound, delta_coefficient, (delta_eta_mod(bound, 7),))
         report = first_vanishing(src, bound)
         assert report.first_zero is None
         assert report.certification.count(CERT_EXACT) > 0
 
     def test_every_index_below_zero_certified(self):
-        report = first_vanishing(oracle_for_curve(FIXTURES["37a1"], 50), 50)
+        report = first_vanishing(curve_source(FIXTURES["37a1"], 50), 50)
         first = report.first_zero
         for n in range(1, first):
             assert report.certification[n - 1] in (CERT_RESIDUE, CERT_EXACT)
@@ -237,18 +239,22 @@ class TestFirstVanishing:
         # is mathematically fine; flagging it as an M_f scan must raise.
         with pytest.raises(GuaranteeViolationError):
             first_vanishing(
-                oracle_for_curve(FIXTURES["37a1"], 100), 100, coprime_to=5,
+                curve_source(FIXTURES["37a1"], 100), 100, coprime_to=5,
                 mf_guarantee=True,
             )
 
     def test_insufficient_coverage(self):
         with pytest.raises(ValueError, match="below scan bound"):
-            first_vanishing(delta_eta(10), 20)
+            first_vanishing(ScanSource.from_series(delta_eta(10)), 20)
         with pytest.raises(ValueError, match="below scan bound"):
-            first_vanishing(oracle_for_curve(FIXTURES["37a1"], 10), 20)
+            first_vanishing(curve_source(FIXTURES["37a1"], 10), 20)
+
+    def test_short_lane_refused(self):
+        with pytest.raises(ValueError, match="do not cover 20"):
+            ScanSource(20, delta_coefficient, (delta_eta_mod(10, 7),))
 
     def test_tau_nonvanishing_small(self):
-        report = first_vanishing(delta_eta(3000), 3000)
+        report = first_vanishing(ScanSource.from_series(delta_eta(3000)), 3000)
         assert report.first_zero is None
         assert len(report.certification) == 3000
 
@@ -260,17 +266,17 @@ class TestFirstVanishing:
         from qvanish.ec import WeierstrassCurve
 
         curve = WeierstrassCurve(0, 0, 0, 25, 0, label="additive-5")
-        report = first_vanishing(oracle_for_curve(curve, 30), 30)
+        report = first_vanishing(curve_source(curve, 30), 30, level=10)
         assert report.first_zero == 2
         assert report.first_zero_divides_level is True
         assert report.first_zero_is_prime is True
         assert 5 in report.zeros and 10 in report.zeros
         coprime = first_vanishing(
-            oracle_for_curve(curve, 30), 30, coprime_to=1, mf_guarantee=True
+            curve_source(curve, 30), 30, coprime_to=1, mf_guarantee=True
         )
         assert coprime.first_zero_coprime == 2
 
     def test_scan_bound_one(self):
-        report = first_vanishing(delta_eta(1), 1)
+        report = first_vanishing(ScanSource.from_series(delta_eta(1)), 1)
         assert report.first_zero is None
         assert report.certification == b"r"

@@ -212,32 +212,31 @@ def _cached_series(rf: ResolvedForm, bound: int) -> QSeries:
 
 # ---------------------------------------------------------------- commands
 
-def _check_budget(rf: ResolvedForm, limit: int, args, parser) -> None:
-    if rf.budget is not None and limit > rf.budget and not args.allow_large:
-        parser.error(
-            f"limit {limit} exceeds the compute budget ({rf.budget}) for "
-            f"{rf.spec.label}; pass --allow-large to compute anyway"
-        )
-
-
 def cmd_coeffs(args, parser) -> int:
     rf = _resolve_form(args, parser)
     if args.limit < 1:
         parser.error("--limit must be >= 1")
+    for m in args.mod or ():
+        if m % 2 == 0 or not is_prime(m):
+            parser.error(f"--mod {m}: modulus must be an odd prime")
+    # residue lanes cost what a scan's lanes cost, so they share its gate
+    lanes = bool(args.mod) and rf.residue_series is not None
+    budget = SCAN_GATE if lanes else rf.budget
+    if budget is not None and args.limit > budget and not args.allow_large:
+        parser.error(
+            f"limit {args.limit} exceeds the compute budget ({budget}) for "
+            f"{rf.spec.label}; pass --allow-large to compute anyway"
+        )
     if args.mod:
-        for m in args.mod:
-            if m % 2 == 0 or not is_prime(m):
-                parser.error(f"--mod {m}: modulus must be an odd prime")
-        if rf.residue_series is None:
-            # no residue pipeline: compute the exact coefficients once and
-            # reduce them per modulus
-            _check_budget(rf, args.limit, args, parser)
-            exact = rf.exact_series(args.limit).coeffs[1:]
-            blocks = {m: [c % m for c in exact] for m in args.mod}
-        else:
+        if lanes:
             blocks = {
                 m: rf.residue_series(args.limit, m).coeffs[1:].tolist() for m in args.mod
             }
+        else:
+            # no residue pipeline: compute the exact coefficients once and
+            # reduce them per modulus
+            exact = rf.exact_series(args.limit).coeffs[1:]
+            blocks = {m: [c % m for c in exact] for m in args.mod}
         if args.json:
             _emit_json(
                 {
@@ -251,7 +250,6 @@ def cmd_coeffs(args, parser) -> int:
                 print(f"# modulus: {m}")
                 sys.stdout.write(forms.export_qexp(rf.spec, QSeries((0, *blocks[m]))))
         return 0
-    _check_budget(rf, args.limit, args, parser)
     qs = _cached_series(rf, args.limit)
     if args.json:
         _emit_json(

@@ -1,10 +1,11 @@
 """Exact integer power series truncated at an explicit bound.
 
 Three carriers: dense QSeries over arbitrary-precision integers, SparseSeries
-for expansions with few terms (the pentagonal-number expansion of the Euler
-product), and ResidueSeries holding the same coefficients modulo a fixed
-word-size prime.  The residue lane exists so a scan can certify a(n) != 0 from
-a single nonzero residue; only an all-lanes-zero index needs exact arithmetic.
+for expansions with few terms (Euler's pentagonal expansion of the Euler
+product and Jacobi's expansion of its cube), and ResidueSeries holding the
+same coefficients modulo a fixed word-size prime.  The residue lane exists so
+a scan can certify a(n) != 0 from a single nonzero residue; only an
+all-lanes-zero index needs exact arithmetic.
 
 Dense-by-sparse products run through one loop over two rings, Z and Z/m,
 told apart by the numpy dtype of the accumulator; mul_sparse and
@@ -24,8 +25,11 @@ import numpy as np
 
 from .arith import is_prime
 
-# Residue-lane moduli, fixed at build time: odd primes below 2^31, so lane
-# values and the sparse-accumulation intermediates stay well inside int64.
+# Residue-lane moduli, fixed at build time: odd primes below 2^31.  A sparse
+# product over Z/m accumulates unreduced terms c * a(n) with |a(n)| < m, so its
+# partial sums stay below (sum |c| + 1) * m; for Jacobi's cube expansion to a
+# bound B, sum |c| is about 2B, so even the full Lehmer bound with m = 2^31 - 1
+# stays near 2^54, far inside int64.
 LANE_PRIMES = (998244353, 1004535809, 2147483647)
 
 
@@ -215,6 +219,25 @@ def eta_raw(bound: int, dilation: int = 1) -> SparseSeries:
     return SparseSeries(tuple(sorted(terms.items())), bound)
 
 
+def eta_cube(bound: int, dilation: int = 1) -> SparseSeries:
+    """Jacobi's expansion of prod_{n>=1} (1 - q^(dilation*n))^3, truncated.
+
+    prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2) (Jacobi,
+    Fundamenta nova, 1829): one sparse factor with Theta(sqrt(bound)) terms
+    stands for three pentagonal ones.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if dilation < 1:
+        raise ValueError("dilation must be >= 1")
+    terms = []
+    m = 0
+    while (idx := dilation * (m * (m + 1) // 2)) <= bound:
+        terms.append((idx, (-1) ** m * (2 * m + 1)))
+        m += 1
+    return SparseSeries(tuple(terms), bound)
+
+
 def reduce_mod(a: QSeries, m: int) -> ResidueSeries:
     """Coefficientwise residues of a modulo the odd prime m."""
     arr = np.fromiter((c % m for c in a.coeffs), dtype=np.int64, count=len(a.coeffs))
@@ -230,26 +253,28 @@ def _sparse_product(a, s: SparseSeries, m: int | None) -> np.ndarray:
     """The one sparse product loop: a * s over Z (m None) or Z/m.
 
     The ring is the dtype: object arrays of Python integers for Z, int64 for
-    Z/m.  Over Z/m, len(s.terms) shifted copies accumulate before the final
-    reduction; the guard keeps those unreduced partial sums inside int64, and
-    each coefficient other than +-1 is reduced before it multiplies.
+    Z/m.  A coefficient other than +-1 multiplies its shifted copy into one
+    scratch array allocated per product.  Over Z/m every copy accumulates
+    unreduced before the final reduction; the guard keeps those partial sums,
+    bounded by (sum |c| + 1) * m, inside int64.
     """
     _check_bounds(a, s)
-    if m is not None and (len(s.terms) + 1) * m >= 2**62:
+    if m is not None and (sum(abs(c) for _, c in s.terms) + 1) * m >= 2**62:
         raise OverflowError("sparse accumulation would overflow int64")
     ac = np.asarray(a.coeffs, dtype=object if m is None else np.int64)
     bound = a.trunc_bound
     out = np.zeros(bound + 1, dtype=ac.dtype)
+    tmp = None  # allocated at the first coefficient other than +-1
     for idx, c in s.terms:
         seg = ac[: bound + 1 - idx]
         if c == 1:
             out[idx:] += seg
         elif c == -1:
             out[idx:] -= seg
-        elif m is None:
-            out[idx:] += c * seg
         else:
-            out[idx:] += (c % m) * seg % m
+            if tmp is None:
+                tmp = np.empty(bound + 1, dtype=ac.dtype)
+            out[idx:] += np.multiply(seg, c, out=tmp[: len(seg)])
     if m is not None:
         out %= m
     return out

@@ -18,15 +18,33 @@ def poly_mul(a, b, bound):
     return out
 
 
-def euler_product(bound):
-    """prod_{n=1}^{bound} (1 - q^n) truncated at bound, term by term."""
+def euler_product(bound, dilation=1):
+    """prod_{n>=1} (1 - q^(dilation*n)) truncated at bound, term by term."""
     out = [1] + [0] * bound
-    for n in range(1, bound + 1):
+    for n in range(dilation, bound + 1, dilation):
         factor = [0] * (bound + 1)
         factor[0] = 1
         factor[n] = -1
-        out = poly_mul(out, factor, bound)
+        # the two-term factor goes first: poly_mul skips its zeros
+        out = poly_mul(factor, out, bound)
     return out
+
+
+def euler_cube(bound, dilation=1):
+    """prod_{n>=1} (1 - q^(dilation*n))^3 as the Euler product times itself twice."""
+    p = euler_product(bound, dilation)
+    return poly_mul(p, poly_mul(p, p, bound), bound)
+
+
+def eta_product_by_euler(level, bound):
+    """q * prod (1 - q^n)^a (1 - q^(level*n))^a, a = 24/(level+1), naively."""
+    a = 24 // (level + 1)
+    acc = [0, 1] + [0] * (bound - 1)
+    for dilation in (1, level):
+        p = euler_product(bound, dilation)
+        for _ in range(a):
+            acc = poly_mul(p, acc, bound)
+    return acc
 
 
 def tau_by_product(bound):
@@ -34,7 +52,7 @@ def tau_by_product(bound):
     p = euler_product(bound)
     acc = [1] + [0] * bound
     for _ in range(24):
-        acc = poly_mul(acc, p, bound)
+        acc = poly_mul(p, acc, bound)
     return [0] + acc[:bound]
 
 

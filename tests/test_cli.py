@@ -67,6 +67,17 @@ class TestCoeffs:
             main(["coeffs", "--form", "delta", "--limit", "100000"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("form", ["delta", "eta-quotient:11"])
+    def test_mod_lane_gate(self, capsys, monkeypatch, form):
+        # lanes past the scan gate are refused before any pass runs
+        monkeypatch.setattr(cli.forms, "eta_product", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--form", form, "--limit", "200001", "--mod", "7"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"limit 200001 exceeds the compute budget ({cli.SCAN_GATE})" in err
+        assert "--allow-large" in err
+
     def test_mod_output(self, capsys):
         code, out, _ = run(
             capsys, "coeffs", "--form", "delta", "--limit", "5", "--mod", "691"

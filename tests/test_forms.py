@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qvanish import forms
 from qvanish.forms import (
     ETA_QUOTIENT_LEVELS,
     FormSpec,
@@ -23,7 +24,7 @@ from qvanish.forms import (
 )
 from qvanish.series import LANE_PRIMES, eta_raw, reduce_mod
 
-from .oracles import sigma_by_divisors, tau_by_product
+from .oracles import eta_product_by_euler, sigma_by_divisors, tau_by_product
 
 TAU_10 = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
@@ -116,11 +117,11 @@ class TestDeltaRoutes:
         assert list(delta_eta(10).coeffs[1:]) == TAU_10
 
     def test_tau_matches_naive_product(self):
-        tau = tau_by_product(25)
-        assert list(delta_eta(25).coeffs) == tau
-        assert list(eta_product(1, 25).coeffs) == tau
+        tau = tau_by_product(1000)
+        assert list(delta_eta(1000).coeffs) == tau
+        assert list(eta_product(1, 1000).coeffs) == tau
         for m in LANE_PRIMES:
-            assert eta_product(1, 25, m).coeffs.tolist() == [t % m for t in tau]
+            assert eta_product(1, 1000, m).coeffs.tolist() == [t % m for t in tau]
 
     def test_multiplicativity_spot(self):
         d = delta_eta(20)
@@ -221,6 +222,35 @@ class TestEtaProduct:
             assert delta_eta_mod(bound, m).coeffs.tolist() == want
         else:
             assert eta_quotient_mod(level, bound, m).coeffs.tolist() == want
+
+    @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
+    def test_matches_euler_oracle(self, level):
+        bound = 300
+        want = eta_product_by_euler(level, bound)
+        assert list(eta_product(level, bound).coeffs) == want
+        for m in LANE_PRIMES:
+            assert eta_product(level, bound, m).coeffs.tolist() == [c % m for c in want]
+
+    @pytest.mark.parametrize("modulus", [None, LANE_PRIMES[2]])
+    @pytest.mark.parametrize("level, passes", [(1, 8), (2, 8), (3, 4), (5, 4), (11, 4)])
+    def test_sparse_pass_count(self, monkeypatch, level, passes, modulus):
+        # a // 3 cube and a % 3 pentagonal passes for each of eta(z)^a and
+        # eta(Nz)^a, a = 24/(N+1); pentagonal passes alone would take 2a
+        calls = []
+        for name in ("mul_sparse", "mul_sparse_mod"):
+            inner = getattr(forms, name)
+            monkeypatch.setattr(
+                forms, name, lambda a, s, inner=inner: calls.append(s) or inner(a, s)
+            )
+        if level == 1 and modulus is None:
+            delta_eta(500)
+        elif level == 1:
+            delta_eta_mod(500, modulus)
+        elif modulus is None:
+            eta_quotient(level, 500)
+        else:
+            eta_quotient_mod(level, 500, modulus)
+        assert len(calls) == passes
 
     def test_bound_one(self):
         assert eta_product(1, 1).coeffs == (0, 1)

@@ -1,3 +1,6 @@
+from math import isqrt
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from qvanish.series import (
     QSeries,
     ResidueSeries,
     SparseSeries,
+    eta_cube,
     eta_raw,
     exact_divide,
     mul,
@@ -16,7 +20,9 @@ from qvanish.series import (
     reduce_mod,
 )
 
-from .oracles import euler_product, poly_mul
+from qvanish.cli import FULL_LEHMER_BOUND
+
+from .oracles import euler_cube, euler_product, poly_mul
 
 small_series = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=2, max_size=12
@@ -110,6 +116,49 @@ class TestEtaRaw:
         assert len(eta_raw(10000).terms) < 4 * 100 + 2
 
 
+class TestEtaCube:
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 5, 11])
+    def test_matches_cubed_euler_product_every_bound_to_300(self, dilation):
+        full = euler_cube(300, dilation)
+        for bound in range(1, 301):
+            assert list(eta_cube(bound, dilation).densify().coeffs) == full[: bound + 1]
+
+    def test_first_terms(self):
+        # 1 - 3q + 5q^3 - 7q^6 + 9q^10
+        assert eta_cube(10).terms == ((0, 1), (1, -3), (3, 5), (6, -7), (10, 9))
+
+    def test_term_count_is_sqrt_scale(self):
+        assert len(eta_cube(10000).terms) == 141  # m(m+1)/2 <= 10^4 for m <= 140
+
+    def test_rejects_bad_bound_and_dilation(self):
+        with pytest.raises(ValueError):
+            eta_cube(0)
+        with pytest.raises(ValueError):
+            eta_cube(10, 0)
+
+
+class TestOverflowGuard:
+    def test_large_coefficient_refused(self):
+        # one term, but (|c| + 1) * m >= 2^62
+        m = 2**31 - 1
+        a = ResidueSeries(m, np.ones(5, dtype=np.int64))
+        with pytest.raises(OverflowError):
+            mul_sparse_mod(a, SparseSeries(((0, 2**32),), 4))
+
+    def test_coefficient_below_guard_is_exact(self):
+        m = 2**31 - 1
+        a = QSeries((1, m - 1, 5, 0, m - 2))
+        s = SparseSeries(((0, 2**30), (2, -(2**29))), 4)
+        want = reduce_mod(mul_sparse(a, s), m)
+        assert mul_sparse_mod(reduce_mod(a, m), s).coeffs.tolist() == want.coeffs.tolist()
+
+    def test_cube_factor_at_full_lehmer_bound_fits(self):
+        # sum |c| over m(m+1)/2 <= B is sum_{m<=K} (2m+1) = (K+1)^2; no series built
+        k = (isqrt(8 * FULL_LEHMER_BOUND + 1) - 1) // 2
+        assert k * (k + 1) // 2 <= FULL_LEHMER_BOUND < (k + 1) * (k + 2) // 2
+        assert ((k + 1) ** 2 + 1) * max(LANE_PRIMES) < 2**62
+
+
 class TestReduce:
     def test_residues(self):
         rs = reduce_mod(QSeries((1, -5)), 5)
@@ -176,11 +225,11 @@ class TestProperties:
             iterated = mul(iterated, a)
         assert power(a, e).coeffs == iterated.coeffs
 
-    @given(small_series, st.sampled_from(LANE_PRIMES))
+    @given(small_series, st.sampled_from(LANE_PRIMES), st.sampled_from([eta_raw, eta_cube]))
     @settings(max_examples=40, deadline=None)
-    def test_mul_sparse_mod_matches_exact(self, a, m):
+    def test_mul_sparse_mod_matches_exact(self, a, m, expansion):
         bound = a.trunc_bound
-        sparse = eta_raw(bound)
+        sparse = expansion(bound)
         exact = reduce_mod(mul_sparse(a, sparse), m)
         lane = mul_sparse_mod(reduce_mod(a, m), sparse)
         assert list(exact.coeffs) == list(lane.coeffs)

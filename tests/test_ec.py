@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qvanish
@@ -198,6 +198,84 @@ class TestPrimeTable:
         for p, ap in pt.table.items():
             if pt.level % p:
                 assert ap * ap <= 4 * p
+
+
+def good_primes(curve, lo, hi):
+    return [p for p in sieve_primes(hi) if p >= lo and curve.discriminant % p]
+
+
+class TestBSGS:
+    """Baby-step giant-step against the character sum, the exact O(p) count."""
+
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_equals_char_sum_to_20000(self, curve):
+        primes = good_primes(curve, 5, 20000)
+        unresolved = 0
+        for p in primes:
+            ap = ec._bsgs_ap(curve, p)
+            if ap is None:
+                unresolved += 1
+            else:
+                assert ap == -ec._char_sum(curve, p), (curve.label, p)
+        # BSGS answers nearly everywhere, so the agreement is not vacuous.
+        assert unresolved < len(primes) // 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.tuples(*[st.integers(-30, 30)] * 5))
+    def test_random_minimal_curves(self, a):
+        try:
+            curve = WeierstrassCurve(*a)
+            curve_level(curve)
+        except ValueError:
+            assume(False)
+        primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 3000)
+        assert primes
+        for p in primes:
+            assert ap_good(curve, p) == -ec._char_sum(curve, p), (a, p)
+
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(60) if p >= 5])
+    def test_annihilators_are_the_multiples_of_the_order(self, p):
+        # Every affine point of y^2 = x^3 + a*x + b for a few (a, b) at small p,
+        # where small orders and non-cyclic groups are common.
+        width = 2 * int(p**0.5) + 1
+        lo, hi = max(1, p + 1 - width), p + 1 + width
+        for a, b in [(0, 1), (1, 0), (2, 3), (p - 1, 0), (3, 5)]:
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            points = [
+                (x, y) for x in range(p) for y in range(p)
+                if (y * y - x**3 - a * x - b) % p == 0
+            ]
+            for P in points:
+                order, Q = 1, P
+                while Q is not None:
+                    Q = ec._add(Q, P, a, p)
+                    order += 1
+                expected = {n for n in range(lo, hi + 1) if n % order == 0}
+                assert ec._annihilators(P, a, p, lo, hi) == expected, (a, b, P)
+
+    def test_forced_fallback_gives_same_answers(self, monkeypatch):
+        bound = 2 * ec.BSGS_CROSSOVER
+        tables = {c.label: prime_table(c, bound).table for c in CURVES}
+        calls = []
+        char_sum = ec._char_sum
+
+        def counted(curve, p):
+            calls.append(p)
+            return char_sum(curve, p)
+
+        monkeypatch.setattr(ec, "BSGS_POINTS", 0)
+        monkeypatch.setattr(ec, "_char_sum", counted)
+        for c in CURVES:
+            assert prime_table(c, bound).table == tables[c.label]
+        # Every odd prime, good or bad, went by the character sum.
+        assert len(calls) == len(CURVES) * (len(sieve_primes(bound)) - 1)
+
+    def test_hasse_guard_above_crossover(self, monkeypatch):
+        p = good_primes(C37, ec.BSGS_CROSSOVER + 1, 2 * ec.BSGS_CROSSOVER)[0]
+        monkeypatch.setattr(ec, "_bsgs_ap", lambda curve, q: q)
+        with pytest.raises(ValueError, match=f"Hasse bound violated at p={p}"):
+            ap_good(C37, p)
 
 
 class TestResultChecks:

@@ -1,6 +1,13 @@
-"""Shared integer helpers: primes, factorization, divisor sums."""
+"""Shared integer helpers: primes, factorization, multiplicative tables.
+
+multiplicative builds the table of a multiplicative function from its values
+at prime powers; it serves divisor sums and eigenform coefficients alike, so
+no index of such a table is factorized.
+"""
 
 from __future__ import annotations
+
+from typing import Callable
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -20,6 +27,24 @@ def sieve_primes(bound: int) -> list[int]:
             start = p * p
             flags[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
     return [i for i, f in enumerate(flags) if f]
+
+
+def multiplicative(bound: int, prime_power: Callable[[int, int], int]) -> list[int]:
+    """[0, f(1), ..., f(bound)] for the multiplicative f with f(p^e) = prime_power(p, e).
+
+    Each prime power p^e <= bound multiplies its value into every n with
+    p^e || n, so entry n ends as the product over its prime powers.
+    """
+    table = [0] + [1] * bound
+    for p in sieve_primes(bound):
+        q, e = p, 1
+        while q <= bound:
+            value, step = prime_power(p, e), q * p
+            for n in range(q, bound + 1, q):
+                if n % step:
+                    table[n] *= value
+            q, e = step, e + 1
+    return table
 
 
 def is_prime(n: int) -> bool:
@@ -82,11 +107,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r

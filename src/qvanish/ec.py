@@ -16,7 +16,7 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   1 + chi(g(x)) points with chi the quadratic character.
 
 At p = 2 the four pairs (x, y) are tried.  Models that may not be minimal
-are refused (see curve_level).
+are refused (see WeierstrassCurve.level).
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ import numpy as np
 from .arith import factorize, sieve_primes
 from .forms import FormSpec
 from .hecke import PrimeEigenvalues
-
-GOOD = "good"
-SPLIT_MULTIPLICATIVE = "split-multiplicative"
-NONSPLIT_MULTIPLICATIVE = "nonsplit-multiplicative"
-ADDITIVE = "additive"
 
 
 @dataclass(frozen=True)
@@ -99,8 +94,13 @@ FIXTURES = {
 
 
 def parse_curve(text: str) -> WeierstrassCurve:
-    """Curve from 'a1,a2,a3,a4,a6' (five comma-separated ASCII integers)."""
-    if not text.isascii():
+    """Curve from 'a1,a2,a3,a4,a6' (five comma-separated ASCII integers).
+
+    The label is the text without surrounding whitespace; any other
+    non-printable character is refused, so the label fits one header line.
+    """
+    text = text.strip()
+    if not (text.isascii() and text.isprintable()):
         raise ValueError("curve coefficients must be ASCII integers a1,a2,a3,a4,a6")
     parts = text.split(",")
     if len(parts) != 5:
@@ -109,15 +109,10 @@ def parse_curve(text: str) -> WeierstrassCurve:
     return WeierstrassCurve(*a, label=text)
 
 
-def curve_level(curve: WeierstrassCurve) -> int:
-    """The curve's level; see WeierstrassCurve.level."""
-    return curve.level
-
-
 def curve_form(curve: WeierstrassCurve) -> FormSpec:
     label = curve.label or "curve"
     return FormSpec(
-        weight=2, level=curve_level(curve), label=label, source=f"elliptic-curve:{label}"
+        weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"
     )
 
 
@@ -296,22 +291,11 @@ def ap_bad(curve: WeierstrassCurve, p: int) -> int:
     return ap
 
 
-def reduction_type(curve: WeierstrassCurve, p: int) -> str:
-    """Reduction kind of the (assumed minimal) model at p."""
-    if curve.discriminant % p != 0:
-        return GOOD
-    return {
-        1: SPLIT_MULTIPLICATIVE,
-        -1: NONSPLIT_MULTIPLICATIVE,
-        0: ADDITIVE,
-    }[ap_bad(curve, p)]
-
-
 def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     """a_p for every prime p <= bound, from ap_good or ap_bad."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    level = curve_level(curve)
+    level = curve.level
     table = {
         p: ap_bad(curve, p) if level % p == 0 else ap_good(curve, p)
         for p in sieve_primes(bound)

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .arith import factorize
+from .arith import factorize, multiplicative
 from .series import (
     QSeries,
     ResidueSeries,
@@ -45,12 +45,6 @@ class FormSpec:
     character: str = "trivial"
 
     def __post_init__(self):
-        if self.source.startswith("eta-quotient"):
-            n = int(self.source.split(":")[1])
-            if n not in ETA_QUOTIENT_LEVELS:
-                raise ValueError(f"eta quotient level must be one of {ETA_QUOTIENT_LEVELS}")
-            if self.weight != 24 // (n + 1):
-                raise ValueError("eta quotient weight is forced to 24/(N+1)")
         if self.weight < 2 or self.weight % 2:
             raise ValueError("weight must be even and >= 2")
         if self.level < 1:
@@ -59,11 +53,18 @@ class FormSpec:
             raise ValueError("only the trivial character is supported")
 
 
+def _sigma_prime_power(p: int, e: int, m: int) -> int:
+    """sigma_m(p^e) = (p^(m(e+1)) - 1)/(p^m - 1), or e + 1 when m = 0."""
+    if m == 0:
+        return e + 1
+    pm = p**m
+    return (pm ** (e + 1) - 1) // (pm - 1)
+
+
 def sigma(n: int, m: int) -> int:
     """Sum of m-th powers of the positive divisors of n, exact.
 
-    Multiplicative: computed as prod over p^e || n of (p^(m(e+1))-1)/(p^m-1),
-    or prod (e+1) when m = 0.
+    Multiplicative: the product of sigma_m(p^e) over p^e || n.
     """
     if n < 1:
         raise ValueError("sigma requires n >= 1")
@@ -71,12 +72,13 @@ def sigma(n: int, m: int) -> int:
         raise ValueError("sigma requires m >= 0")
     out = 1
     for p, e in factorize(n):
-        if m == 0:
-            out *= e + 1
-        else:
-            pm = p**m
-            out *= (pm ** (e + 1) - 1) // (pm - 1)
+        out *= _sigma_prime_power(p, e, m)
     return out
+
+
+def _sigma_table(bound: int, m: int) -> list[int]:
+    """[0, sigma_m(1), ..., sigma_m(bound)]."""
+    return multiplicative(bound, lambda p, e: _sigma_prime_power(p, e, m))
 
 
 def bernoulli(idx: int) -> Fraction:
@@ -92,16 +94,6 @@ def bernoulli(idx: int) -> Fraction:
     return b[idx]
 
 
-def _sigma_sieve(bound: int, m: int) -> list[int]:
-    # sig[n] = sigma_m(n) for 1 <= n <= bound, by striding each divisor.
-    sig = [0] * (bound + 1)
-    for d in range(1, bound + 1):
-        dm = d**m
-        for j in range(d, bound + 1, d):
-            sig[j] += dm
-    return sig
-
-
 def eisenstein_coeffs(half_weight: int, bound: int) -> QSeries:
     """Normalized Eisenstein series E_{2k} of weight 2k, k = half_weight >= 2.
 
@@ -115,7 +107,7 @@ def eisenstein_coeffs(half_weight: int, bound: int) -> QSeries:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     c = Fraction(-4 * half_weight) / bernoulli(2 * half_weight)
-    sig = _sigma_sieve(bound, 2 * half_weight - 1)
+    sig = _sigma_table(bound, 2 * half_weight - 1)
     coeffs = [1]
     for n in range(1, bound + 1):
         num = c.numerator * sig[n]
@@ -149,6 +141,8 @@ def eta_product_spec(level: int) -> FormSpec:
 
     Raises ValueError for a level outside 1 and ETA_QUOTIENT_LEVELS.
     """
+    if level not in (1, *ETA_QUOTIENT_LEVELS):
+        raise ValueError(f"eta product level must be 1 or one of {ETA_QUOTIENT_LEVELS}")
     if level == 1:
         return FormSpec(weight=12, level=1, label="delta", source="delta-eta")
     return FormSpec(
@@ -195,10 +189,6 @@ def eta_product(level: int, bound: int, modulus: int | None = None):
     return acc
 
 
-def delta_spec() -> FormSpec:
-    return eta_product_spec(1)
-
-
 def delta_eta(bound: int) -> QSeries:
     """The discriminant form q prod (1-q^n)^24; coefficient n is tau(n)."""
     return eta_product(1, bound)
@@ -224,18 +214,15 @@ def delta_coefficient(n: int) -> int:
 
     tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} i^2 (35i^2 - 52in + 18n^2)
     sigma(i) sigma(n-i), with sigma the ordinary divisor sum.  O(n) exact
-    big-integer work after an O(n log n) divisor-sum sieve; serves as the
-    exact fallback of the residue-lane scan and as a third route to tau.
+    big-integer work after a divisor-sum table; serves as the exact fallback
+    of the residue-lane scan and as a third route to tau.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1
-    sig = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        sig[d::d] += d
+    sl = _sigma_table(n, 1)
     s = 0
-    sl = sig.tolist()
     for i in range(1, n):
         s += i * i * (35 * i * i - 52 * i * n + 18 * n * n) * sl[i] * sl[n - i]
     return n**4 * sl[n] - 24 * s

@@ -5,14 +5,18 @@ determined by the values at primes: a(1) = 1, a(mn) = a(m)a(n) for coprime
 m, n, and at a prime p the recurrence a(p^r) = a(p) a(p^(r-1)) -
 chi0(p) p^(k-1) a(p^(r-2)) with chi0(p) = 0 exactly when p divides the level,
 which collapses to a(p^r) = a(p)^r at bad primes.  The recurrence is iterated
-in exact integers; no Satake closed form is evaluated here.
+in exact integers; no Satake closed form is evaluated here.  The table of
+a(n) up to a bound is built once, multiplicatively (arith.multiplicative),
+from the prime-power values; no index is factorized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, sieve_primes
+# factorize is not called here; the name stays importable from hecke because
+# the benchmark's tracing wraps hecke.factorize.
+from .arith import factorize, multiplicative, sieve_primes  # noqa: F401
 from .series import QSeries
 
 
@@ -52,27 +56,30 @@ class PrimeEigenvalues:
             raise ValueError(f"prime table is missing primes <= bound: {missing[:5]}")
 
 
+def _coefficients(pe: PrimeEigenvalues, bound: int) -> list[int]:
+    """[0, a(1), ..., a(bound)] from the prime table, multiplicatively."""
+    return multiplicative(
+        bound,
+        lambda p, e: coeff_prime_power(pe.table[p], p, e, pe.weight, pe.level % p == 0),
+    )
+
+
 class CoefficientOracle:
-    """a(n) lookups over a prime table."""
+    """a(n) lookups over a prime table; a(1..bound) is built once."""
 
     def __init__(self, primes: PrimeEigenvalues):
         self.primes = primes
+        self.coeffs = _coefficients(primes, primes.bound)
 
     def coeff(self, n: int) -> int:
-        """a(n) = prod a(p^e) over the factorization of n; a(1) = 1."""
+        """a(n) = prod a(p^e) over the prime powers p^e || n; a(1) = 1."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > self.primes.bound:
             raise ValueError(
                 f"n = {n} exceeds the prime-table bound {self.primes.bound}"
             )
-        pe = self.primes
-        out = 1
-        for p, e in factorize(n):
-            out *= coeff_prime_power(
-                pe.table[p], p, e, pe.weight, pe.level % p == 0
-            )
-        return out
+        return self.coeffs[n]
 
 
 def qexp_from_primes(pe: PrimeEigenvalues, bound: int) -> QSeries:
@@ -81,5 +88,4 @@ def qexp_from_primes(pe: PrimeEigenvalues, bound: int) -> QSeries:
         raise ValueError("bound must be >= 1")
     if bound > pe.bound:
         raise ValueError(f"bound {bound} exceeds prime coverage {pe.bound}")
-    oracle = CoefficientOracle(pe)
-    return QSeries((0,) + tuple(oracle.coeff(n) for n in range(1, bound + 1)))
+    return QSeries(tuple(_coefficients(pe, bound)))

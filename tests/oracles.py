@@ -60,6 +60,23 @@ def sigma_by_divisors(n, m):
     return sum(d**m for d in range(1, n + 1) if n % d == 0)
 
 
+def multiplicative_by_trial_division(bound, prime_power):
+    """[0, f(1), ..., f(bound)]: each n trial-divided, f(p^e) multiplied per p^e || n."""
+    out = [0]
+    for n in range(1, bound + 1):
+        value, rest, p = 1, n, 2
+        while rest > 1:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if e:
+                value *= prime_power(p, e)
+            p += 1
+        out.append(value)
+    return out
+
+
 def prime_power_coeffs(a_p, p, k, R, bad=False):
     """a(p^r) for r = 0..R by the literal recurrence, exact integers."""
     if bad:

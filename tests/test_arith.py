@@ -2,7 +2,9 @@ import time
 
 import pytest
 
-from qvanish.arith import TRIAL_DIVISION_LIMIT, factorize, is_prime, radical
+from qvanish.arith import TRIAL_DIVISION_LIMIT, factorize, is_prime, multiplicative
+
+from .oracles import multiplicative_by_trial_division, sigma_by_divisors
 
 
 def expand(factors):
@@ -10,6 +12,29 @@ def expand(factors):
     for p, e in factors:
         out *= p**e
     return out
+
+
+def sigma_rule(m):
+    return lambda p, e: sum(p ** (m * i) for i in range(e + 1))
+
+
+class TestMultiplicative:
+    @pytest.mark.parametrize("m", [0, 1, 3, 5, 11])
+    def test_divisor_sums_to_3000(self, m):
+        table = multiplicative(3000, sigma_rule(m))
+        assert table == multiplicative_by_trial_division(3000, sigma_rule(m))
+        assert table == [0] + [sigma_by_divisors(n, m) for n in range(1, 3001)]
+
+    def test_small_bounds(self):
+        rule = sigma_rule(3)
+        assert multiplicative(0, rule) == [0]
+        assert multiplicative(1, rule) == [0, 1]
+        assert multiplicative(2, rule) == [0, 1, 9]
+
+    def test_zero_at_a_prime_power(self):
+        # f(2^3) = 0 zeroes exactly the n with 2^3 || n
+        table = multiplicative(100, lambda p, e: 0 if (p, e) == (2, 3) else 1)
+        assert [n for n in range(1, 101) if table[n] == 0] == [8, 24, 40, 56, 72, 88]
 
 
 class TestFactorize:
@@ -38,7 +63,7 @@ class TestFactorize:
         with pytest.raises(ValueError, match="cannot factor"):
             factorize(59 * p * q)
         with pytest.raises(ValueError, match="cannot factor"):
-            radical(4320000000000000000021599999999999999999963)
+            factorize(4320000000000000000021599999999999999999963)
         assert time.perf_counter() - t0 < 1.0
 
     def test_rejects_nonpositive(self):

@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from qvanish import cli, ec
+from qvanish import cli, ec, forms, hecke
 from qvanish.cli import main
-from qvanish.forms import delta_eta, delta_spec, export_qexp
+from qvanish.forms import delta_eta, eta_product_spec, export_qexp
 
 
 @pytest.fixture(autouse=True)
@@ -108,7 +108,7 @@ class TestCoeffs:
 
     def test_file_ingestion(self, capsys, tmp_path):
         path = tmp_path / "delta.qexp"
-        path.write_text(export_qexp(delta_spec(), delta_eta(12)))
+        path.write_text(export_qexp(eta_product_spec(1), delta_eta(12)))
         data = run_json(
             capsys, "coeffs", "--file", str(path), "--limit", "10", "--json"
         )
@@ -117,7 +117,7 @@ class TestCoeffs:
 
     def test_file_over_limit_errors(self, capsys, tmp_path):
         path = tmp_path / "short.qexp"
-        path.write_text(export_qexp(delta_spec(), delta_eta(5)))
+        path.write_text(export_qexp(eta_product_spec(1), delta_eta(5)))
         code, _, err = run(capsys, "coeffs", "--file", str(path), "--limit", "10")
         assert code == 2
         assert "below requested" in err
@@ -234,6 +234,39 @@ class TestRefusals:
         assert "curve coefficients must be ASCII" in capsys.readouterr().err
 
 
+class TestCurveLabel:
+    SPACED = "--curve= 0,0,1,-1,0"
+
+    def test_surrounding_whitespace_is_not_the_label(self, capsys):
+        spaced = run(capsys, "coeffs", self.SPACED, "--limit", "5")
+        plain = run(capsys, "coeffs", "--curve=0,0,1,-1,0", "--limit", "5")
+        assert spaced == plain
+        assert "# label: 0,0,1,-1,0\n" in plain[1]
+
+    def test_spaced_curve_hits_the_cache(self, capsys, monkeypatch):
+        args = ("coeffs", self.SPACED, "--limit", "5")
+        _, cold, _ = run(capsys, *args)
+        cache_dir = os.environ["QVANISH_CACHE_DIR"]
+        (entry,) = os.listdir(cache_dir)
+        path = os.path.join(cache_dir, entry)
+        os.utime(path, ns=(10**9, 10**9))  # a rewrite would move the mtime
+        parsed = []
+        real = forms.ingest_qexp
+        monkeypatch.setattr(forms, "ingest_qexp", lambda p: parsed.append(p) or real(p))
+        code, warm, err = run(capsys, *args)
+        assert (code, warm, err) == (0, cold, "")
+        assert parsed == [path]
+        assert os.stat(path).st_mtime_ns == 10**9
+
+    @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
+    def test_interior_newline_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curve=0,0,1,\n-1,0", *CURVE_COMMANDS[command]])
+        assert exc.value.code == 2
+        assert "curve coefficients must be ASCII" in capsys.readouterr().err
+        assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
+
+
 class TestMinimality:
     @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
     @pytest.mark.parametrize("model", NON_MINIMAL)
@@ -273,6 +306,30 @@ class TestLevelOnce:
         code, _, err = run(capsys, argv[0], selector, *argv[1:])
         assert (code, err) == (0, "")
         assert len(factorized) == 1
+
+
+class TestNoFactorizationPerIndex:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--fixture=37a1", "--limit", "5000", "--coprime-mf"),
+            ("coeffs", "--fixture=53a1", "--limit", "5000"),
+        ],
+        ids=["scan-37a1", "coeffs-53a1"],
+    )
+    def test_only_the_discriminant_is_factorized(self, capsys, monkeypatch, argv):
+        curve = dataclasses.replace(ec.FIXTURES[argv[1].split("=")[1]])
+        monkeypatch.setitem(ec.FIXTURES, curve.label, curve)  # level not cached yet
+        factorized = []
+        for module in (ec, forms, hecke):
+            real = module.factorize
+            monkeypatch.setattr(
+                module, "factorize", lambda n, real=real: factorized.append(n) or real(n)
+            )
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+        assert factorized == [abs(curve.discriminant)]
 
 
 class TestClassify:

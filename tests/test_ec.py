@@ -12,18 +12,12 @@ import qvanish
 from qvanish import ec
 from qvanish.arith import sieve_primes
 from qvanish.ec import (
-    ADDITIVE,
     FIXTURES,
-    GOOD,
-    NONSPLIT_MULTIPLICATIVE,
-    SPLIT_MULTIPLICATIVE,
     WeierstrassCurve,
     ap_bad,
     ap_good,
-    curve_level,
     parse_curve,
     prime_table,
-    reduction_type,
 )
 from qvanish.cli import main
 from qvanish.hecke import qexp_from_primes
@@ -88,9 +82,9 @@ class TestModel:
             parse_curve("1,2,3")
 
     def test_levels(self):
-        assert curve_level(C37) == 37
-        assert curve_level(C53) == 53
-        assert [curve_level(c) for c in (C11, C27, C_ADD)] == [11, 3, 10]
+        assert C37.level == 37
+        assert C53.level == 53
+        assert [c.level for c in (C11, C27, C_ADD)] == [11, 3, 10]
 
     @pytest.mark.parametrize(
         "model, p",
@@ -103,7 +97,7 @@ class TestModel:
     )
     def test_non_minimal_models_refused(self, model, p):
         with pytest.raises(ValueError, match=f"may not be minimal at p={p}"):
-            curve_level(model)
+            model.level
         with pytest.raises(ValueError, match=f"may not be minimal at p={p}"):
             prime_table(model, 10)
 
@@ -153,16 +147,17 @@ class TestBadPrimes:
             assert ap == p - count_nonsingular(*a, p), (curve.label, p)
 
     def test_additive_fixture(self):
+        assert C_ADD.discriminant % 5 == 0
         assert ap_bad(C_ADD, 5) == 0
-        assert reduction_type(C_ADD, 5) == ADDITIVE
 
     def test_split_case(self):
+        assert C11.discriminant % 11 == 0
         assert ap_bad(C11, 11) == 1
-        assert reduction_type(C11, 11) == SPLIT_MULTIPLICATIVE
 
     def test_reduction_kinds(self):
-        assert reduction_type(C37, 37) == NONSPLIT_MULTIPLICATIVE
-        assert reduction_type(C37, 2) == GOOD
+        assert C37.discriminant % 37 == 0
+        assert ap_bad(C37, 37) == -1
+        assert C37.discriminant % 2 != 0
 
     def test_rejects_good_prime(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -225,7 +220,7 @@ class TestBSGS:
     def test_random_minimal_curves(self, a):
         try:
             curve = WeierstrassCurve(*a)
-            curve_level(curve)
+            curve.level
         except ValueError:
             assume(False)
         primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 3000)

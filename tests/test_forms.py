@@ -14,6 +14,7 @@ from qvanish.forms import (
     delta_eta_mod,
     eisenstein_coeffs,
     eta_product,
+    eta_product_spec,
     eta_quotient,
     eta_quotient_coefficient,
     eta_quotient_mod,
@@ -99,6 +100,14 @@ class TestEisenstein:
         # weight 12: the normalization is 65520/691, not an integer
         with pytest.raises(ValueError, match="not an integer"):
             eisenstein_coeffs(6, 5)
+
+    @pytest.mark.parametrize(
+        "half_weight, normalization", [(2, 240), (3, -504), (4, 480), (5, -264), (7, -24)]
+    )
+    def test_matches_divisor_sums_to_500(self, half_weight, normalization):
+        m = 2 * half_weight - 1
+        want = (1,) + tuple(normalization * sigma_by_divisors(n, m) for n in range(1, 501))
+        assert eisenstein_coeffs(half_weight, 500).coeffs == want
 
     def test_one_dimensional_space_identities(self):
         # level-1 modular forms of weight 8, 10 and 14 are one-dimensional,
@@ -282,11 +291,7 @@ class TestFormSpec:
 
     def test_rejects_bad_eta_level(self):
         with pytest.raises(ValueError):
-            FormSpec(weight=4, level=7, label="x", source="eta-quotient:7")
-
-    def test_eta_weight_forced(self):
-        with pytest.raises(ValueError):
-            FormSpec(weight=4, level=11, label="x", source="eta-quotient:11")
+            eta_product_spec(7)
 
 
 class TestQexpFiles:

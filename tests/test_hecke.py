@@ -13,13 +13,48 @@ from qvanish.hecke import (
 )
 from qvanish.arith import sieve_primes
 
-from .oracles import prime_power_coeffs
+from .oracles import multiplicative_by_trial_division, prime_power_coeffs
+from .test_ec import CURVE_IDS, CURVES
 
 
 def delta_primes(bound):
     d = delta_eta(bound)
     table = {p: d[p] for p in sieve_primes(bound)}
     return PrimeEigenvalues(weight=12, level=1, table=table, bound=bound)
+
+
+def oracle_coefficients(pe, bound):
+    """a(0..bound) by trial division and the literal prime-power recurrence."""
+
+    def rule(p, e):
+        bad = pe.level % p == 0
+        return prime_power_coeffs(pe.table[p], p, pe.weight, e, bad=bad)[e]
+
+    return multiplicative_by_trial_division(bound, rule)
+
+
+class TestMultiplicativeTable:
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_curves_to_3000(self, curve):
+        pe = prime_table(curve, 3000)
+        want = oracle_coefficients(pe, 3000)
+        oracle = CoefficientOracle(pe)
+        assert [oracle.coeff(n) for n in range(1, 3001)] == want[1:]
+        assert list(qexp_from_primes(pe, 3000).coeffs) == want
+
+    def test_delta_to_3000(self):
+        pe = delta_primes(3000)
+        want = oracle_coefficients(pe, 3000)
+        assert list(qexp_from_primes(pe, 3000).coeffs) == want
+        assert want == list(delta_eta(3000).coeffs)
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_small_bounds(self, bound):
+        pe = delta_primes(2)
+        want = [0, 1, -24][: bound + 1]
+        assert list(qexp_from_primes(pe, bound).coeffs) == want
+        pe = PrimeEigenvalues(weight=12, level=1, table=pe.table, bound=bound)
+        assert CoefficientOracle(pe).coeff(bound) == want[bound]
 
 
 class TestPrimePower:

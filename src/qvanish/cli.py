@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 from . import ec, forms, hecke, vanish
@@ -45,22 +46,29 @@ class ResolvedForm:
 
 
 def _eta_product_form(level: int) -> ResolvedForm:
-    """Delta (level 1) or an eta quotient: residue lanes with an exact fallback."""
+    """Delta (level 1) or an eta quotient: residue lanes with an exact fallback.
+
+    The scan builds the lanes once and hands them to the exact callback, which
+    lifts a(n) from them wherever Deligne's bound makes the lift exact.
+    """
     if level == 1:
         exact, lane, coeff = forms.delta_eta, forms.delta_eta_mod, forms.delta_coefficient
     else:
         exact, lane, coeff = (
             lambda b: forms.eta_quotient(level, b)[1],
-            lambda b, m: forms.eta_quotient_mod(level, b, m),
-            lambda n: forms.eta_quotient_coefficient(level, n),
+            partial(forms.eta_quotient_mod, level),
+            partial(forms.eta_quotient_coefficient, level),
         )
+
+    def scan_source(bound: int) -> vanish.ScanSource:
+        lanes = tuple(lane(bound, m) for m in LANE_PRIMES)
+        return vanish.ScanSource(bound, lambda n: coeff(n, lanes), lanes)
+
     return ResolvedForm(
         spec=forms.eta_product_spec(level),
         exact_series=exact,
         residue_series=lane,
-        scan_source=lambda b: vanish.ScanSource(
-            b, coeff, tuple(lane(b, m) for m in LANE_PRIMES)
-        ),
+        scan_source=scan_source,
         budget=5000,
         cacheable=True,
     )

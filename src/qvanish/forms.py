@@ -4,8 +4,10 @@ Every product form here is one eta product, built by eta_product over Z or
 over Z/m: the weight-12 level-1 discriminant form Delta = eta(z)^24 is its
 level-1 entry, and the Shimura eta quotients eta(z)^a eta(Nz)^a for N in
 {2, 3, 5, 11} are the others.  Delta also has an independent route through
-the normalized Eisenstein series, which live here too, and Niebur's formula
-gives single values of tau.  A line-oriented q-expansion file format carries
+the normalized Eisenstein series, which live here too.  Single values come
+from residue lanes by a CRT lift that Deligne's bound makes exact, with
+Niebur's formula for tau and a product rebuild for the eta quotients where
+the bound does not reach.  A line-oriented q-expansion file format carries
 externally supplied forms.
 """
 
@@ -14,7 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 
 import numpy as np
 
@@ -98,27 +101,24 @@ def eisenstein_coeffs(half_weight: int, bound: int) -> QSeries:
     """Normalized Eisenstein series E_{2k} of weight 2k, k = half_weight >= 2.
 
     E_{2k} = 1 - (4k/B_{2k}) sum_{n>=1} sigma_{2k-1}(n) q^n.  Each coefficient
-    must land in Z; if the normalization -4k/B_{2k} makes some coefficient
-    fractional (first at weight 12, where it is 65520/691) this raises rather
-    than round.  Weight 2 is excluded: E_2 is only quasi-modular.
+    must land in Z, so the normalization -4k/B_{2k} must be an integer (240
+    for E4, -504 for E6); where it is fractional (first at weight 12, where
+    it is 65520/691) a(1) already is, and this raises rather than round.
+    Weight 2 is excluded: E_2 is only quasi-modular.
     """
     if half_weight < 2:
         raise ValueError("weight 2k must be >= 4")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     c = Fraction(-4 * half_weight) / bernoulli(2 * half_weight)
+    if c.denominator != 1:
+        # sigma(1) = 1, so a(1) = c is the first fractional coefficient
+        raise ValueError(
+            f"E_{2 * half_weight} coefficient at n=1 is not an integer "
+            f"(normalization {c})"
+        )
     sig = _sigma_table(bound, 2 * half_weight - 1)
-    coeffs = [1]
-    for n in range(1, bound + 1):
-        num = c.numerator * sig[n]
-        q, r = divmod(num, c.denominator)
-        if r:
-            raise ValueError(
-                f"E_{2 * half_weight} coefficient at n={n} is not an integer "
-                f"(normalization {c})"
-            )
-        coeffs.append(q)
-    return QSeries(tuple(coeffs))
+    return QSeries((1, *(c.numerator * s for s in sig[1:])))
 
 
 def delta_eisenstein(bound: int) -> QSeries:
@@ -136,6 +136,7 @@ def delta_eisenstein(bound: int) -> QSeries:
     return exact_divide(e4**3 - e6**2, 1728)
 
 
+@lru_cache(maxsize=None)
 def eta_product_spec(level: int) -> FormSpec:
     """Identity of eta_product(level, ...): delta at level 1, else the eta quotient.
 
@@ -209,16 +210,57 @@ def eta_quotient_mod(level: int, bound: int, m: int) -> ResidueSeries:
     return eta_product(level, bound, m)
 
 
-def delta_coefficient(n: int) -> int:
-    """tau(n) for a single index, by Niebur's closed form.
+@lru_cache(maxsize=None)
+def _crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(M, e): M the product of the moduli, e_i = 1 mod m_i and 0 mod the others."""
+    if len(set(moduli)) != len(moduli):
+        raise ValueError(f"residue lane moduli {list(moduli)} repeat")
+    big_m = prod(moduli)
+    return big_m, tuple(big_m // m * pow(big_m // m, -1, m) for m in moduli)
 
-    tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} i^2 (35i^2 - 52in + 18n^2)
-    sigma(i) sigma(n-i), with sigma the ordinary divisor sum.  O(n) exact
-    big-integer work after a divisor-sum table; serves as the exact fallback
-    of the residue-lane scan and as a third route to tau.
+
+def _deligne_lift(lanes: tuple[ResidueSeries, ...], n: int, weight: int) -> int | None:
+    """a(n) of a newform of weight k = weight, from its residue lanes at n, or None.
+
+    Deligne's bound |a(n)| <= d(n) n^((k-1)/2) with d(n) <= 2 sqrt(n) gives
+    |a(n)| <= 2 n^(k/2).  When 16 n^k < M^2, M the product of the lane
+    moduli, that is 2 |a(n)| < M, so the symmetric CRT lift of the residues
+    at n (the representative in (-M/2, M/2]) is a(n) itself.  Otherwise the
+    residues do not determine a(n) and this returns None; so does an empty
+    lane tuple, whose M is 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    short = [lane.modulus for lane in lanes if lane.trunc_bound < n]
+    if short:
+        raise ValueError(f"residue lanes mod {short} do not cover n = {n}")
+    big_m, basis = _crt_basis(tuple(lane.modulus for lane in lanes))
+    if 16 * n**weight >= big_m * big_m:
+        return None
+    x = sum(int(lane.coeffs[n]) * e for lane, e in zip(lanes, basis)) % big_m
+    return x - big_m if 2 * x > big_m else x
+
+
+def delta_coefficient(n: int, lanes: tuple[ResidueSeries, ...] = ()) -> int:
+    """tau(n) for a single index: the CRT lift of lanes under Deligne's bound, else Niebur.
+
+    Delta is the weight-12 level-1 newform, so Deligne's bound
+    |tau(n)| <= d(n) n^(11/2) holds, and _deligne_lift returns tau(n) from
+    the residues at n whenever 16 n^12 < M^2 (n up to about 2.8e4 with the
+    three LANE_PRIMES).  Above that, or without lanes, Niebur's closed form
+
+        tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} i^2 (35i^2 - 52in + 18n^2)
+                 sigma(i) sigma(n-i),
+
+    with sigma the ordinary divisor sum, gives it in O(n) exact big-integer
+    work after a divisor-sum table.  This is the exact callback of the Delta
+    scan and a third route to tau.  It keeps its name, one call per
+    all-lanes-zero index, because the benchmark's traced runs count exact
+    fallbacks by wrapping it (ROADMAP item A moves them to stage events).
+    """
+    lifted = _deligne_lift(lanes, n, 12)
+    if lifted is not None:
+        return lifted
     if n == 1:
         return 1
     sl = _sigma_table(n, 1)
@@ -228,11 +270,25 @@ def delta_coefficient(n: int) -> int:
     return n**4 * sl[n] - 24 * s
 
 
-def eta_quotient_coefficient(level: int, n: int) -> int:
-    """Exact a(n) of the level-N eta quotient, by rebuilding the product to n.
+def eta_quotient_coefficient(
+    level: int, n: int, lanes: tuple[ResidueSeries, ...] = ()
+) -> int:
+    """Exact a(n) of the level-N eta quotient: the CRT lift of lanes, else a rebuild.
 
-    O(n^1.5); only the scan's all-residues-zero fallback takes this path.
+    eta(z)^a eta(Nz)^a is the unique normalized newform in S_a(Gamma0(N)),
+    so Deligne's bound |a(n)| <= d(n) n^((a-1)/2) holds (Hasse's bound at
+    a = 2, N = 11).  Whenever 16 n^a < M^2, M the product of the lane
+    moduli, _deligne_lift returns a(n) from the residues at n; with the
+    three LANE_PRIMES that covers n up to about 4.8e6 at N = 2 (weight 8)
+    and further at the other levels.  Otherwise, or without lanes, the
+    product is rebuilt to n, in O(n^1.5).  The scan
+    calls this once per all-lanes-zero index; it keeps its name because the
+    benchmark's traced runs count exact fallbacks by wrapping it (ROADMAP
+    item A moves them to stage events).
     """
+    lifted = _deligne_lift(lanes, n, eta_product_spec(level).weight)
+    if lifted is not None:
+        return lifted
     return eta_quotient(level, n)[1][n]
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qvanish import cli, ec, forms, hecke
+from qvanish import cli, ec, forms, hecke, vanish
 from qvanish.cli import main
 from qvanish.forms import delta_eta, eta_product_spec, export_qexp
 
@@ -330,6 +330,37 @@ class TestNoFactorizationPerIndex:
         assert (code, err) == (0, "")
         assert out
         assert factorized == [abs(curve.discriminant)]
+
+
+class TestEtaQuotientLift:
+    def test_scan_builds_no_product_over_z(self, capsys, monkeypatch):
+        # every all-lanes-zero index is lifted from the lanes, none rebuilt
+        bound = 20000
+        exact_builds = []
+        real = forms.eta_product
+        monkeypatch.setattr(
+            forms,
+            "eta_product",
+            lambda level, b, modulus=None: (modulus is None and exact_builds.append(b))
+            or real(level, b, modulus),
+        )
+        data = run_json(capsys, "scan", "--form", "eta-quotient:11", "--limit", str(bound))
+        assert exact_builds == []
+        monkeypatch.setattr(forms, "eta_product", real)
+
+        report = vanish.first_vanishing(
+            vanish.ScanSource.from_series(forms.eta_quotient(11, bound)[1]), bound, level=11
+        )
+        cert = report.certification
+        assert data["certification"] == {
+            "exact": cert.count(vanish.CERT_EXACT),
+            "residue": cert.count(vanish.CERT_RESIDUE),
+            "zero": cert.count(vanish.CERT_ZERO),
+        }
+        assert data["zeros"] == report.zeros[: cli.ZEROS_CAP]
+        assert data["zeros_omitted"] == len(report.zeros) - cli.ZEROS_CAP > 0
+        fields = {k: v for k, v in vars(report).items() if k not in ("certification", "zeros")}
+        assert {k: data[k] for k in fields} == json.loads(json.dumps(fields))
 
 
 class TestClassify:

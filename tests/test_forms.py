@@ -284,6 +284,85 @@ class TestEtaProduct:
             eta_raw(10, 0)
 
 
+class TestDeligneLift:
+    """Single coefficients lifted from the lanes under Deligne's bound."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        bound = 5000
+        return {
+            level: (
+                eta_product(level, bound),
+                tuple(eta_product(level, bound, m) for m in LANE_PRIMES),
+            )
+            for level in (1,) + ETA_QUOTIENT_LEVELS
+        }
+
+    @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
+    def test_lift_is_the_exact_series(self, series, monkeypatch, level):
+        # 5000 lies inside the lift's range at every level (Delta's ends near
+        # 2.8e4), so no index may fall back to a rebuild or to Niebur
+        exact, lanes = series[level]
+        monkeypatch.setattr(forms, "eta_quotient", None)
+        monkeypatch.setattr(forms, "_sigma_table", None)
+        if level == 1:
+            got = [delta_coefficient(n, lanes) for n in range(1, 5001)]
+        else:
+            got = [eta_quotient_coefficient(level, n, lanes) for n in range(1, 5001)]
+        assert got == list(exact.coeffs[1:])
+
+    @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
+    def test_deligne_bound_holds(self, series, level):
+        # a(n)^2 <= d(n)^2 n^(k-1): the theorem the lift relies on
+        exact, _ = series[level]
+        k = eta_product_spec(level).weight
+        for n in range(1, 2001):
+            d = sigma_by_divisors(n, 0)
+            assert exact[n] ** 2 <= d * d * n ** (k - 1), (level, n)
+
+    def test_one_lane_covers_n_up_to_125_at_level_2(self, monkeypatch):
+        # M = LANE_PRIMES[0] alone: 16 n^8 < M^2 exactly for n <= 125, so
+        # 1..300 takes the lift below and the rebuild above
+        bound = 300
+        _, exact = eta_quotient(2, bound)
+        lanes = (eta_quotient_mod(2, bound, LANE_PRIMES[0]),)
+        rebuilt = []
+        real = forms.eta_quotient
+        monkeypatch.setattr(
+            forms, "eta_quotient", lambda level, b: rebuilt.append(b) or real(level, b)
+        )
+        got = [eta_quotient_coefficient(2, n, lanes) for n in range(1, bound + 1)]
+        assert got == list(exact.coeffs[1:])
+        assert rebuilt == list(range(126, bound + 1))
+
+    def test_delta_uses_niebur_beyond_the_bound(self, monkeypatch):
+        # one lane covers tau only for n <= 25: 16 n^12 < M^2 stops there
+        lanes = (delta_eta_mod(40, LANE_PRIMES[0]),)
+        exact = delta_eta(40)
+        tables = []
+        real = forms._sigma_table
+        monkeypatch.setattr(
+            forms, "_sigma_table", lambda b, m: tables.append(b) or real(b, m)
+        )
+        assert [delta_coefficient(n, lanes) for n in range(1, 41)] == list(exact.coeffs[1:])
+        assert tables == list(range(26, 41))
+
+    def test_short_lane_refused(self):
+        lanes = (
+            eta_quotient_mod(11, 100, LANE_PRIMES[0]),
+            eta_quotient_mod(11, 10, LANE_PRIMES[1]),
+        )
+        with pytest.raises(ValueError, match=rf"mod \[{LANE_PRIMES[1]}\] do not cover n = 50"):
+            eta_quotient_coefficient(11, 50, lanes)
+        with pytest.raises(ValueError, match=str(LANE_PRIMES[0])):
+            delta_coefficient(200, (delta_eta_mod(100, LANE_PRIMES[0]),))
+
+    def test_repeated_modulus_refused(self):
+        lane = eta_quotient_mod(5, 20, LANE_PRIMES[0])
+        with pytest.raises(ValueError, match="repeat"):
+            eta_quotient_coefficient(5, 10, (lane, lane))
+
+
 class TestFormSpec:
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from . import ec, forms, hecke, vanish
@@ -48,8 +48,10 @@ class ResolvedForm:
 def _eta_product_form(level: int) -> ResolvedForm:
     """Delta (level 1) or an eta quotient: residue lanes with an exact fallback.
 
-    The scan builds the lanes once and hands them to the exact callback, which
-    lifts a(n) from them wherever Deligne's bound makes the lift exact.
+    The scan builds each lane at most once, and only when it needs it.  The
+    exact callback receives the lanes and lifts a(n) from them wherever
+    Deligne's bound makes the lift exact; an index reaches it only after
+    every lane has been read, so by then every lane is built.
     """
     if level == 1:
         exact, lane, coeff = forms.delta_eta, forms.delta_eta_mod, forms.delta_coefficient
@@ -61,8 +63,10 @@ def _eta_product_form(level: int) -> ResolvedForm:
         )
 
     def scan_source(bound: int) -> vanish.ScanSource:
-        lanes = tuple(lane(bound, m) for m in LANE_PRIMES)
-        return vanish.ScanSource(bound, lambda n: coeff(n, lanes), lanes)
+        lane_of = cache(partial(lane, bound))
+        return vanish.ScanSource(
+            bound, lambda n: coeff(n, tuple(map(lane_of, LANE_PRIMES))), LANE_PRIMES, lane_of
+        )
 
     return ResolvedForm(
         spec=forms.eta_product_spec(level),
@@ -224,27 +228,29 @@ def cmd_coeffs(args, parser) -> int:
     rf = _resolve_form(args, parser)
     if args.limit < 1:
         parser.error("--limit must be >= 1")
-    for m in args.mod or ():
+    # each modulus once, in the order first given
+    moduli = list(dict.fromkeys(args.mod or ()))
+    for m in moduli:
         if m % 2 == 0 or not is_prime(m):
             parser.error(f"--mod {m}: modulus must be an odd prime")
     # residue lanes cost what a scan's lanes cost, so they share its gate
-    lanes = bool(args.mod) and rf.residue_series is not None
+    lanes = bool(moduli) and rf.residue_series is not None
     budget = SCAN_GATE if lanes else rf.budget
     if budget is not None and args.limit > budget and not args.allow_large:
         parser.error(
             f"limit {args.limit} exceeds the compute budget ({budget}) for "
             f"{rf.spec.label}; pass --allow-large to compute anyway"
         )
-    if args.mod:
+    if moduli:
         if lanes:
             blocks = {
-                m: rf.residue_series(args.limit, m).coeffs[1:].tolist() for m in args.mod
+                m: rf.residue_series(args.limit, m).coeffs[1:].tolist() for m in moduli
             }
         else:
             # no residue pipeline: compute the exact coefficients once and
             # reduce them per modulus
             exact = rf.exact_series(args.limit).coeffs[1:]
-            blocks = {m: [c % m for c in exact] for m in args.mod}
+            blocks = {m: [c % m for c in exact] for m in moduli}
         if args.json:
             _emit_json(
                 {
@@ -254,9 +260,9 @@ def cmd_coeffs(args, parser) -> int:
                 }
             )
         else:
-            for m in args.mod:
+            for m, block in blocks.items():
                 print(f"# modulus: {m}")
-                sys.stdout.write(forms.export_qexp(rf.spec, QSeries((0, *blocks[m]))))
+                sys.stdout.write(forms.export_qexp(rf.spec, QSeries((0, *block))))
         return 0
     qs = _cached_series(rf, args.limit)
     if args.json:
@@ -314,10 +320,17 @@ def cmd_mf(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
-    rf = _resolve_form(args, parser)
-    limit = args.limit
     if args.full_lehmer:
-        limit = FULL_LEHMER_BOUND
+        # Lehmer's bound is a statement about tau, and it is the limit itself
+        if args.form != "delta":
+            parser.error(
+                "--full-lehmer scans tau to Lehmer's bound and needs --form delta; "
+                "for another form pass --limit N --allow-large"
+            )
+        if args.limit is not None:
+            parser.error(f"--full-lehmer sets the limit to {FULL_LEHMER_BOUND}; drop --limit")
+    rf = _resolve_form(args, parser)
+    limit = FULL_LEHMER_BOUND if args.full_lehmer else args.limit
     if limit is None:
         parser.error("--limit is required (or pass --full-lehmer)")
     if limit < 1:

@@ -25,6 +25,7 @@ a(2) = +-2^(k/2), likewise for 3, so M_f | 6 and gcd(M_f, level) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 from typing import Callable
 
@@ -177,25 +178,21 @@ class ScanReport:
 class ScanSource:
     """What a scan reads: a(n) for 1 <= n <= bound.
 
-    exact(n) gives a(n) exactly.  The residue lanes, when there are any,
-    certify most nonzeros at once; only all-lanes-zero indices reach exact.
-    Each lane covers bound.
+    exact(n) gives a(n) exactly.  moduli are the residue lanes the scan may
+    certify with, tried in order, and lane(m) builds the lane modulo m; a
+    scan calls it at most once per modulus, and only while some index is
+    still uncertified by the lanes before it.  Each lane must cover bound.
     """
 
     bound: int
     exact: Callable[[int], int]
-    lanes: tuple[ResidueSeries, ...] = ()
-
-    def __post_init__(self):
-        short = [lane.modulus for lane in self.lanes if lane.trunc_bound < self.bound]
-        if short:
-            raise ValueError(f"residue lanes mod {short} do not cover {self.bound}")
+    moduli: tuple[int, ...] = ()
+    lane: Callable[[int], ResidueSeries] | None = None
 
     @classmethod
     def from_series(cls, qs: QSeries) -> ScanSource:
-        """The series itself as exact values, with one lane per LANE_PRIMES."""
-        lanes = tuple(reduce_mod(qs, m) for m in LANE_PRIMES)
-        return cls(qs.trunc_bound, qs.__getitem__, lanes)
+        """The series itself as exact values, with LANE_PRIMES reduced on demand."""
+        return cls(qs.trunc_bound, qs.__getitem__, LANE_PRIMES, partial(reduce_mod, qs))
 
 
 def first_vanishing(
@@ -213,6 +210,12 @@ def first_vanishing(
     exact arithmetic.  With level set, each reported zero also says whether
     it shares a factor with the level.
 
+    The lanes are built on demand, in the order of source.moduli: lane i is
+    built only while some index is zero in lanes 0..i-1, so an 'r' index is
+    nonzero in the first lane read for it, and only the indices zero in
+    every lane reach source.exact.  A lane that does not cover source.bound
+    raises ValueError when it is built.
+
     With coprime_to set, the first zero coprime to it is also reported.  Set
     mf_guarantee when coprime_to is (a multiple of) the form's M_f: a
     composite coprime hit is then mathematically impossible and raises
@@ -222,21 +225,18 @@ def first_vanishing(
         raise ValueError("bound must be >= 1")
     if source.bound < bound:
         raise ValueError(f"source bound {source.bound} below scan bound {bound}")
-    lanes, exact = source.lanes, source.exact
-
-    cert = bytearray(bound)
-    if lanes:
-        nonzero = np.zeros(bound + 1, dtype=bool)
-        for lane in lanes:
-            nonzero |= lane.coeffs[: bound + 1] != 0
-        cert = bytearray(
-            np.where(nonzero[1:], np.uint8(CERT_RESIDUE), np.uint8(0)).tobytes()
-        )
+    pending = np.arange(1, bound + 1)
+    for m in source.moduli:
+        if not pending.size:
+            break
+        lane = source.lane(m)
+        if lane.trunc_bound < source.bound:
+            raise ValueError(f"residue lanes mod {[m]} do not cover {source.bound}")
+        pending = pending[lane.coeffs[pending] == 0]
+    cert = bytearray([CERT_RESIDUE]) * bound
     zeros: list[int] = []
-    for n in range(1, bound + 1):
-        if cert[n - 1]:
-            continue
-        if exact(n) == 0:
+    for n in pending.tolist():
+        if source.exact(n) == 0:
             cert[n - 1] = CERT_ZERO
             zeros.append(n)
         else:
@@ -276,5 +276,5 @@ def first_vanishing(
         first_zero_coprime_divides_level=fc_bad,
         zeros=zeros,
         certification=bytes(cert),
-        lane_moduli=tuple(lane.modulus for lane in lanes),
+        lane_moduli=source.moduli,
     )

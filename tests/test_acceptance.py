@@ -5,6 +5,7 @@ lines; every stated tolerance and wall-clock limit is asserted as written.
 """
 
 import math
+from functools import partial
 import random
 import time
 
@@ -99,8 +100,7 @@ def test_criterion_03_optimal_mf_values():
 def test_criterion_04_scaled_lehmer_scan():
     t0 = time.perf_counter()
     bound = 100000
-    lanes = tuple(delta_eta_mod(bound, m) for m in LANE_PRIMES)
-    src = ScanSource(bound, delta_coefficient, lanes)
+    src = ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound))
     scan = first_vanishing(src, bound)
     ok = scan.first_zero is None
     ok = ok and scan.certification.count(CERT_ZERO) == 0

@@ -9,6 +9,7 @@ import pytest
 from qvanish import cli, ec, forms, hecke, vanish
 from qvanish.cli import main
 from qvanish.forms import delta_eta, eta_product_spec, export_qexp
+from qvanish.series import LANE_PRIMES
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +88,21 @@ class TestCoeffs:
         assert "# modulus: 691" in lines
         body = [line for line in lines if not line.startswith("#")]
         assert body == ["1 1", "2 667", "3 252", "4 601", "5 684"]
+
+    @pytest.mark.parametrize("selector", [("--form", "delta"), ("--fixture", "37a1")])
+    def test_repeated_mod_printed_once(self, capsys, selector):
+        once = run(capsys, "coeffs", *selector, "--limit", "3", "--mod", "7", "--mod", "5")
+        twice = run(
+            capsys, "coeffs", *selector, "--limit", "3", "--mod", "7", "--mod", "5", "--mod", "7"
+        )
+        assert twice == once
+        assert once[1].count("# modulus: 7") == 1
+        assert once[1].index("# modulus: 7") < once[1].index("# modulus: 5")
+        once_json = run(capsys, "coeffs", *selector, "--limit", "3", "--mod", "7", "--json")
+        twice_json = run(
+            capsys, "coeffs", *selector, "--limit", "3", "--mod", "7", "--mod", "7", "--json"
+        )
+        assert twice_json == once_json
 
     def test_mod_residues_match_exact(self, capsys):
         data = run_json(
@@ -363,6 +379,49 @@ class TestEtaQuotientLift:
         assert {k: data[k] for k in fields} == json.loads(json.dumps(fields))
 
 
+class TestLaneCascade:
+    @staticmethod
+    def count_lane_builds(monkeypatch):
+        built = []
+        real = forms.eta_product
+
+        def eta_product(level, bound, modulus=None):
+            if modulus is not None:
+                built.append(modulus)
+            return real(level, bound, modulus)
+
+        monkeypatch.setattr(forms, "eta_product", eta_product)
+        return built
+
+    def test_delta_scan_builds_one_lane(self, capsys, monkeypatch):
+        built = self.count_lane_builds(monkeypatch)
+        data = run_json(capsys, "scan", "--form", "delta", "--limit", "5000")
+        assert built == [LANE_PRIMES[0]]
+        assert data["lane_moduli"] == list(LANE_PRIMES)
+        assert data["certification"] == {"exact": 0, "residue": 5000, "zero": 0}
+
+    def test_all_lanes_built_while_zeros_remain(self, capsys, monkeypatch):
+        bound = 1300
+        built = self.count_lane_builds(monkeypatch)
+        data = run_json(capsys, "scan", "--form", "eta-quotient:11", "--limit", str(bound))
+        assert built == list(LANE_PRIMES)
+
+        # the eager reference: all three lanes, a residue in any one certifies
+        monkeypatch.undo()
+        exact = forms.eta_quotient(11, bound)[1]
+        lanes = [forms.eta_quotient_mod(11, bound, m) for m in LANE_PRIMES]
+        residue = [n for n in range(1, bound + 1) if any(lane.coeffs[n] for lane in lanes)]
+        zeros = [n for n in range(1, bound + 1) if exact[n] == 0]
+        assert data["certification"] == {
+            "exact": bound - len(residue) - len(zeros),
+            "residue": len(residue),
+            "zero": len(zeros),
+        }
+        assert data["zeros"] == zeros and len(zeros) == 195
+        assert data["first_zero"] == 8
+        assert data["lane_moduli"] == list(LANE_PRIMES)
+
+
 class TestClassify:
     def test_periodic_four(self, capsys):
         data = run_json(capsys, "classify", "--p", "2", "--ap", "-2", "--k", "2")
@@ -435,6 +494,27 @@ class TestScan:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--form", "delta"])
         assert exc.value.code == 2
+
+    def test_full_lehmer_refuses_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.forms, "eta_product", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--form", "delta", "--full-lehmer", "--limit", "500"])
+        assert exc.value.code == 2
+        assert f"--full-lehmer sets the limit to {cli.FULL_LEHMER_BOUND}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "selector", [("--form", "e4"), ("--form", "eta-quotient:11"), ("--fixture", "37a1")]
+    )
+    def test_full_lehmer_only_for_delta(self, capsys, monkeypatch, selector):
+        monkeypatch.setattr(cli.forms, "eta_product", None)
+        monkeypatch.setattr(cli.forms, "eisenstein_coeffs", None)
+        monkeypatch.setattr(cli.ec, "prime_table", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", *selector, "--full-lehmer"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--full-lehmer scans tau to Lehmer's bound and needs --form delta" in err
+        assert "--limit N --allow-large" in err
 
     def test_scan_gate(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -204,16 +205,17 @@ class TestFirstVanishing:
 
     def test_residue_lane_source(self):
         bound = 2000
-        lanes = tuple(delta_eta_mod(bound, m) for m in LANE_PRIMES)
-        src = ScanSource(bound, delta_coefficient, lanes)
+        src = ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound))
         report = first_vanishing(src, bound)
         assert report.first_zero is None
         assert report.certification.count(CERT_RESIDUE) == bound
 
     def test_lane_and_series_scans_agree(self):
         bound = 1500
-        lanes = tuple(delta_eta_mod(bound, m) for m in LANE_PRIMES)
-        via_lanes = first_vanishing(ScanSource(bound, delta_coefficient, lanes), bound)
+        via_lanes = first_vanishing(
+            ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound)),
+            bound,
+        )
         via_series = first_vanishing(ScanSource.from_series(delta_eta(bound)), bound)
         assert via_lanes.zeros == via_series.zeros
         assert via_lanes.certification == via_series.certification
@@ -222,7 +224,7 @@ class TestFirstVanishing:
         # A single lane modulo 7 has zero residues (tau(5) = 4830 = 7 * 690);
         # the exact fallback must rescue those indices, not report zeros.
         bound = 50
-        src = ScanSource(bound, delta_coefficient, (delta_eta_mod(bound, 7),))
+        src = ScanSource(bound, delta_coefficient, (7,), partial(delta_eta_mod, bound))
         report = first_vanishing(src, bound)
         assert report.first_zero is None
         assert report.certification.count(CERT_EXACT) > 0
@@ -251,7 +253,7 @@ class TestFirstVanishing:
 
     def test_short_lane_refused(self):
         with pytest.raises(ValueError, match="do not cover 20"):
-            ScanSource(20, delta_coefficient, (delta_eta_mod(10, 7),))
+            first_vanishing(ScanSource(20, delta_coefficient, (7,), partial(delta_eta_mod, 10)), 20)
 
     def test_tau_nonvanishing_small(self):
         report = first_vanishing(ScanSource.from_series(delta_eta(3000)), 3000)
@@ -280,3 +282,84 @@ class TestFirstVanishing:
         report = first_vanishing(ScanSource.from_series(delta_eta(1)), 1)
         assert report.first_zero is None
         assert report.certification == b"r"
+
+
+class TestLaneCascade:
+    """Lanes are built in order, each only while some index is still pending."""
+
+    @staticmethod
+    def counted_builder(bound, built):
+        def lane(m):
+            built.append(m)
+            return delta_eta_mod(bound, m)
+
+        return lane
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [(7, 11, 23), (5, 7, 11), (7, 998244353, 11), (998244353, 7, 11)],
+    )
+    def test_matches_eager_lanes(self, moduli):
+        bound = 400
+        tau = delta_eta(bound)
+        lanes = [delta_eta_mod(bound, m) for m in moduli]
+        # the eager reference: every lane built, a residue in any one certifies
+        cert, zeros, reached = bytearray(), [], 1
+        for n in range(1, bound + 1):
+            residues = [int(lane.coeffs[n]) for lane in lanes]
+            if any(residues):
+                cert.append(CERT_RESIDUE)
+            elif tau[n] == 0:
+                cert.append(CERT_ZERO)
+                zeros.append(n)
+            else:
+                cert.append(CERT_EXACT)
+        for i in range(1, len(moduli)):
+            if any(not any(int(lane.coeffs[n]) for lane in lanes[:i]) for n in range(1, bound + 1)):
+                reached += 1
+
+        built = []
+        report = first_vanishing(
+            ScanSource(bound, tau.__getitem__, moduli, self.counted_builder(bound, built)), bound
+        )
+        assert report.certification == bytes(cert)
+        assert report.zeros == zeros
+        assert report.lane_moduli == moduli
+        assert built == list(moduli[:reached])
+
+    def test_every_stage_taken(self):
+        # mod 7, 11, 23 some indices are certified by each lane and some by none
+        bound = 400
+        tau = delta_eta(bound)
+        first_nonzero = [
+            next((i for i, m in enumerate((7, 11, 23)) if tau[n] % m), None)
+            for n in range(1, bound + 1)
+        ]
+        assert set(first_nonzero) == {0, 1, 2, None}
+        report = first_vanishing(
+            ScanSource(bound, tau.__getitem__, (7, 11, 23), partial(delta_eta_mod, bound)), bound
+        )
+        assert report.certification.count(CERT_EXACT) == first_nonzero.count(None)
+
+    def test_from_series_reduces_on_demand(self, monkeypatch):
+        import qvanish.vanish as vanish_module
+
+        reduced = []
+        real = vanish_module.reduce_mod
+        monkeypatch.setattr(
+            vanish_module, "reduce_mod", lambda qs, m: reduced.append(m) or real(qs, m)
+        )
+        report = first_vanishing(ScanSource.from_series(delta_eta(500)), 500)
+        assert reduced == [LANE_PRIMES[0]]
+        assert report.lane_moduli == LANE_PRIMES
+
+    def test_short_later_lane_refused_only_when_built(self):
+        bound = 50
+
+        def lane(m):
+            return delta_eta_mod(10 if m == 11 else bound, m)
+
+        # every tau(n) <= 50 has a nonzero residue mod 998244353 or mod 7
+        first_vanishing(ScanSource(bound, delta_coefficient, (7, 998244353, 11), lane), bound)
+        with pytest.raises(ValueError, match="do not cover 50"):
+            first_vanishing(ScanSource(bound, delta_coefficient, (7, 11), lane), bound)

@@ -177,13 +177,14 @@ def _checksum_line(body: bytes) -> bytes:
     return b"# sha256: " + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
-def _cache_hit(path: str, spec: FormSpec, bound: int) -> QSeries | None:
+def _cache_hit(path: str, spec: FormSpec, bound: int) -> tuple[QSeries, str] | None:
     """The entry at path if it is whole and answers the request, else None.
 
     An entry is a '# sha256:' line over the body, then the body in the
-    q-expansion format.  A damaged entry (checksum mismatch, unparsable, or
-    written for another form or bound) is not trusted; the caller
-    recomputes and overwrites it.
+    q-expansion format.  A damaged entry (missing, checksum mismatch,
+    unparsable, or written for another form or bound) is not trusted; the
+    caller recomputes and overwrites it.  A hit is the parsed series and the
+    body it was checked against, which is what a cold run prints.
     """
     try:
         with open(path, "rb") as fh:
@@ -191,24 +192,29 @@ def _cache_hit(path: str, spec: FormSpec, bound: int) -> QSeries | None:
         if head != _checksum_line(body):
             return None
         got, qs = forms.ingest_qexp(path)
+        text = body.decode("ascii")
     except (OSError, ValueError):
         return None
     want = (bound, spec.weight, spec.level, spec.label)
     if (qs.trunc_bound, got.weight, got.level, got.label) != want:
         return None
-    return qs
+    return qs, text
 
 
-def _cached_series(rf: ResolvedForm, bound: int) -> QSeries:
+def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
+    """The series to bound and, for a cacheable form, its q-expansion text.
+
+    Cacheable forms are cusp forms, so the text is what coeffs prints.
+    """
     if not rf.cacheable:
-        return rf.exact_series(bound)
+        return rf.exact_series(bound), None
     path = os.path.join(_cache_dir(), _cache_key(rf.spec, bound) + ".qexp")
-    if os.path.exists(path):
-        qs = _cache_hit(path, rf.spec, bound)
-        if qs is not None:
-            return qs
+    hit = _cache_hit(path, rf.spec, bound)
+    if hit is not None:
+        return hit
     qs = rf.exact_series(bound)
-    body = forms.export_qexp(rf.spec, qs).encode()
+    text = forms.export_qexp(rf.spec, qs)
+    body = text.encode()
     os.makedirs(_cache_dir(), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=_cache_dir(), suffix=".tmp")
     try:
@@ -219,7 +225,7 @@ def _cached_series(rf: ResolvedForm, bound: int) -> QSeries:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return qs
+    return qs, text
 
 
 # ---------------------------------------------------------------- commands
@@ -264,7 +270,7 @@ def cmd_coeffs(args, parser) -> int:
                 print(f"# modulus: {m}")
                 sys.stdout.write(forms.export_qexp(rf.spec, QSeries((0, *block))))
         return 0
-    qs = _cached_series(rf, args.limit)
+    qs, text = _cached_series(rf, args.limit)
     if args.json:
         _emit_json(
             {
@@ -273,9 +279,11 @@ def cmd_coeffs(args, parser) -> int:
             }
         )
     else:
-        if qs[0] != 0:
-            print(f"# constant-term: {qs[0]}")
-        sys.stdout.write(forms.export_qexp(rf.spec, _zero_constant(qs)))
+        if text is None:
+            if qs[0] != 0:
+                print(f"# constant-term: {qs[0]}")
+            text = forms.export_qexp(rf.spec, _zero_constant(qs))
+        sys.stdout.write(text)
     return 0
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
+from operator import eq
 
 import numpy as np
 
@@ -310,30 +311,74 @@ def export_qexp(spec: FormSpec, qs: QSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_qexp(text: str, label_fallback: str = "file") -> tuple[FormSpec, QSeries]:
-    """Parse the q-expansion text format from a string (see ingest_qexp)."""
-    headers: dict[str, str] = {}
-    body: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+# Joins the body lines before their one split.  The mark is a token of its own
+# that int() refuses.  With L lines joined into 3L - 1 tokens, and every token
+# off the positions 2 mod 3 an integer, the L - 1 marks can only sit at those
+# L - 1 positions, so each line held exactly two tokens.
+_LINE_MARK = " ; "
+
+
+def _body_columns(joined: str, rows: int) -> tuple[list[bool], list[int]] | None:
+    """Read rows nonblank body lines joined by _LINE_MARK: whether each n is
+    its line's position, and the a(n) column.  None unless each line is
+    exactly two integers."""
+    tokens = joined.split()
+    if len(tokens) != 3 * rows - 1:
+        return None
+    try:
+        in_place = list(map(eq, map(int, tokens[0::3]), range(1, rows + 1)))
+        return in_place, list(map(int, tokens[1::3]))
+    except ValueError:
+        return None
+
+
+def _bad_body_line(lines: list[str], start: int) -> str:
+    """Name the first body line that _body_columns refuses."""
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if body:
-                raise ValueError(f"line {lineno}: header after body")
-            if ":" not in line:
-                raise ValueError(f"line {lineno}: malformed header {line!r}")
-            key, _, value = line[1:].partition(":")
-            headers[key.strip()] = value.strip()
-            continue
+            return f"line {lineno}: header after body"
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<n> <a(n)>', got {line!r}")
+            return f"line {lineno}: expected '<n> <a(n)>', got {line!r}"
         try:
-            n, an = int(parts[0]), int(parts[1])
+            int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer entry in {line!r}") from None
-        body.append((n, an))
+            return f"line {lineno}: non-integer entry in {line!r}"
+    return "malformed body"
+
+
+def parse_qexp(text: str, label_fallback: str = "file") -> tuple[FormSpec, QSeries]:
+    """Parse the q-expansion text format from a string (see ingest_qexp).
+
+    The header lines are read one at a time.  The body, which starts at the
+    first nonblank line that is not a header, is checked and converted in
+    bulk; only a rejected body is scanned again, to name its first bad line.
+    """
+    lines = text.splitlines()
+    headers: dict[str, str] = {}
+    start = len(lines)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            start = lineno - 1
+            break
+        if ":" not in line:
+            raise ValueError(f"line {lineno}: malformed header {line!r}")
+        key, _, value = line[1:].partition(":")
+        headers[key.strip()] = value.strip()
+    body = list(filter(str.strip, lines[start:]))
+    rows = len(body)
+    joined = _LINE_MARK.join(body)
+    del lines, body  # free the line strings before the split makes the tokens
+    columns = _body_columns(joined, rows) if rows else ([], [])
+    if columns is None:
+        raise ValueError(_bad_body_line(text.splitlines(), start))
+    in_place, values = columns
 
     for required in ("weight", "level", "character"):
         if required not in headers:
@@ -348,20 +393,18 @@ def parse_qexp(text: str, label_fallback: str = "file") -> tuple[FormSpec, QSeri
     if weight % 2:
         raise ValueError("odd weight is unsupported")
 
-    if not body:
+    if not rows:
         raise ValueError("empty body")
-    coeffs = [0] * (len(body) + 1)
-    for pos, (n, an) in enumerate(body, start=1):
-        if n != pos:
-            raise ValueError(f"missing index {pos} (body must cover 1..max contiguously)")
-        coeffs[n] = an
+    if False in in_place:
+        pos = in_place.index(False) + 1
+        raise ValueError(f"missing index {pos} (body must cover 1..max contiguously)")
     spec = FormSpec(
         weight=weight,
         level=level,
         label=headers.get("label", label_fallback),
         source="file",
     )
-    return spec, QSeries(tuple(coeffs))
+    return spec, QSeries((0, *values))
 
 
 def ingest_qexp(path) -> tuple[FormSpec, QSeries]:

@@ -119,3 +119,60 @@ def count_nonsingular(a1, a2, a3, a4, a6, p):
                 continue
             n += 1
     return n + 1
+
+
+def parse_qexp_by_lines(text, label_fallback="file"):
+    """The q-expansion text format read one line at a time.
+
+    Returns (weight, level, label, coefficients from a(0) = 0) or raises
+    ValueError with the message qvanish.forms.parse_qexp gives, including
+    the checks its FormSpec makes.
+    """
+    headers = {}
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if body:
+                raise ValueError(f"line {lineno}: header after body")
+            if ":" not in line:
+                raise ValueError(f"line {lineno}: malformed header {line!r}")
+            key, _, value = line[1:].partition(":")
+            headers[key.strip()] = value.strip()
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected '<n> <a(n)>', got {line!r}")
+        try:
+            n, an = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer entry in {line!r}") from None
+        body.append((n, an))
+
+    for required in ("weight", "level", "character"):
+        if required not in headers:
+            raise ValueError(f"missing header '# {required}:'")
+    if headers["character"] != "trivial":
+        raise ValueError("nontrivial character declared; unsupported")
+    try:
+        weight = int(headers["weight"])
+        level = int(headers["level"])
+    except ValueError:
+        raise ValueError("weight and level headers must be integers") from None
+    if weight % 2:
+        raise ValueError("odd weight is unsupported")
+
+    if not body:
+        raise ValueError("empty body")
+    coeffs = [0] * (len(body) + 1)
+    for pos, (n, an) in enumerate(body, start=1):
+        if n != pos:
+            raise ValueError(f"missing index {pos} (body must cover 1..max contiguously)")
+        coeffs[n] = an
+    if weight < 2:
+        raise ValueError("weight must be even and >= 2")
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    return weight, level, headers.get("label", label_fallback), tuple(coeffs)

@@ -148,6 +148,51 @@ class TestCache:
         _, warm, _ = run(capsys, *args)
         assert warm == cold
 
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"ingest_qexp": 0, "export_qexp": 0}
+        for name in calls:
+            real = getattr(forms, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(forms, name, counted)
+        return calls
+
+    def test_miss_exports_once_and_parses_nothing(self, capsys, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        code, out, _ = run(capsys, "coeffs", "--form", "delta", "--limit", "30")
+        assert code == 0
+        assert calls == {"ingest_qexp": 0, "export_qexp": 1}
+        assert out == export_qexp(eta_product_spec(1), delta_eta(30))
+
+    def test_text_hit_prints_the_verified_body(self, capsys, monkeypatch):
+        args = ("coeffs", "--fixture", "37a1", "--limit", "30")
+        _, cold, _ = run(capsys, *args)
+        cache_dir = os.environ["QVANISH_CACHE_DIR"]
+        (entry,) = os.listdir(cache_dir)
+        with open(os.path.join(cache_dir, entry), "rb") as fh:
+            fh.readline()  # the checksum line
+            body = fh.read()
+        calls = self._count_calls(monkeypatch)
+        code, warm, _ = run(capsys, *args)
+        assert code == 0
+        assert calls == {"ingest_qexp": 1, "export_qexp": 0}
+        assert warm.encode() == body
+        assert warm == cold
+
+    def test_json_hit_prints_the_cold_bytes(self, capsys, monkeypatch):
+        args = ("coeffs", "--form", "eta-quotient:11", "--limit", "30", "--json")
+        _, cold, _ = run(capsys, *args)
+        calls = self._count_calls(monkeypatch)
+        _, warm, _ = run(capsys, *args)
+        assert calls == {"ingest_qexp": 1, "export_qexp": 0}
+        assert warm == cold
+        coeffs = forms.eta_quotient(11, 30)[1].coeffs
+        assert json.loads(warm)["coefficients"] == [[n, coeffs[n]] for n in range(1, 31)]
+
     def test_cache_payload_is_qexp_format(self, capsys):
         run(capsys, "coeffs", "--fixture", "37a1", "--limit", "9")
         cache_dir = os.environ["QVANISH_CACHE_DIR"]

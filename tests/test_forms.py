@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvanish import forms
 from qvanish.forms import (
@@ -23,9 +25,14 @@ from qvanish.forms import (
     parse_qexp,
     sigma,
 )
-from qvanish.series import LANE_PRIMES, eta_raw, reduce_mod
+from qvanish.series import LANE_PRIMES, QSeries, eta_raw, reduce_mod
 
-from .oracles import eta_product_by_euler, sigma_by_divisors, tau_by_product
+from .oracles import (
+    eta_product_by_euler,
+    parse_qexp_by_lines,
+    sigma_by_divisors,
+    tau_by_product,
+)
 
 TAU_10 = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
@@ -421,3 +428,119 @@ class TestQexpFiles:
         spec = FormSpec(weight=4, level=1, label="e4", source="eisenstein:e4")
         with pytest.raises(ValueError, match="constant term"):
             export_qexp(spec, eisenstein_coeffs(2, 5))
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _package_parse(text):
+    spec, qs = parse_qexp(text)
+    return spec.weight, spec.level, spec.label, qs.coeffs
+
+
+def _at_body(mutate):
+    """Apply mutate(lines, j) at a body line j (the four export headers come
+    first), or leave lines alone when there is no body."""
+
+    def at(lines, i):
+        return mutate(lines, 4 + i % (len(lines) - 4)) if len(lines) > 4 else lines
+
+    return at
+
+
+def _edit_line(edit):
+    return _at_body(lambda lines, j: lines[:j] + [edit(lines[j])] + lines[j + 1:])
+
+
+def _edit_value(edit):
+    def on_value(line):
+        fields = line.split()
+        return line if len(fields) < 2 else " ".join((fields[0], edit(fields[1]), *fields[2:]))
+
+    return _edit_line(on_value)
+
+
+def _carry_token(lines, j):
+    """'1 a' / '2 b' becomes '1 a 2' / 'b': two tokens per line on average."""
+    if j + 1 >= len(lines) or len(lines[j + 1].split()) < 2:
+        return lines
+    n, rest = lines[j + 1].split(None, 1)
+    return lines[:j] + [f"{lines[j]} {n}", rest] + lines[j + 2:]
+
+
+QEXP_MUTATIONS = {
+    "blank line": lambda lines, i: lines[: i % len(lines)] + [""] + lines[i % len(lines):],
+    "whitespace line": lambda lines, i: (
+        lines[: i % len(lines)] + [" \t "] + lines[i % len(lines):]
+    ),
+    "plus sign": _edit_value(lambda v: "+" + v.lstrip("-")),
+    "leading zeros": _edit_value(lambda v: v.replace("-", "-00") if "-" in v else "00" + v),
+    "tab and padding": _edit_line(lambda line: "  " + line.replace(" ", "\t") + " "),
+    "header after body": _at_body(
+        lambda lines, j: lines[: j + 1] + ["# note: late"] + lines[j + 1:]
+    ),
+    "one field": _edit_line(lambda line: line.split(None, 1)[0] if line.strip() else line),
+    "three fields": _edit_line(lambda line: line + " 0"),
+    "mark as a field": _edit_line(lambda line: line.replace(" ", " ; ")),
+    "mark as a value": _edit_value(lambda v: ";"),
+    "carried token": _at_body(_carry_token),
+    "decimal": _edit_value(lambda v: "1.5"),
+    "gap": _at_body(lambda lines, j: lines[:j] + lines[j + 1:]),
+    "duplicate index": _at_body(lambda lines, j: lines[: j + 1] + lines[j:]),
+    "empty body": lambda lines, i: lines[:4],
+    "no level header": lambda lines, i: [ln for ln in lines if not ln.startswith("# level")],
+    "malformed header": lambda lines, i: ["# weight 12"] + lines[1:],
+    "odd weight": lambda lines, i: ["# weight: 11"] + lines[1:],
+    "zero weight": lambda lines, i: ["# weight: 0"] + lines[1:],
+    "zero level": lambda lines, i: [lines[0], "# level: 0"] + lines[2:],
+    "character": lambda lines, i: lines[:2] + ["# character: chi"] + lines[3:],
+}
+
+coefficient = st.one_of(
+    st.integers(-(10**6), 10**6), st.integers(-(10**25), 10**25)
+)
+
+
+class TestQexpParity:
+    """parse_qexp against tests/oracles.parse_qexp_by_lines, the format read line by line."""
+
+    @given(
+        st.lists(coefficient, min_size=1, max_size=25),
+        st.sampled_from([2, 4, 12]),
+        st.integers(1, 60),
+        st.lists(
+            st.tuples(st.sampled_from(sorted(QEXP_MUTATIONS)), st.integers(0, 10**6)),
+            max_size=3,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_reference(self, coeffs, weight, level, mutations, newline):
+        spec = FormSpec(weight=weight, level=level, label="f", source="file")
+        lines = export_qexp(spec, QSeries((0, *coeffs))).splitlines()
+        for name, i in mutations:
+            lines = QEXP_MUTATIONS[name](lines, i)
+        text = newline.join(lines) + newline
+        assert _outcome(_package_parse, text) == _outcome(parse_qexp_by_lines, text)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1 5 2\n7\n",
+            "1\n5 2 7\n",
+            "1 5\n2 ; 7\n",
+            "1 5 ;\n2 7\n",
+            "1 ;\n2 7\n",
+            "1 5\n3 7\nx 2\n",  # a bad line after a gap is named first
+            "",
+        ],
+    )
+    def test_rejection_matches(self, body):
+        text = "# weight: 2\n# level: 11\n# character: trivial\n" + body
+        expected = _outcome(parse_qexp_by_lines, text)
+        assert expected[0] == "error"
+        assert _outcome(_package_parse, text) == expected

@@ -50,8 +50,8 @@ def _eta_product_form(level: int) -> ResolvedForm:
 
     The scan builds each lane at most once, and only when it needs it.  The
     exact callback receives the lanes and lifts a(n) from them wherever
-    Deligne's bound makes the lift exact; an index reaches it only after
-    every lane has been read, so by then every lane is built.
+    Deligne's bound makes the lift exact, else lifts the series to n from
+    more lanes; an index reaches it only once every lane is built.
     """
     if level == 1:
         exact, lane, coeff = forms.delta_eta, forms.delta_eta_mod, forms.delta_coefficient

@@ -3,12 +3,13 @@
 Every product form here is one eta product, built by eta_product over Z or
 over Z/m: the weight-12 level-1 discriminant form Delta = eta(z)^24 is its
 level-1 entry, and the Shimura eta quotients eta(z)^a eta(Nz)^a for N in
-{2, 3, 5, 11} are the others.  Delta also has an independent route through
-the normalized Eisenstein series, which live here too.  Single values come
-from residue lanes by a CRT lift that Deligne's bound makes exact, with
-Niebur's formula for tau and a product rebuild for the eta quotients where
-the bound does not reach.  A line-oriented q-expansion file format carries
-externally supplied forms.
+{2, 3, 5, 11} are the others.  Its sparse passes run in residue lanes over
+Z/m only: every eta product is a normalized newform, so Deligne's bound makes
+the symmetric CRT lift of enough lanes exact, and that lift is the series
+over Z.  Single values are lifted from the lanes in the same way.  Delta also
+has an independent route through the normalized Eisenstein series, which
+live here too.  A line-oriented q-expansion file format carries externally
+supplied forms.
 """
 
 from __future__ import annotations
@@ -24,14 +25,18 @@ import numpy as np
 
 from .arith import factorize, multiplicative
 from .series import (
+    LANE_PRIMES,
     QSeries,
     ResidueSeries,
     eta_cube,
     eta_raw,
     exact_divide,
-    mul_sparse,
+    mul_sparse,  # noqa: F401  (not called; the benchmark's tracing wraps forms.mul_sparse)
     mul_sparse_mod,
 )
+
+# LANE_PRIMES, then two odd primes below 2^31 that lift exact series but never certify
+_LIFT_MODULI = LANE_PRIMES + (469762049, 167772161)
 
 # Levels N for which (Delta(z)/Delta(Nz))^(1/(N+1)) is a cusp form spanning a
 # one-dimensional space; the exponent on each eta factor is 24/(N+1).
@@ -155,6 +160,25 @@ def eta_product_spec(level: int) -> FormSpec:
     )
 
 
+def _lift_moduli(weight: int, bound: int) -> tuple[int, ...]:
+    """The shortest prefix of _LIFT_MODULI whose product M has 16 bound^weight < M^2.
+
+    Then the lift of lanes modulo that prefix is exact to n = bound (see
+    _deligne_lift): for Delta one lane reaches n = 25, two 794, three 28521,
+    four 795228 and five 18675762.
+    """
+    big_m = 1
+    for count, m in enumerate(_LIFT_MODULI, start=1):
+        big_m *= m
+        if 16 * bound**weight < big_m * big_m:
+            return _LIFT_MODULI[:count]
+    lo, hi = 1, bound  # 16 lo^weight < M^2 <= 16 hi^weight
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if 16 * mid**weight < big_m * big_m else (lo, mid)
+    raise ValueError(f"exact weight-{weight} series stop at bound {lo}; {bound} is past it")
+
+
 def eta_product(level: int, bound: int, modulus: int | None = None):
     """q prod_{n>=1} (1 - q^n)^a (1 - q^(N*n))^a, a = 24/(N+1), truncated at bound.
 
@@ -168,26 +192,30 @@ def eta_product(level: int, bound: int, modulus: int | None = None):
     8, 4, 4 and 4 at N = 2, 3, 5 and 11.  Each pass costs O(bound^1.5), and
     there is no power-series division.
 
-    With modulus None the product is exact over Z and returns a QSeries;
-    otherwise the same passes run over Z/modulus and return the residue lane
-    as a ResidueSeries.
+    With a modulus the passes run over Z/modulus and return the residue lane
+    as a ResidueSeries.  Without one the exact QSeries over Z is the symmetric
+    CRT lift of the lanes modulo _lift_moduli(a, bound), exact by Deligne's
+    bound; a bound past the last modulus raises ValueError before any lane.
     """
-    eta_product_spec(level)  # rejects levels out of scope
+    weight = eta_product_spec(level).weight  # rejects levels out of scope
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if modulus is None:
-        acc, mul = QSeries((0, 1) + (0,) * (bound - 1)), mul_sparse
-    else:
-        q = np.zeros(bound + 1, dtype=np.int64)
-        q[1] = 1
-        acc, mul = ResidueSeries(modulus, q), mul_sparse_mod
-    cubes, singles = divmod(24 // (level + 1), 3)
+        moduli = _lift_moduli(weight, bound)
+        big_m, basis = _crt_basis(moduli)
+        lanes = (eta_product(level, bound, m).coeffs.astype(object) for m in moduli)
+        x = sum(lane * e for lane, e in zip(lanes, basis)) % big_m
+        return QSeries(tuple(np.where(2 * x > big_m, x - big_m, x).tolist()))
+    q = np.zeros(bound + 1, dtype=np.int64)
+    q[1] = 1
+    acc = ResidueSeries(modulus, q)
+    cubes, singles = divmod(weight, 3)
     for dilation in (1, level):
         for expansion, count in ((eta_cube, cubes), (eta_raw, singles)):
             if count:
                 factor = expansion(bound, dilation)
                 for _ in range(count):
-                    acc = mul(acc, factor)
+                    acc = mul_sparse_mod(acc, factor)
     return acc
 
 
@@ -220,15 +248,16 @@ def _crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return big_m, tuple(big_m // m * pow(big_m // m, -1, m) for m in moduli)
 
 
-def _deligne_lift(lanes: tuple[ResidueSeries, ...], n: int, weight: int) -> int | None:
-    """a(n) of a newform of weight k = weight, from its residue lanes at n, or None.
+def _deligne_lift(level: int, n: int, lanes: tuple[ResidueSeries, ...]) -> int:
+    """Coefficient n of eta_product(level, ...) from its residue lanes at n.
 
-    Deligne's bound |a(n)| <= d(n) n^((k-1)/2) with d(n) <= 2 sqrt(n) gives
+    Every eta product is a normalized newform of some weight k, so Deligne's
+    bound |a(n)| <= d(n) n^((k-1)/2) with d(n) <= 2 sqrt(n) gives
     |a(n)| <= 2 n^(k/2).  When 16 n^k < M^2, M the product of the lane
     moduli, that is 2 |a(n)| < M, so the symmetric CRT lift of the residues
-    at n (the representative in (-M/2, M/2]) is a(n) itself.  Otherwise the
-    residues do not determine a(n) and this returns None; so does an empty
-    lane tuple, whose M is 1.
+    at n (the representative in (-M/2, M/2]) is a(n) itself.  Otherwise,
+    and always without lanes (M = 1), the residues do not determine a(n),
+    and eta_product(level, n) lifts it from the lanes that its bound needs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -236,61 +265,34 @@ def _deligne_lift(lanes: tuple[ResidueSeries, ...], n: int, weight: int) -> int 
     if short:
         raise ValueError(f"residue lanes mod {short} do not cover n = {n}")
     big_m, basis = _crt_basis(tuple(lane.modulus for lane in lanes))
-    if 16 * n**weight >= big_m * big_m:
-        return None
+    if 16 * n ** eta_product_spec(level).weight >= big_m * big_m:
+        return eta_product(level, n)[n]
     x = sum(int(lane.coeffs[n]) * e for lane, e in zip(lanes, basis)) % big_m
     return x - big_m if 2 * x > big_m else x
 
 
 def delta_coefficient(n: int, lanes: tuple[ResidueSeries, ...] = ()) -> int:
-    """tau(n) for a single index: the CRT lift of lanes under Deligne's bound, else Niebur.
+    """tau(n) for a single index, by _deligne_lift: from the lanes to n = 28521
+    with the three LANE_PRIMES, else from the exact series to n.
 
-    Delta is the weight-12 level-1 newform, so Deligne's bound
-    |tau(n)| <= d(n) n^(11/2) holds, and _deligne_lift returns tau(n) from
-    the residues at n whenever 16 n^12 < M^2 (n up to about 2.8e4 with the
-    three LANE_PRIMES).  Above that, or without lanes, Niebur's closed form
-
-        tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} i^2 (35i^2 - 52in + 18n^2)
-                 sigma(i) sigma(n-i),
-
-    with sigma the ordinary divisor sum, gives it in O(n) exact big-integer
-    work after a divisor-sum table.  This is the exact callback of the Delta
-    scan and a third route to tau.  It keeps its name, one call per
-    all-lanes-zero index, because the benchmark's traced runs count exact
+    This is the exact callback of the Delta scan.  It keeps its name, one call
+    per all-lanes-zero index, because the benchmark's traced runs count exact
     fallbacks by wrapping it (ROADMAP item A moves them to stage events).
     """
-    lifted = _deligne_lift(lanes, n, 12)
-    if lifted is not None:
-        return lifted
-    if n == 1:
-        return 1
-    sl = _sigma_table(n, 1)
-    s = 0
-    for i in range(1, n):
-        s += i * i * (35 * i * i - 52 * i * n + 18 * n * n) * sl[i] * sl[n - i]
-    return n**4 * sl[n] - 24 * s
+    return _deligne_lift(1, n, lanes)
 
 
 def eta_quotient_coefficient(
     level: int, n: int, lanes: tuple[ResidueSeries, ...] = ()
 ) -> int:
-    """Exact a(n) of the level-N eta quotient: the CRT lift of lanes, else a rebuild.
+    """Exact a(n) of the level-N eta quotient for a single index, by _deligne_lift.
 
-    eta(z)^a eta(Nz)^a is the unique normalized newform in S_a(Gamma0(N)),
-    so Deligne's bound |a(n)| <= d(n) n^((a-1)/2) holds (Hasse's bound at
-    a = 2, N = 11).  Whenever 16 n^a < M^2, M the product of the lane
-    moduli, _deligne_lift returns a(n) from the residues at n; with the
-    three LANE_PRIMES that covers n up to about 4.8e6 at N = 2 (weight 8)
-    and further at the other levels.  Otherwise, or without lanes, the
-    product is rebuilt to n, in O(n^1.5).  The scan
-    calls this once per all-lanes-zero index; it keeps its name because the
-    benchmark's traced runs count exact fallbacks by wrapping it (ROADMAP
-    item A moves them to stage events).
+    With the three LANE_PRIMES the lanes give a(n) to n = 4816904 at N = 2
+    (weight 8) and further at the other levels; otherwise the exact series
+    to n does.  The scan calls this once per all-lanes-zero index, and it keeps
+    its name for the same reason as delta_coefficient.
     """
-    lifted = _deligne_lift(lanes, n, eta_product_spec(level).weight)
-    if lifted is not None:
-        return lifted
-    return eta_quotient(level, n)[1][n]
+    return _deligne_lift(level, n, lanes)
 
 
 def export_qexp(spec: FormSpec, qs: QSeries) -> str:

@@ -7,9 +7,10 @@ same coefficients modulo a fixed word-size prime.  The residue lane exists so
 a scan can certify a(n) != 0 from a single nonzero residue; only an
 all-lanes-zero index needs exact arithmetic.
 
-Dense-by-sparse products run through one loop over two rings, Z and Z/m,
-told apart by the numpy dtype of the accumulator; mul_sparse and
-mul_sparse_mod are its entry points for the two carriers.
+Dense-by-sparse products run in one ring, Z/m, on int64 arrays
+(mul_sparse_mod); exact series are lifted from such lanes (see
+forms.eta_product).  mul_sparse, the same product over Z by the schoolbook
+mul, is the reference mul_sparse_mod is tested against.
 
 All values are immutable after construction and every operation is a pure
 function, so anything here may be called from concurrent code.  Truncation
@@ -163,8 +164,8 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def mul_sparse(a: QSeries, s: SparseSeries) -> QSeries:
-    """a * s over Z, costing O(bound * len(s.terms)); equals mul(a, s.densify())."""
-    return QSeries(tuple(_sparse_product(a, s, None).tolist()))
+    """a * s over Z; mul skips the zeros of s, so this costs O(bound * len(s.terms))."""
+    return mul(s.densify(), a)
 
 
 def power(a: QSeries, e: int) -> QSeries:
@@ -245,36 +246,29 @@ def reduce_mod(a: QSeries, m: int) -> ResidueSeries:
 
 
 def mul_sparse_mod(a: ResidueSeries, s: SparseSeries) -> ResidueSeries:
-    """a * s over Z/m, m = a.modulus; reduce_mod of mul_sparse on the lifts."""
-    return ResidueSeries(a.modulus, _sparse_product(a, s, a.modulus))
+    """a * s over Z/m, m = a.modulus; reduce_mod of mul_sparse on the lifts.
 
-
-def _sparse_product(a, s: SparseSeries, m: int | None) -> np.ndarray:
-    """The one sparse product loop: a * s over Z (m None) or Z/m.
-
-    The ring is the dtype: object arrays of Python integers for Z, int64 for
-    Z/m.  A coefficient other than +-1 multiplies its shifted copy into one
-    scratch array allocated per product.  Over Z/m every copy accumulates
-    unreduced before the final reduction; the guard keeps those partial sums,
-    bounded by (sum |c| + 1) * m, inside int64.
+    A coefficient other than +-1 multiplies its shifted copy into one scratch
+    array allocated per product.  Every copy accumulates unreduced before the
+    final reduction; the guard keeps those partial sums, bounded by
+    (sum |c| + 1) * m, inside int64.
     """
     _check_bounds(a, s)
-    if m is not None and (sum(abs(c) for _, c in s.terms) + 1) * m >= 2**62:
+    m = a.modulus
+    if (sum(abs(c) for _, c in s.terms) + 1) * m >= 2**62:
         raise OverflowError("sparse accumulation would overflow int64")
-    ac = np.asarray(a.coeffs, dtype=object if m is None else np.int64)
     bound = a.trunc_bound
-    out = np.zeros(bound + 1, dtype=ac.dtype)
+    out = np.zeros(bound + 1, dtype=np.int64)
     tmp = None  # allocated at the first coefficient other than +-1
     for idx, c in s.terms:
-        seg = ac[: bound + 1 - idx]
+        seg = a.coeffs[: bound + 1 - idx]
         if c == 1:
             out[idx:] += seg
         elif c == -1:
             out[idx:] -= seg
         else:
             if tmp is None:
-                tmp = np.empty(bound + 1, dtype=ac.dtype)
+                tmp = np.empty(bound + 1, dtype=np.int64)
             out[idx:] += np.multiply(seg, c, out=tmp[: len(seg)])
-    if m is not None:
-        out %= m
-    return out
+    out %= m
+    return ResidueSeries(m, out)

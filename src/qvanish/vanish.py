@@ -159,6 +159,8 @@ class ScanReport:
     certification records, per index, whether the coefficient was certified
     nonzero by a residue lane ('r') or by exact arithmetic ('e'), or found to
     be an exact zero ('z').  Every index below a reported zero is certified.
+    lane_moduli are the certifying moduli; the extra ones that an exact eta
+    product is lifted from never certify and never appear here.
     """
 
     bound: int

@@ -56,6 +56,24 @@ def tau_by_product(bound):
     return [0] + acc[:bound]
 
 
+def tau_by_niebur(n):
+    """tau(n) by Niebur's formula (1975), an identity independent of the eta product:
+
+        tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} i^2 (35i^2 - 52in + 18n^2)
+                 sigma(i) sigma(n-i),
+
+    with sigma the divisor sum, tabulated here by a plain divisor sieve.
+    """
+    sig = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for multiple in range(d, n + 1, d):
+            sig[multiple] += d
+    s = 0
+    for i in range(1, n):
+        s += i * i * (35 * i * i - 52 * i * n + 18 * n * n) * sig[i] * sig[n - i]
+    return n**4 * sig[n] - 24 * s
+
+
 def sigma_by_divisors(n, m):
     return sum(d**m for d in range(1, n + 1) if n % d == 0)
 

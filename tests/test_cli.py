@@ -79,6 +79,18 @@ class TestCoeffs:
         assert f"limit 200001 exceeds the compute budget ({cli.SCAN_GATE})" in err
         assert "--allow-large" in err
 
+    def test_delta_past_the_lift_limit_refused(self, capsys, monkeypatch):
+        # the exact series would need a sixth lift modulus: refused before any lane
+        built = TestLaneCascade.count_lane_builds(monkeypatch)
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "coeffs", "--form", "delta", "--limit", "18675763", "--allow-large"
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == "" and built == []
+        assert "stop at bound 18675762" in err
+        assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
+
     def test_mod_output(self, capsys):
         code, out, _ = run(
             capsys, "coeffs", "--form", "delta", "--limit", "5", "--mod", "691"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvanish import forms
@@ -31,6 +31,7 @@ from .oracles import (
     eta_product_by_euler,
     parse_qexp_by_lines,
     sigma_by_divisors,
+    tau_by_niebur,
     tau_by_product,
 )
 
@@ -161,10 +162,23 @@ class TestDeltaRoutes:
             lane = delta_eta_mod(bound, m)
             assert list(lane.coeffs) == list(reduce_mod(exact, m).coeffs)
 
-    def test_niebur_single_coefficient(self):
+    def test_single_coefficient_without_lanes(self):
         exact = delta_eta(500)
         for n in [1, 2, 10, 100, 101, 256, 499, 500]:
             assert delta_coefficient(n) == exact[n]
+
+    @pytest.fixture(scope="class")
+    def lanes_to_30000(self):
+        return tuple(delta_eta_mod(30000, m) for m in LANE_PRIMES)
+
+    @pytest.mark.parametrize("n", [28521, 28522, 29989])
+    def test_niebur_agrees_across_the_lane_step(self, lanes_to_30000, n):
+        # three lanes lift tau to 28521 and four are needed from 28522 on,
+        # both for the series and for a single value past the scan's lanes
+        want = tau_by_niebur(n)
+        assert delta_coefficient(n) == want
+        assert delta_coefficient(n, lanes_to_30000) == want
+        assert delta_eta(n)[n] == want
 
 
 ETA_FIRST_12 = {
@@ -251,13 +265,17 @@ class TestEtaProduct:
     @pytest.mark.parametrize("level, passes", [(1, 8), (2, 8), (3, 4), (5, 4), (11, 4)])
     def test_sparse_pass_count(self, monkeypatch, level, passes, modulus):
         # a // 3 cube and a % 3 pentagonal passes for each of eta(z)^a and
-        # eta(Nz)^a, a = 24/(N+1); pentagonal passes alone would take 2a
+        # eta(Nz)^a, a = 24/(N+1); pentagonal passes alone would take 2a.
+        # Over Z the same passes run once in each lane the lift needs: to 500
+        # that is two lanes at weights 12 and 8, one at the others.
         calls = []
         for name in ("mul_sparse", "mul_sparse_mod"):
-            inner = getattr(forms, name)
-            monkeypatch.setattr(
-                forms, name, lambda a, s, inner=inner: calls.append(s) or inner(a, s)
-            )
+
+            def counting(a, s, inner=getattr(forms, name), name=name):
+                calls.append((name, getattr(a, "modulus", None)))
+                return inner(a, s)
+
+            monkeypatch.setattr(forms, name, counting)
         if level == 1 and modulus is None:
             delta_eta(500)
         elif level == 1:
@@ -266,7 +284,54 @@ class TestEtaProduct:
             eta_quotient(level, 500)
         else:
             eta_quotient_mod(level, 500, modulus)
-        assert len(calls) == passes
+        lanes = [modulus] if modulus else LANE_PRIMES[: 2 if level in (1, 2) else 1]
+        assert calls == [("mul_sparse_mod", m) for m in lanes for _ in range(passes)]
+
+    @given(
+        st.sampled_from((1,) + ETA_QUOTIENT_LEVELS), st.integers(min_value=1, max_value=300)
+    )
+    # both sides of the lane-count steps of Delta (25, 794) and of N = 2 (125)
+    @example(1, 25)
+    @example(1, 26)
+    @example(1, 794)
+    @example(1, 795)
+    @example(2, 125)
+    @example(2, 126)
+    @settings(max_examples=60, deadline=None)
+    def test_lift_matches_euler_oracle(self, level, bound):
+        got = eta_product(level, bound).coeffs
+        assert list(got) == eta_product_by_euler(level, bound)
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize(
+        "weight, last_bounds",
+        [
+            (12, [25, 794, 28521, 795228, 18675762]),
+            (8, [125, 22376, 4816904, 709149044, 80708169314]),
+        ],
+    )
+    def test_lane_count_steps(self, weight, last_bounds):
+        # the last bound each count of lift moduli covers
+        for lanes, bound in enumerate(last_bounds, start=1):
+            assert len(forms._lift_moduli(weight, bound)) == lanes
+            if lanes < len(forms._LIFT_MODULI):
+                assert len(forms._lift_moduli(weight, bound + 1)) == lanes + 1
+
+    @pytest.mark.parametrize("level, limit", [(1, 18675762), (2, 80708169314)])
+    def test_bound_past_the_last_lift_modulus_refused(self, monkeypatch, level, limit):
+        # the last lift modulus covers limit; one more is refused before any lane
+        built = []
+        real = forms.eta_product
+
+        def lane_counting(lvl, b, modulus=None):
+            if modulus is not None:
+                built.append(modulus)
+            return real(lvl, b, modulus)
+
+        monkeypatch.setattr(forms, "eta_product", lane_counting)
+        with pytest.raises(ValueError, match=f"series stop at bound {limit};"):
+            eta_product(level, limit + 1)
+        assert built == []
 
     def test_bound_one(self):
         assert eta_product(1, 1).coeffs == (0, 1)
@@ -307,11 +372,10 @@ class TestDeligneLift:
 
     @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
     def test_lift_is_the_exact_series(self, series, monkeypatch, level):
-        # 5000 lies inside the lift's range at every level (Delta's ends near
-        # 2.8e4), so no index may fall back to a rebuild or to Niebur
+        # 5000 lies inside the lift's range at every level (Delta's ends at
+        # 28521), so no index may fall back to building a series
         exact, lanes = series[level]
-        monkeypatch.setattr(forms, "eta_quotient", None)
-        monkeypatch.setattr(forms, "_sigma_table", None)
+        monkeypatch.setattr(forms, "eta_product", None)
         if level == 1:
             got = [delta_coefficient(n, lanes) for n in range(1, 5001)]
         else:
@@ -327,32 +391,38 @@ class TestDeligneLift:
             d = sigma_by_divisors(n, 0)
             assert exact[n] ** 2 <= d * d * n ** (k - 1), (level, n)
 
+    @staticmethod
+    def count_series_builds(monkeypatch, level):
+        # the bounds of exact series built at this level; lanes are not counted
+        built = []
+        real = forms.eta_product
+
+        def eta_product(lvl, bound, modulus=None):
+            if modulus is None and lvl == level:
+                built.append(bound)
+            return real(lvl, bound, modulus)
+
+        monkeypatch.setattr(forms, "eta_product", eta_product)
+        return built
+
     def test_one_lane_covers_n_up_to_125_at_level_2(self, monkeypatch):
         # M = LANE_PRIMES[0] alone: 16 n^8 < M^2 exactly for n <= 125, so
-        # 1..300 takes the lift below and the rebuild above
+        # 1..300 takes the lift below and the series to n above
         bound = 300
         _, exact = eta_quotient(2, bound)
         lanes = (eta_quotient_mod(2, bound, LANE_PRIMES[0]),)
-        rebuilt = []
-        real = forms.eta_quotient
-        monkeypatch.setattr(
-            forms, "eta_quotient", lambda level, b: rebuilt.append(b) or real(level, b)
-        )
+        built = self.count_series_builds(monkeypatch, 2)
         got = [eta_quotient_coefficient(2, n, lanes) for n in range(1, bound + 1)]
         assert got == list(exact.coeffs[1:])
-        assert rebuilt == list(range(126, bound + 1))
+        assert built == list(range(126, bound + 1))
 
-    def test_delta_uses_niebur_beyond_the_bound(self, monkeypatch):
+    def test_delta_lifts_the_series_beyond_the_bound(self, monkeypatch):
         # one lane covers tau only for n <= 25: 16 n^12 < M^2 stops there
         lanes = (delta_eta_mod(40, LANE_PRIMES[0]),)
         exact = delta_eta(40)
-        tables = []
-        real = forms._sigma_table
-        monkeypatch.setattr(
-            forms, "_sigma_table", lambda b, m: tables.append(b) or real(b, m)
-        )
+        built = self.count_series_builds(monkeypatch, 1)
         assert [delta_coefficient(n, lanes) for n in range(1, 41)] == list(exact.coeffs[1:])
-        assert tables == list(range(26, 41))
+        assert built == list(range(26, 41))
 
     def test_short_lane_refused(self):
         lanes = (

@@ -1,5 +1,11 @@
 """Command-line surface: coeffs, classify, mf, scan.
 
+Each form selector resolves to a ResolvedForm.  Delta and the eta quotients
+are one kind, the eta product at level 1 or N, served at every level by
+forms.eta_quotient, eta_quotient_mod and eta_quotient_coefficient.  coeffs
+and scan share one compute gate: for every form, a limit above SCAN_GATE
+needs --allow-large.
+
 JSON output is key-sorted and timestamp-free, so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 usage or input errors, 3 when a
 scan hit contradicts a proven guarantee (which would mean a bug here, not
@@ -26,6 +32,7 @@ from .series import LANE_PRIMES, QSeries
 CACHE_ENV = "QVANISH_CACHE_DIR"
 DEFAULT_CACHE = os.path.join("~", ".cache", "qvanish")
 FULL_LEHMER_BOUND = 3316799  # smallest n with tau(n) = 0 exceeds this
+# the one compute gate: coeffs and scan refuse a larger limit without --allow-large
 SCAN_GATE = 200000
 ZEROS_CAP = 1000
 # Part of every cache key: bump it when the cached payload or the code that
@@ -41,39 +48,30 @@ class ResolvedForm:
     residue_series: Callable[[int, int], object] | None = None
     # what a scan to a bound reads, when it is not the exact series
     scan_source: Callable[[int], vanish.ScanSource] | None = None
-    budget: int | None = None
     cacheable: bool = False
 
 
 def _eta_product_form(level: int) -> ResolvedForm:
     """Delta (level 1) or an eta quotient: residue lanes with an exact fallback.
 
-    The scan builds each lane at most once, and only when it needs it.  The
-    exact callback receives the lanes and lifts a(n) from them wherever
-    Deligne's bound makes the lift exact, else lifts the series to n from
-    more lanes; an index reaches it only once every lane is built.
+    The scan builds each lane at most once, and only when it needs it.  Its
+    exact callback lifts a(n) from the lanes that Deligne's bound asks for at
+    n, read through the scan's own lane cache, which builds a lift modulus
+    beyond the certifying ones (Delta above 28521) once, to the scan bound.
+    An index reaches it only once every certifying lane is built.
     """
-    if level == 1:
-        exact, lane, coeff = forms.delta_eta, forms.delta_eta_mod, forms.delta_coefficient
-    else:
-        exact, lane, coeff = (
-            lambda b: forms.eta_quotient(level, b)[1],
-            partial(forms.eta_quotient_mod, level),
-            partial(forms.eta_quotient_coefficient, level),
-        )
+    lane = partial(forms.eta_quotient_mod, level)
 
     def scan_source(bound: int) -> vanish.ScanSource:
         lane_of = cache(partial(lane, bound))
-        return vanish.ScanSource(
-            bound, lambda n: coeff(n, tuple(map(lane_of, LANE_PRIMES))), LANE_PRIMES, lane_of
-        )
+        exact = partial(forms.eta_quotient_coefficient, level, lane_of=lane_of)
+        return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of)
 
     return ResolvedForm(
         spec=forms.eta_product_spec(level),
-        exact_series=exact,
+        exact_series=lambda b: forms.eta_quotient(level, b)[1],
         residue_series=lane,
         scan_source=scan_source,
-        budget=5000,
         cacheable=True,
     )
 
@@ -98,7 +96,6 @@ def _resolve_form(args, parser) -> ResolvedForm:
             return ResolvedForm(
                 spec=spec,
                 exact_series=lambda b, h=half: forms.eisenstein_coeffs(h, b),
-                budget=200000,
             )
         if name.startswith("eta-quotient:"):
             try:
@@ -125,7 +122,6 @@ def _resolve_form(args, parser) -> ResolvedForm:
             spec=ec.curve_form(curve),
             exact_series=lambda b, c=curve: _curve_series(c, b),
             scan_source=lambda b, c=curve: _curve_source(c, b),
-            budget=100000,
             cacheable=True,
         )
     try:
@@ -239,16 +235,13 @@ def cmd_coeffs(args, parser) -> int:
     for m in moduli:
         if m % 2 == 0 or not is_prime(m):
             parser.error(f"--mod {m}: modulus must be an odd prime")
-    # residue lanes cost what a scan's lanes cost, so they share its gate
-    lanes = bool(moduli) and rf.residue_series is not None
-    budget = SCAN_GATE if lanes else rf.budget
-    if budget is not None and args.limit > budget and not args.allow_large:
+    if args.limit > SCAN_GATE and not args.allow_large:
         parser.error(
-            f"limit {args.limit} exceeds the compute budget ({budget}) for "
+            f"limit {args.limit} exceeds the compute budget ({SCAN_GATE}) for "
             f"{rf.spec.label}; pass --allow-large to compute anyway"
         )
     if moduli:
-        if lanes:
+        if rf.residue_series is not None:
             blocks = {
                 m: rf.residue_series(args.limit, m).coeffs[1:].tolist() for m in moduli
             }
@@ -354,13 +347,7 @@ def cmd_scan(args, parser) -> int:
         source = rf.scan_source(limit)
     else:
         source = vanish.ScanSource.from_series(rf.exact_series(limit))
-    report = vanish.first_vanishing(
-        source,
-        limit,
-        coprime_to=mf_value,
-        mf_guarantee=args.coprime_mf,
-        level=rf.spec.level,
-    )
+    report = vanish.first_vanishing(source, limit, coprime_to=mf_value, level=rf.spec.level)
     cert = report.certification
     # vars, not asdict: asdict would deep-copy every zero before the cap
     payload = {

@@ -6,10 +6,12 @@ level-1 entry, and the Shimura eta quotients eta(z)^a eta(Nz)^a for N in
 {2, 3, 5, 11} are the others.  Its sparse passes run in residue lanes over
 Z/m only: every eta product is a normalized newform, so Deligne's bound makes
 the symmetric CRT lift of enough lanes exact, and that lift is the series
-over Z.  Single values are lifted from the lanes in the same way.  Delta also
-has an independent route through the normalized Eisenstein series, which
-live here too.  A line-oriented q-expansion file format carries externally
-supplied forms.
+over Z.  A single value a(n) is lifted in the same way from the lanes its
+index needs, which a lane source (a scan's lane cache) supplies.  The
+eta_quotient_* functions serve every level, Delta's included; the delta_*
+names are the same calls at level 1.  Delta also has an independent route
+through the normalized Eisenstein series, which live here too.  A
+line-oriented q-expansion file format carries externally supplied forms.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, prod
 from operator import eq
+from typing import Callable
 
 import numpy as np
 
@@ -230,69 +233,71 @@ def delta_eta_mod(bound: int, m: int) -> ResidueSeries:
 
 
 def eta_quotient(level: int, bound: int) -> tuple[FormSpec, QSeries]:
-    """The level-N eta quotient with its spec, for N in {2, 3, 5, 11}."""
+    """eta_product(level, bound) with its spec: Delta at level 1, else the eta quotient."""
     return eta_product_spec(level), eta_product(level, bound)
 
 
 def eta_quotient_mod(level: int, bound: int, m: int) -> ResidueSeries:
-    """The level-N eta quotient modulo the odd prime m (series only)."""
+    """eta_product(level, bound, m): the residue lane modulo the odd prime m."""
     return eta_product(level, bound, m)
 
 
 @lru_cache(maxsize=None)
 def _crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(M, e): M the product of the moduli, e_i = 1 mod m_i and 0 mod the others."""
-    if len(set(moduli)) != len(moduli):
-        raise ValueError(f"residue lane moduli {list(moduli)} repeat")
     big_m = prod(moduli)
     return big_m, tuple(big_m // m * pow(big_m // m, -1, m) for m in moduli)
 
 
-def _deligne_lift(level: int, n: int, lanes: tuple[ResidueSeries, ...]) -> int:
+def _deligne_lift(
+    level: int, n: int, lane_of: Callable[[int], ResidueSeries] | None = None
+) -> int:
     """Coefficient n of eta_product(level, ...) from its residue lanes at n.
 
     Every eta product is a normalized newform of some weight k, so Deligne's
     bound |a(n)| <= d(n) n^((k-1)/2) with d(n) <= 2 sqrt(n) gives
-    |a(n)| <= 2 n^(k/2).  When 16 n^k < M^2, M the product of the lane
-    moduli, that is 2 |a(n)| < M, so the symmetric CRT lift of the residues
-    at n (the representative in (-M/2, M/2]) is a(n) itself.  Otherwise,
-    and always without lanes (M = 1), the residues do not determine a(n),
-    and eta_product(level, n) lifts it from the lanes that its bound needs.
+    |a(n)| <= 2 n^(k/2).  The lanes modulo _lift_moduli(k, n) have a product
+    M with 16 n^k < M^2, that is 2 |a(n)| < M, so the symmetric CRT lift of
+    their residues at n (the representative in (-M/2, M/2]) is a(n) itself.
+    lane_of(m) gives the lane modulo m, which must cover n; without it the
+    lanes are built to n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    moduli = _lift_moduli(eta_product_spec(level).weight, n)
+    if lane_of is None:
+        lane_of = partial(eta_product, level, n)
+    lanes = [lane_of(m) for m in moduli]
     short = [lane.modulus for lane in lanes if lane.trunc_bound < n]
     if short:
         raise ValueError(f"residue lanes mod {short} do not cover n = {n}")
-    big_m, basis = _crt_basis(tuple(lane.modulus for lane in lanes))
-    if 16 * n ** eta_product_spec(level).weight >= big_m * big_m:
-        return eta_product(level, n)[n]
+    big_m, basis = _crt_basis(moduli)
     x = sum(int(lane.coeffs[n]) * e for lane, e in zip(lanes, basis)) % big_m
     return x - big_m if 2 * x > big_m else x
 
 
-def delta_coefficient(n: int, lanes: tuple[ResidueSeries, ...] = ()) -> int:
-    """tau(n) for a single index, by _deligne_lift: from the lanes to n = 28521
-    with the three LANE_PRIMES, else from the exact series to n.
+def delta_coefficient(n: int, lane_of: Callable[[int], ResidueSeries] | None = None) -> int:
+    """tau(n) for a single index: eta_quotient_coefficient(1, n, lane_of).
 
-    This is the exact callback of the Delta scan.  It keeps its name, one call
-    per all-lanes-zero index, because the benchmark's traced runs count exact
-    fallbacks by wrapping it (ROADMAP item A moves them to stage events).
+    The Delta scan calls eta_quotient_coefficient itself; this name stays
+    because the benchmark's traced runs wrap it (ROADMAP item A moves them to
+    stage events).
     """
-    return _deligne_lift(1, n, lanes)
+    return _deligne_lift(1, n, lane_of)
 
 
 def eta_quotient_coefficient(
-    level: int, n: int, lanes: tuple[ResidueSeries, ...] = ()
+    level: int, n: int, lane_of: Callable[[int], ResidueSeries] | None = None
 ) -> int:
-    """Exact a(n) of the level-N eta quotient for a single index, by _deligne_lift.
+    """Exact a(n) of eta_product(level, ...) for a single index, by _deligne_lift.
 
-    With the three LANE_PRIMES the lanes give a(n) to n = 4816904 at N = 2
-    (weight 8) and further at the other levels; otherwise the exact series
-    to n does.  The scan calls this once per all-lanes-zero index, and it keeps
-    its name for the same reason as delta_coefficient.
+    Level 1 is Delta.  lane_of(m) gives the lane modulo m that covers n; the
+    lift reads the lanes modulo _lift_moduli(k, n) and builds them to n
+    without it.  This is the exact callback of every product-form scan, with
+    the scan's own lane cache as the source, called once per all-lanes-zero
+    index; the benchmark's traced runs count those calls by wrapping it.
     """
-    return _deligne_lift(level, n, lanes)
+    return _deligne_lift(level, n, lane_of)
 
 
 def export_qexp(spec: FormSpec, qs: QSeries) -> str:

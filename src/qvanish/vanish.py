@@ -198,12 +198,7 @@ class ScanSource:
 
 
 def first_vanishing(
-    source: ScanSource,
-    bound: int,
-    coprime_to: int | None = None,
-    *,
-    mf_guarantee: bool = False,
-    level: int | None = None,
+    source: ScanSource, bound: int, coprime_to: int | None = None, *, level: int | None = None
 ) -> ScanReport:
     """Scan for vanishing coefficients over 1 <= n <= bound.
 
@@ -218,10 +213,10 @@ def first_vanishing(
     every lane reach source.exact.  A lane that does not cover source.bound
     raises ValueError when it is built.
 
-    With coprime_to set, the first zero coprime to it is also reported.  Set
-    mf_guarantee when coprime_to is (a multiple of) the form's M_f: a
-    composite coprime hit is then mathematically impossible and raises
-    GuaranteeViolationError instead of being reported quietly.
+    With coprime_to set, the first zero coprime to it is also reported.
+    coprime_to is (a multiple of) the form's M_f, so a composite coprime hit
+    is mathematically impossible and raises GuaranteeViolationError instead
+    of being reported quietly.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -261,7 +256,7 @@ def first_vanishing(
                 first_coprime = n
                 break
         fc_prime, fc_bad = _flags(first_coprime)
-        if mf_guarantee and first_coprime is not None and not fc_prime:
+        if first_coprime is not None and not fc_prime:
             raise GuaranteeViolationError(
                 f"composite n = {first_coprime} coprime to M_f = {coprime_to} "
                 f"has a(n) = 0; this contradicts the primality guarantee"

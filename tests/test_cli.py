@@ -9,7 +9,7 @@ import pytest
 from qvanish import cli, ec, forms, hecke, vanish
 from qvanish.cli import main
 from qvanish.forms import delta_eta, eta_product_spec, export_qexp
-from qvanish.series import LANE_PRIMES
+from qvanish.series import LANE_PRIMES, QSeries
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +65,7 @@ class TestCoeffs:
 
     def test_budget_gate(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["coeffs", "--form", "delta", "--limit", "100000"])
+            main(["coeffs", "--form", "delta", "--limit", "200001"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("form", ["delta", "eta-quotient:11"])
@@ -149,6 +149,77 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--file", str(path), "--limit", "10")
         assert code == 2
         assert "below requested" in err
+
+
+class Built(Exception):
+    """Raised by a stubbed builder: the request got past every gate."""
+
+
+class TestComputeGate:
+    """One gate for every form: coeffs and scan above SCAN_GATE need --allow-large."""
+
+    SELECTORS = {
+        "delta": ("--form", "delta"),
+        "eta-quotient:11": ("--form", "eta-quotient:11"),
+        "e4": ("--form", "e4"),
+        "37a1": ("--fixture", "37a1"),
+        "file": ("--file",),
+    }
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def stub(name):
+            def build(*args, **kwargs):
+                calls.append((name, *args))
+                raise Built(name)
+
+            return build
+
+        for owner, attr in (
+            (forms, "eta_product"),
+            (forms, "eisenstein_coeffs"),
+            (ec, "prime_table"),
+            (cli, "_slice_series"),
+        ):
+            monkeypatch.setattr(owner, attr, stub(attr))
+        return calls
+
+    def selector(self, name, tmp_path):
+        if name != "file":
+            return self.SELECTORS[name]
+        path = tmp_path / "delta.qexp"
+        path.write_text(export_qexp(eta_product_spec(1), QSeries((0, 1, -24, 252))))
+        return ("--file", str(path))
+
+    @pytest.mark.parametrize("command", ["coeffs", "scan"])
+    @pytest.mark.parametrize("name", sorted(SELECTORS))
+    def test_above_the_gate_refused(self, capsys, tmp_path, builds, command, name):
+        limit = str(cli.SCAN_GATE + 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.selector(name, tmp_path), "--limit", limit])
+        assert exc.value.code == 2
+        assert "--allow-large" in capsys.readouterr().err
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "selector, limit, built",
+        [
+            (("--form", "delta"), 5001, ("eta_product", 1, 5001)),
+            (("--fixture", "37a1"), 100001, ("prime_table", ec.FIXTURES["37a1"], 100001)),
+        ],
+    )
+    def test_former_budgets_admitted(self, builds, selector, limit, built):
+        # the coeffs budgets of 5000 (eta products) and 100000 (curves) are gone
+        with pytest.raises(Built):
+            main(["coeffs", *selector, "--limit", str(limit)])
+        assert builds == [built]
+
+    def test_allow_large_passes_the_gate(self, builds):
+        with pytest.raises(Built):
+            main(["coeffs", "--form", "e4", "--limit", str(cli.SCAN_GATE + 1), "--allow-large"])
+        assert builds == [("eisenstein_coeffs", 2, cli.SCAN_GATE + 1)]
 
 
 class TestCache:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -169,7 +170,7 @@ class TestDeltaRoutes:
 
     @pytest.fixture(scope="class")
     def lanes_to_30000(self):
-        return tuple(delta_eta_mod(30000, m) for m in LANE_PRIMES)
+        return cache(partial(delta_eta_mod, 30000))
 
     @pytest.mark.parametrize("n", [28521, 28522, 29989])
     def test_niebur_agrees_across_the_lane_step(self, lanes_to_30000, n):
@@ -179,6 +180,23 @@ class TestDeltaRoutes:
         assert delta_coefficient(n) == want
         assert delta_coefficient(n, lanes_to_30000) == want
         assert delta_eta(n)[n] == want
+
+    def test_lift_past_the_scan_lanes_builds_one_more_lane(self, monkeypatch):
+        # a scan's lane source to 30000 serves tau past 28521 by building the
+        # fourth modulus once, to its own bound, and no lane to n
+        built = []
+        real = forms.eta_product
+
+        def eta_product(level, bound, modulus=None):
+            built.append((bound, modulus))
+            return real(level, bound, modulus)
+
+        monkeypatch.setattr(forms, "eta_product", eta_product)
+        lane_of = cache(partial(delta_eta_mod, 30000))
+        for n in (28522, 29989):
+            assert eta_quotient_coefficient(1, n, lane_of) == tau_by_niebur(n)
+        # each of the four lift moduli, 469762049 among them, once and to 30000
+        assert sorted(built) == sorted((30000, m) for m in forms._LIFT_MODULI[:4])
 
 
 ETA_FIRST_12 = {
@@ -365,21 +383,21 @@ class TestDeligneLift:
         return {
             level: (
                 eta_product(level, bound),
-                tuple(eta_product(level, bound, m) for m in LANE_PRIMES),
+                {m: eta_product(level, bound, m) for m in LANE_PRIMES}.__getitem__,
             )
             for level in (1,) + ETA_QUOTIENT_LEVELS
         }
 
     @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
     def test_lift_is_the_exact_series(self, series, monkeypatch, level):
-        # 5000 lies inside the lift's range at every level (Delta's ends at
-        # 28521), so no index may fall back to building a series
-        exact, lanes = series[level]
+        # 5000 lies inside the three lanes' range at every level (Delta's ends
+        # at 28521), so the source serves every index and nothing is built
+        exact, lane_of = series[level]
         monkeypatch.setattr(forms, "eta_product", None)
         if level == 1:
-            got = [delta_coefficient(n, lanes) for n in range(1, 5001)]
+            got = [delta_coefficient(n, lane_of) for n in range(1, 5001)]
         else:
-            got = [eta_quotient_coefficient(level, n, lanes) for n in range(1, 5001)]
+            got = [eta_quotient_coefficient(level, n, lane_of) for n in range(1, 5001)]
         assert got == list(exact.coeffs[1:])
 
     @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
@@ -392,52 +410,48 @@ class TestDeligneLift:
             assert exact[n] ** 2 <= d * d * n ** (k - 1), (level, n)
 
     @staticmethod
-    def count_series_builds(monkeypatch, level):
-        # the bounds of exact series built at this level; lanes are not counted
-        built = []
-        real = forms.eta_product
+    def lanes_read(monkeypatch, level, bound):
+        """a(1..bound) lifted through a lane source to bound, and the moduli
+        each index read; building anything else fails."""
+        lanes = {m: eta_product(level, bound, m) for m in LANE_PRIMES}
+        monkeypatch.setattr(forms, "eta_product", None)
+        read: list[int] = []
 
-        def eta_product(lvl, bound, modulus=None):
-            if modulus is None and lvl == level:
-                built.append(bound)
-            return real(lvl, bound, modulus)
+        def lane_of(m):
+            read.append(m)
+            return lanes[m]
 
-        monkeypatch.setattr(forms, "eta_product", eta_product)
-        return built
+        got, reads = [], []
+        for n in range(1, bound + 1):
+            read.clear()
+            got.append(eta_quotient_coefficient(level, n, lane_of))
+            reads.append(tuple(read))
+        return got, reads
 
     def test_one_lane_covers_n_up_to_125_at_level_2(self, monkeypatch):
         # M = LANE_PRIMES[0] alone: 16 n^8 < M^2 exactly for n <= 125, so
-        # 1..300 takes the lift below and the series to n above
+        # 1..125 read one lane and 126..300 read two
         bound = 300
         _, exact = eta_quotient(2, bound)
-        lanes = (eta_quotient_mod(2, bound, LANE_PRIMES[0]),)
-        built = self.count_series_builds(monkeypatch, 2)
-        got = [eta_quotient_coefficient(2, n, lanes) for n in range(1, bound + 1)]
+        got, reads = self.lanes_read(monkeypatch, 2, bound)
         assert got == list(exact.coeffs[1:])
-        assert built == list(range(126, bound + 1))
+        assert reads == [LANE_PRIMES[:1]] * 125 + [LANE_PRIMES[:2]] * 175
 
-    def test_delta_lifts_the_series_beyond_the_bound(self, monkeypatch):
+    def test_delta_reads_a_second_lane_beyond_n_25(self, monkeypatch):
         # one lane covers tau only for n <= 25: 16 n^12 < M^2 stops there
-        lanes = (delta_eta_mod(40, LANE_PRIMES[0]),)
         exact = delta_eta(40)
-        built = self.count_series_builds(monkeypatch, 1)
-        assert [delta_coefficient(n, lanes) for n in range(1, 41)] == list(exact.coeffs[1:])
-        assert built == list(range(26, 41))
+        got, reads = self.lanes_read(monkeypatch, 1, 40)
+        assert got == list(exact.coeffs[1:])
+        assert reads == [LANE_PRIMES[:1]] * 25 + [LANE_PRIMES[:2]] * 15
 
     def test_short_lane_refused(self):
-        lanes = (
-            eta_quotient_mod(11, 100, LANE_PRIMES[0]),
-            eta_quotient_mod(11, 10, LANE_PRIMES[1]),
-        )
-        with pytest.raises(ValueError, match=rf"mod \[{LANE_PRIMES[1]}\] do not cover n = 50"):
-            eta_quotient_coefficient(11, 50, lanes)
-        with pytest.raises(ValueError, match=str(LANE_PRIMES[0])):
-            delta_coefficient(200, (delta_eta_mod(100, LANE_PRIMES[0]),))
-
-    def test_repeated_modulus_refused(self):
-        lane = eta_quotient_mod(5, 20, LANE_PRIMES[0])
-        with pytest.raises(ValueError, match="repeat"):
-            eta_quotient_coefficient(5, 10, (lane, lane))
+        p, q = LANE_PRIMES[:2]
+        short = {p: eta_quotient_mod(11, 10, p)}.__getitem__
+        with pytest.raises(ValueError, match=rf"mod \[{p}\] do not cover n = 50"):
+            eta_quotient_coefficient(11, 50, short)
+        short = {p: delta_eta_mod(300, p), q: delta_eta_mod(100, q)}.__getitem__
+        with pytest.raises(ValueError, match=rf"mod \[{q}\] do not cover n = 200"):
+            delta_coefficient(200, short)
 
 
 class TestFormSpec:

@@ -181,10 +181,7 @@ class TestFirstVanishing:
         assert all(c == CERT_EXACT for c in report.certification[:7])
 
     def test_37a1_coprime_six(self):
-        report = first_vanishing(
-            curve_source(FIXTURES["37a1"], 100), 100, coprime_to=6,
-            mf_guarantee=True,
-        )
+        report = first_vanishing(curve_source(FIXTURES["37a1"], 100), 100, coprime_to=6)
         # a(17) = 0 with a_p = 0 at the good prime 17: the hit is prime
         assert report.first_zero_coprime == 17
         assert report.first_zero_coprime_is_prime is True
@@ -238,12 +235,9 @@ class TestFirstVanishing:
 
     def test_guarantee_violation_raises(self):
         # coprime_to = 5 is not a multiple of M_f = 6, so the composite hit 8
-        # is mathematically fine; flagging it as an M_f scan must raise.
+        # is mathematically fine; but coprime_to is taken as M_f, so it raises.
         with pytest.raises(GuaranteeViolationError):
-            first_vanishing(
-                curve_source(FIXTURES["37a1"], 100), 100, coprime_to=5,
-                mf_guarantee=True,
-            )
+            first_vanishing(curve_source(FIXTURES["37a1"], 100), 100, coprime_to=5)
 
     def test_insufficient_coverage(self):
         with pytest.raises(ValueError, match="below scan bound"):
@@ -273,9 +267,7 @@ class TestFirstVanishing:
         assert report.first_zero_divides_level is True
         assert report.first_zero_is_prime is True
         assert 5 in report.zeros and 10 in report.zeros
-        coprime = first_vanishing(
-            curve_source(curve, 30), 30, coprime_to=1, mf_guarantee=True
-        )
+        coprime = first_vanishing(curve_source(curve, 30), 30, coprime_to=1)
         assert coprime.first_zero_coprime == 2
 
     def test_scan_bound_one(self):

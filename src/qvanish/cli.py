@@ -2,9 +2,11 @@
 
 Each form selector resolves to a ResolvedForm.  Delta and the eta quotients
 are one kind, the eta product at level 1 or N, served at every level by
-forms.eta_quotient, eta_quotient_mod and eta_quotient_coefficient.  coeffs
-and scan share one compute gate: for every form, a limit above SCAN_GATE
-needs --allow-large.
+forms.eta_quotient, eta_quotient_mod and eta_quotient_coefficient.  Each rule
+of a request is checked once, before any form is built or file opened:
+argparse owns the exclusive choices, coeffs and scan share one compute gate
+(a limit above SCAN_GATE needs --allow-large), and --mod takes the lanes'
+modulus rule.  A scan's bound is that of its source, built for the limit.
 
 JSON output is key-sorted and timestamp-free, so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 usage or input errors, 3 when a
@@ -25,9 +27,9 @@ from functools import cache, partial
 from typing import Callable
 
 from . import ec, forms, hecke, vanish
-from .arith import is_prime
+from .arith import is_prime, sieve_primes
 from .forms import FormSpec
-from .series import LANE_PRIMES, QSeries
+from .series import LANE_PRIMES, QSeries, is_lane_modulus, reduce_mod
 
 CACHE_ENV = "QVANISH_CACHE_DIR"
 DEFAULT_CACHE = os.path.join("~", ".cache", "qvanish")
@@ -48,7 +50,8 @@ class ResolvedForm:
     residue_series: Callable[[int, int], object] | None = None
     # what a scan to a bound reads, when it is not the exact series
     scan_source: Callable[[int], vanish.ScanSource] | None = None
-    cacheable: bool = False
+    # an eigenform by construction (Delta, eta quotients, curves): cached, M_f unchecked
+    newform: bool = False
 
 
 def _eta_product_form(level: int) -> ResolvedForm:
@@ -72,19 +75,12 @@ def _eta_product_form(level: int) -> ResolvedForm:
         exact_series=lambda b: forms.eta_quotient(level, b)[1],
         residue_series=lane,
         scan_source=scan_source,
-        cacheable=True,
+        newform=True,
     )
 
 
 def _resolve_form(args, parser) -> ResolvedForm:
-    chosen = [
-        name
-        for name in ("form", "curve", "fixture", "file")
-        if getattr(args, name, None)
-    ]
-    if len(chosen) != 1:
-        parser.error("select exactly one of --form / --curve / --fixture / --file")
-    if args.form:
+    if args.form is not None:
         name = args.form
         if name == "delta":
             return _eta_product_form(1)
@@ -108,8 +104,8 @@ def _resolve_form(args, parser) -> ResolvedForm:
                 )
             return _eta_product_form(level)
         parser.error(f"unknown form selector {name!r}")
-    if args.curve or args.fixture:
-        if args.fixture:
+    if args.curve is not None or args.fixture is not None:
+        if args.fixture is not None:
             curve = ec.FIXTURES.get(args.fixture)
             if curve is None:
                 parser.error(f"unknown fixture {args.fixture!r}; have {sorted(ec.FIXTURES)}")
@@ -120,9 +116,9 @@ def _resolve_form(args, parser) -> ResolvedForm:
                 parser.error(str(exc))
         return ResolvedForm(
             spec=ec.curve_form(curve),
-            exact_series=lambda b, c=curve: _curve_series(c, b),
-            scan_source=lambda b, c=curve: _curve_source(c, b),
-            cacheable=True,
+            exact_series=lambda b: hecke.qexp_from_primes(ec.prime_table(curve, b), b),
+            scan_source=lambda b: _curve_source(curve, b),
+            newform=True,
         )
     try:
         spec, qs = forms.ingest_qexp(args.file)
@@ -134,13 +130,8 @@ def _resolve_form(args, parser) -> ResolvedForm:
     )
 
 
-def _curve_series(curve, bound):
-    return hecke.qexp_from_primes(ec.prime_table(curve, max(bound, 2)), bound)
-
-
 def _curve_source(curve, bound) -> vanish.ScanSource:
-    pe = ec.prime_table(curve, max(bound, 2))
-    return vanish.ScanSource(pe.bound, hecke.CoefficientOracle(pe).coeff)
+    return vanish.ScanSource(bound, hecke.CoefficientOracle(ec.prime_table(curve, bound)).coeff)
 
 
 def _slice_series(qs: QSeries, bound: int, path) -> QSeries:
@@ -198,11 +189,11 @@ def _cache_hit(path: str, spec: FormSpec, bound: int) -> tuple[QSeries, str] | N
 
 
 def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
-    """The series to bound and, for a cacheable form, its q-expansion text.
+    """The series to bound and, for a newform, its q-expansion text.
 
-    Cacheable forms are cusp forms, so the text is what coeffs prints.
+    Newforms are cusp forms, so the text is what coeffs prints.
     """
-    if not rf.cacheable:
+    if not rf.newform:
         return rf.exact_series(bound), None
     path = os.path.join(_cache_dir(), _cache_key(rf.spec, bound) + ".qexp")
     hit = _cache_hit(path, rf.spec, bound)
@@ -226,30 +217,42 @@ def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_coeffs(args, parser) -> int:
-    rf = _resolve_form(args, parser)
+def _gated_limit(args, parser) -> int:
+    """The limit of coeffs or scan, once it passes the one gate; nothing is built yet."""
+    if getattr(args, "full_lehmer", False):
+        # Lehmer's bound is a statement about tau, and it is the limit itself
+        if args.form != "delta":
+            parser.error(
+                "--full-lehmer scans tau to Lehmer's bound and needs --form delta; "
+                "for another form pass --limit N --allow-large"
+            )
+        return FULL_LEHMER_BOUND
     if args.limit < 1:
         parser.error("--limit must be >= 1")
+    if args.limit > SCAN_GATE and not args.allow_large:
+        parser.error(
+            f"limit {args.limit} exceeds the compute budget ({SCAN_GATE}); "
+            "pass --allow-large to compute anyway"
+        )
+    return args.limit
+
+
+def cmd_coeffs(args, parser) -> int:
+    limit = _gated_limit(args, parser)
     # each modulus once, in the order first given
     moduli = list(dict.fromkeys(args.mod or ()))
     for m in moduli:
-        if m % 2 == 0 or not is_prime(m):
-            parser.error(f"--mod {m}: modulus must be an odd prime")
-    if args.limit > SCAN_GATE and not args.allow_large:
-        parser.error(
-            f"limit {args.limit} exceeds the compute budget ({SCAN_GATE}) for "
-            f"{rf.spec.label}; pass --allow-large to compute anyway"
-        )
+        if not is_lane_modulus(m):
+            parser.error(f"--mod {m}: modulus must be an odd prime below 2^31")
+    rf = _resolve_form(args, parser)
     if moduli:
         if rf.residue_series is not None:
-            blocks = {
-                m: rf.residue_series(args.limit, m).coeffs[1:].tolist() for m in moduli
-            }
+            lane = partial(rf.residue_series, limit)
         else:
             # no residue pipeline: compute the exact coefficients once and
             # reduce them per modulus
-            exact = rf.exact_series(args.limit).coeffs[1:]
-            blocks = {m: [c % m for c in exact] for m in moduli}
+            lane = partial(reduce_mod, rf.exact_series(limit))
+        blocks = {m: lane(m).coeffs[1:].tolist() for m in moduli}
         if args.json:
             _emit_json(
                 {
@@ -263,11 +266,11 @@ def cmd_coeffs(args, parser) -> int:
                 print(f"# modulus: {m}")
                 sys.stdout.write(forms.export_qexp(rf.spec, QSeries((0, *block))))
         return 0
-    qs, text = _cached_series(rf, args.limit)
+    qs, text = _cached_series(rf, limit)
     if args.json:
         _emit_json(
             {
-                "coefficients": [[n, qs[n]] for n in range(1, args.limit + 1)],
+                "coefficients": [[n, qs[n]] for n in range(1, limit + 1)],
                 "form": asdict(rf.spec),
             }
         )
@@ -275,15 +278,9 @@ def cmd_coeffs(args, parser) -> int:
         if text is None:
             if qs[0] != 0:
                 print(f"# constant-term: {qs[0]}")
-            text = forms.export_qexp(rf.spec, _zero_constant(qs))
+            text = forms.export_qexp(rf.spec, QSeries((0, *qs.coeffs[1:])))
         sys.stdout.write(text)
     return 0
-
-
-def _zero_constant(qs: QSeries) -> QSeries:
-    if qs[0] == 0:
-        return qs
-    return QSeries((0,) + qs.coeffs[1:])
 
 
 def cmd_classify(args, parser) -> int:
@@ -301,53 +298,47 @@ def cmd_classify(args, parser) -> int:
     return 0
 
 
-def _a2_a3(rf: ResolvedForm) -> tuple[int, int]:
-    qs = rf.exact_series(3)
-    return qs[2], qs[3]
+def _eigenform_series(rf: ResolvedForm, bound: int) -> QSeries:
+    """rf's series to bound, refused unless it is a normalized eigenform, as M_f needs."""
+    qs = rf.exact_series(bound)
+    if rf.newform:
+        return qs
+    primes = {p: qs[p] for p in sieve_primes(bound)}
+    pe = hecke.PrimeEigenvalues(rf.spec.weight, rf.spec.level, primes, bound)
+    want = hecke.qexp_from_primes(pe, bound)
+    bad = next((n for n in range(1, bound + 1) if qs[n] != want[n]), None)
+    if bad is not None:
+        raise ValueError(
+            f"{rf.spec.label} is not a normalized Hecke eigenform: a({bad}) = {qs[bad]}, "
+            f"its a(p) give {want[bad]}; M_f holds only for one"
+        )
+    return qs
 
 
 def _mf_payload(rf: ResolvedForm):
-    a2, a3 = _a2_a3(rf)
-    mf = vanish.compute_mf(rf.spec.level, a2, a3, rf.spec.weight)
+    qs = _eigenform_series(rf, 3)
+    mf = vanish.compute_mf(rf.spec.level, qs[2], qs[3], rf.spec.weight)
     reasons = {str(p): rec for p, rec in sorted(mf.justification.items())}
     return mf, {"kept": list(mf.factors_kept), "mf": mf.value, "reasons": reasons}
 
 
 def cmd_mf(args, parser) -> int:
     rf = _resolve_form(args, parser)
-    _, payload = _mf_payload(rf)
-    _emit_json(payload)
+    _emit_json(_mf_payload(rf)[1])
     return 0
 
 
 def cmd_scan(args, parser) -> int:
-    if args.full_lehmer:
-        # Lehmer's bound is a statement about tau, and it is the limit itself
-        if args.form != "delta":
-            parser.error(
-                "--full-lehmer scans tau to Lehmer's bound and needs --form delta; "
-                "for another form pass --limit N --allow-large"
-            )
-        if args.limit is not None:
-            parser.error(f"--full-lehmer sets the limit to {FULL_LEHMER_BOUND}; drop --limit")
+    limit = _gated_limit(args, parser)
     rf = _resolve_form(args, parser)
-    limit = FULL_LEHMER_BOUND if args.full_lehmer else args.limit
-    if limit is None:
-        parser.error("--limit is required (or pass --full-lehmer)")
-    if limit < 1:
-        parser.error("--limit must be >= 1")
-    if limit > SCAN_GATE and not (args.allow_large or args.full_lehmer):
-        parser.error(
-            f"scan limit {limit} exceeds {SCAN_GATE}; pass --allow-large "
-            f"(or --full-lehmer for the classical tau bound)"
-        )
-
     mf_value = _mf_payload(rf)[0].value if args.coprime_mf else None
     if rf.scan_source:
         source = rf.scan_source(limit)
     else:
-        source = vanish.ScanSource.from_series(rf.exact_series(limit))
-    report = vanish.first_vanishing(source, limit, coprime_to=mf_value, level=rf.spec.level)
+        # with M_f the series must be an eigenform, so that exit 3 stays a bug signal
+        qs = _eigenform_series(rf, limit) if args.coprime_mf else rf.exact_series(limit)
+        source = vanish.ScanSource.from_series(qs)
+    report = vanish.first_vanishing(source, coprime_to=mf_value, level=rf.spec.level)
     cert = report.certification
     # vars, not asdict: asdict would deep-copy every zero before the cap
     payload = {
@@ -369,13 +360,14 @@ def cmd_scan(args, parser) -> int:
 # ---------------------------------------------------------------- parser
 
 def _add_form_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
+    selector = sub.add_mutually_exclusive_group(required=True)
+    selector.add_argument(
         "--form",
         help="named form: delta, e4, e6, or eta-quotient:N with N in {2,3,5,11}",
     )
-    sub.add_argument("--curve", help="elliptic curve, five integers a1,a2,a3,a4,a6")
-    sub.add_argument("--fixture", help="named curve fixture: 37a1 or 53a1")
-    sub.add_argument("--file", help="path to a q-expansion file")
+    selector.add_argument("--curve", help="elliptic curve, five integers a1,a2,a3,a4,a6")
+    selector.add_argument("--fixture", help="named curve fixture: 37a1 or 53a1")
+    selector.add_argument("--file", help="path to a q-expansion file")
     sub.add_argument(
         "--allow-large",
         action="store_true",
@@ -401,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mod",
         type=int,
         action="append",
-        help="emit residues modulo this odd prime (repeatable)",
+        help="emit residues modulo this odd prime below 2^31 (repeatable)",
     )
     p_coeffs.add_argument("--json", action="store_true", help="JSON instead of text")
     p_coeffs.set_defaults(func=cmd_coeffs)
@@ -423,16 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = subs.add_parser("scan", help="first-vanishing scan up to a bound")
     _add_form_args(p_scan)
-    p_scan.add_argument("--limit", type=int, help="scan 1 <= n <= limit")
+    scan_bound = p_scan.add_mutually_exclusive_group(required=True)
+    scan_bound.add_argument("--limit", type=int, help="scan 1 <= n <= limit")
+    scan_bound.add_argument(
+        "--full-lehmer",
+        action="store_true",
+        help=f"scan to the classical tau bound {FULL_LEHMER_BOUND} (long-running)",
+    )
     p_scan.add_argument(
         "--coprime-mf",
         action="store_true",
         help="also report the first zero coprime to M_f (hits must be prime)",
-    )
-    p_scan.add_argument(
-        "--full-lehmer",
-        action="store_true",
-        help=f"scan to the classical tau bound {FULL_LEHMER_BOUND} (long-running)",
     )
     p_scan.set_defaults(func=cmd_scan)
     return parser

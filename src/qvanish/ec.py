@@ -292,9 +292,9 @@ def ap_bad(curve: WeierstrassCurve, p: int) -> int:
 
 
 def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
-    """a_p for every prime p <= bound, from ap_good or ap_bad."""
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    """a_p for every prime p <= bound (none for bound 1), from ap_good or ap_bad."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     level = curve.level
     table = {
         p: ap_bad(curve, p) if level % p == 0 else ap_good(curve, p)

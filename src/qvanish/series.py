@@ -34,6 +34,11 @@ from .arith import is_prime
 LANE_PRIMES = (998244353, 1004535809, 2147483647)
 
 
+def is_lane_modulus(m: int) -> bool:
+    """The one rule for a residue modulus, of a lane or of coeffs --mod: an odd prime < 2^31."""
+    return m % 2 == 1 and m < 2**31 and is_prime(m)
+
+
 @dataclass(frozen=True)
 class QSeries:
     """Integer power series known exactly for indices 0..trunc_bound."""
@@ -126,7 +131,7 @@ class ResidueSeries:
 
     def __post_init__(self):
         m = self.modulus
-        if m % 2 == 0 or m >= 2**31 or not is_prime(m):
+        if not is_lane_modulus(m):
             raise ValueError("modulus must be an odd prime below 2^31")
         if self.coeffs.dtype != np.int64:
             raise ValueError("residue coefficients must be int64")

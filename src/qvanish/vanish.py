@@ -83,10 +83,6 @@ def classify(a_p: int, p: int, k: int, p_divides_level: bool = False) -> VanishC
         return VanishClass(PERIODIC, order=4, witness=3)
     if s == 3 * pk:
         return VanishClass(PERIODIC, order=6, witness=5)
-    if s == pk:
-        # Unreachable for integral a_p and even k (p^(k-1) is not a square);
-        # kept so the trace case analysis is total.
-        return VanishClass(PERIODIC, order=3, witness=2)
     return VanishClass(NEVER_ZERO)
 
 
@@ -178,7 +174,7 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class ScanSource:
-    """What a scan reads: a(n) for 1 <= n <= bound.
+    """What a scan reads: a(n) for 1 <= n <= bound, which is the scan's bound.
 
     exact(n) gives a(n) exactly.  moduli are the residue lanes the scan may
     certify with, tried in order, and lane(m) builds the lane modulo m; a
@@ -198,9 +194,9 @@ class ScanSource:
 
 
 def first_vanishing(
-    source: ScanSource, bound: int, coprime_to: int | None = None, *, level: int | None = None
+    source: ScanSource, *, coprime_to: int | None = None, level: int | None = None
 ) -> ScanReport:
-    """Scan for vanishing coefficients over 1 <= n <= bound.
+    """Scan for vanishing coefficients over 1 <= n <= source.bound.
 
     Every nonzero is certified -- by a nonzero residue in some lane of the
     source or by its exact value -- and every reported zero is verified in
@@ -218,17 +214,16 @@ def first_vanishing(
     is mathematically impossible and raises GuaranteeViolationError instead
     of being reported quietly.
     """
+    bound = source.bound
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if source.bound < bound:
-        raise ValueError(f"source bound {source.bound} below scan bound {bound}")
     pending = np.arange(1, bound + 1)
     for m in source.moduli:
         if not pending.size:
             break
         lane = source.lane(m)
-        if lane.trunc_bound < source.bound:
-            raise ValueError(f"residue lanes mod {[m]} do not cover {source.bound}")
+        if lane.trunc_bound < bound:
+            raise ValueError(f"residue lanes mod {[m]} do not cover {bound}")
         pending = pending[lane.coeffs[pending] == 0]
     cert = bytearray([CERT_RESIDUE]) * bound
     zeros: list[int] = []

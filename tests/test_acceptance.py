@@ -57,7 +57,7 @@ def test_criterion_01_counterexample_37a1():
     expansion = qexp_from_primes(prime_table(curve, 9), 9)
     ok = expansion.coeffs == KNOWN_37A1 and expansion[8] == 0
     pe = prime_table(curve, 100)
-    scan = first_vanishing(ScanSource(pe.bound, CoefficientOracle(pe).coeff), 100)
+    scan = first_vanishing(ScanSource(pe.bound, CoefficientOracle(pe).coeff))
     ok = ok and scan.first_zero == 8 and scan.first_zero_is_prime is False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -101,7 +101,7 @@ def test_criterion_04_scaled_lehmer_scan():
     t0 = time.perf_counter()
     bound = 100000
     src = ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound))
-    scan = first_vanishing(src, bound)
+    scan = first_vanishing(src)
     ok = scan.first_zero is None
     ok = ok and scan.certification.count(CERT_ZERO) == 0
     ok = ok and len(scan.certification) == bound

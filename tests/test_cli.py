@@ -53,9 +53,11 @@ class TestCoeffs:
         assert exc.value.code == 2
 
     def test_unknown_selector(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["coeffs", "--form", "j-function", "--limit", "5"])
-        assert exc.value.code == 2
+        for name in ("j-function", ""):
+            with pytest.raises(SystemExit) as exc:
+                main(["coeffs", "--form", name, "--limit", "5"])
+            assert exc.value.code == 2
+            assert f"unknown form selector {name!r}" in capsys.readouterr().err
 
     def test_selector_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -181,7 +183,7 @@ class TestComputeGate:
             (forms, "eta_product"),
             (forms, "eisenstein_coeffs"),
             (ec, "prime_table"),
-            (cli, "_slice_series"),
+            (forms, "ingest_qexp"),
         ):
             monkeypatch.setattr(owner, attr, stub(attr))
         return calls
@@ -220,6 +222,25 @@ class TestComputeGate:
         with pytest.raises(Built):
             main(["coeffs", "--form", "e4", "--limit", str(cli.SCAN_GATE + 1), "--allow-large"])
         assert builds == [("eisenstein_coeffs", 2, cli.SCAN_GATE + 1)]
+
+    @pytest.mark.parametrize("mod", ["3000000019", "9"])
+    @pytest.mark.parametrize("name", sorted(SELECTORS))
+    def test_bad_modulus_refused(self, capsys, tmp_path, builds, name, mod):
+        # one rule for every form: an odd prime below 2^31 (3000000019 is prime)
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", *self.selector(name, tmp_path), "--limit", "5", "--mod", mod])
+        assert exc.value.code == 2
+        assert f"--mod {mod}: modulus must be an odd prime below 2^31" in capsys.readouterr().err
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["coeffs", "scan"])
+    def test_refused_file_is_never_read(self, capsys, tmp_path, command):
+        missing = tmp_path / "missing.qexp"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--file", str(missing), "--limit", str(cli.SCAN_GATE + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--allow-large" in err and "cannot ingest" not in err
 
 
 class TestCache:
@@ -493,7 +514,7 @@ class TestEtaQuotientLift:
         monkeypatch.setattr(forms, "eta_product", real)
 
         report = vanish.first_vanishing(
-            vanish.ScanSource.from_series(forms.eta_quotient(11, bound)[1]), bound, level=11
+            vanish.ScanSource.from_series(forms.eta_quotient(11, bound)[1]), level=11
         )
         cert = report.certification
         assert data["certification"] == {
@@ -594,6 +615,71 @@ class TestMf:
         assert data["reasons"]["3"]["ap_is_critical"] is True
 
 
+class TestMfNeedsAnEigenform:
+    """M_f is a theorem for normalized eigenforms; any other form is refused (exit 2)."""
+
+    Z4 = "# weight: 2\n# level: 11\n# character: trivial\n# label: z4\n1 1\n2 1\n3 1\n4 0\n5 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, a1",
+        [
+            (("mf", "--form", "e4"), 240),
+            (("mf", "--form", "e6"), -504),
+            (("scan", "--form", "e4", "--limit", "5", "--coprime-mf"), 240),
+        ],
+    )
+    def test_unnormalized_form_refused(self, capsys, argv, a1):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"a(1) = {a1}" in err
+
+    def test_unnormalized_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "twice.qexp"
+        path.write_text(export_qexp(eta_product_spec(1), QSeries((0, 2, -48, 504))))
+        code, out, err = run(capsys, "mf", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert "a(1) = 2" in err
+
+    def test_non_eigenform_file_names_the_first_bad_index(self, capsys, tmp_path):
+        # a(4) = 0, but a(2) = 1 at weight 2 gives a(4) = 1 - 2 = -1: the composite
+        # zero coprime to M_f = 1 would have been reported as a guarantee violation
+        path = tmp_path / "z4.qexp"
+        path.write_text(self.Z4)
+        code, out, err = run(capsys, "scan", "--file", str(path), "--limit", "5", "--coprime-mf")
+        assert (code, out) == (2, "")
+        assert "a(4) = 0" in err and "give -1" in err
+        assert run_json(capsys, "scan", "--file", str(path), "--limit", "5")["zeros"] == [4]
+
+    def test_eigenform_file_scans_like_its_curve(self, capsys, tmp_path):
+        _, text, _ = run(capsys, "coeffs", "--fixture", "37a1", "--limit", "300")
+        path = tmp_path / "37a1.qexp"
+        path.write_text(text)
+        argv = ("--limit", "300", "--coprime-mf")
+        via_file = run_json(capsys, "scan", "--file", str(path), *argv)
+        via_curve = run_json(capsys, "scan", "--fixture", "37a1", *argv)
+        assert via_file.pop("form") != via_curve.pop("form")
+        assert via_file["lane_moduli"] == list(LANE_PRIMES)
+        keys = ("mf", "first_zero", "first_zero_coprime", "zeros")
+        assert [via_file[k] for k in keys] == [via_curve[k] for k in keys]
+        assert via_curve["first_zero_coprime"] == 17
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mf", "--form", "delta"),
+            ("mf", "--fixture", "53a1"),
+            ("scan", "--form", "eta-quotient:11", "--limit", "300", "--coprime-mf"),
+            ("scan", "--curve", "0,0,0,25,0", "--limit", "30", "--coprime-mf"),
+        ],
+    )
+    def test_newforms_skip_the_check(self, capsys, monkeypatch, argv):
+        # the check builds a prime table from the series; eigenforms by construction never do
+        monkeypatch.setattr(cli.hecke, "PrimeEigenvalues", None)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mf"] in (1, 2, 3, 6)
+
+
 class TestScan:
     def test_37a1_first_zero_eight(self, capsys):
         data = run_json(capsys, "scan", "--fixture", "37a1", "--limit", "100")
@@ -618,17 +704,26 @@ class TestScan:
         assert data["first_zero_coprime"] == 17
         assert data["first_zero_coprime_is_prime"] is True
 
+    def test_curve_at_limit_one(self, capsys):
+        # the prime table to 1 is empty: a(1) = 1 needs no prime
+        code, out, _ = run(capsys, "coeffs", "--fixture", "37a1", "--limit", "1")
+        assert (code, out.splitlines()[-1]) == (0, "1 1")
+        data = run_json(capsys, "scan", "--fixture", "37a1", "--limit", "1")
+        assert (data["bound"], data["first_zero"]) == (1, None)
+        assert data["certification"] == {"exact": 1, "residue": 0, "zero": 0}
+
     def test_limit_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--form", "delta"])
         assert exc.value.code == 2
 
     def test_full_lehmer_refuses_limit(self, capsys, monkeypatch):
+        # --full-lehmer sets the limit itself: argparse keeps the two exclusive
         monkeypatch.setattr(cli.forms, "eta_product", None)
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--form", "delta", "--full-lehmer", "--limit", "500"])
         assert exc.value.code == 2
-        assert f"--full-lehmer sets the limit to {cli.FULL_LEHMER_BOUND}" in capsys.readouterr().err
+        assert "--limit: not allowed with argument --full-lehmer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "selector", [("--form", "e4"), ("--form", "eta-quotient:11"), ("--fixture", "37a1")]

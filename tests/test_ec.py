@@ -175,6 +175,16 @@ class TestPrimeTable:
     def test_bound_two(self):
         assert len(prime_table(C37, 2).table) == 1
 
+    def test_bound_one(self):
+        # no prime, and all that a(1) = 1 needs; the level is still checked
+        pt = prime_table(C37, 1)
+        assert (pt.table, pt.bound, pt.level) == ({}, 1, 37)
+        assert qexp_from_primes(pt, 1).coeffs == (0, 1)
+        with pytest.raises(ValueError, match="may not be minimal"):
+            prime_table(WeierstrassCurve(0, 0, 8, -16, 0), 1)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            prime_table(C37, 0)
+
     def test_bad_prime_entry(self):
         pt = prime_table(C37, 40)
         assert pt.level % 37 == 0

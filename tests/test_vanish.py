@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qvanish.ec import FIXTURES, prime_table
 from qvanish.forms import delta_coefficient, delta_eta, delta_eta_mod
 from qvanish.hecke import CoefficientOracle, qexp_from_primes
-from qvanish.series import LANE_PRIMES
+from qvanish.series import LANE_PRIMES, reduce_mod
 from qvanish.vanish import (
     AP_ZERO,
     BAD_PRIME,
@@ -174,28 +174,28 @@ class TestComputeMf:
 
 class TestFirstVanishing:
     def test_37a1_oracle_scan(self):
-        report = first_vanishing(curve_source(FIXTURES["37a1"], 100), 100, level=37)
+        report = first_vanishing(curve_source(FIXTURES["37a1"], 100), level=37)
         assert report.first_zero == 8
         assert report.first_zero_is_prime is False
         assert report.first_zero_divides_level is False
         assert all(c == CERT_EXACT for c in report.certification[:7])
 
     def test_37a1_coprime_six(self):
-        report = first_vanishing(curve_source(FIXTURES["37a1"], 100), 100, coprime_to=6)
+        report = first_vanishing(curve_source(FIXTURES["37a1"], 100), coprime_to=6)
         # a(17) = 0 with a_p = 0 at the good prime 17: the hit is prime
         assert report.first_zero_coprime == 17
         assert report.first_zero_coprime_is_prime is True
 
     def test_53a1_zeros_include_243(self):
-        report = first_vanishing(curve_source(FIXTURES["53a1"], 300), 300)
+        report = first_vanishing(curve_source(FIXTURES["53a1"], 300))
         assert report.first_zero == 5
         assert 243 in report.zeros
 
     def test_series_and_oracle_paths_agree(self):
         pe = prime_table(FIXTURES["53a1"], 300)
         series = qexp_from_primes(pe, 300)
-        via_series = first_vanishing(ScanSource.from_series(series), 300)
-        via_oracle = first_vanishing(curve_source(FIXTURES["53a1"], 300), 300)
+        via_series = first_vanishing(ScanSource.from_series(series))
+        via_oracle = first_vanishing(curve_source(FIXTURES["53a1"], 300))
         assert via_series.zeros == via_oracle.zeros
         assert via_series.first_zero == via_oracle.first_zero
         assert via_series.lane_moduli == LANE_PRIMES
@@ -203,17 +203,16 @@ class TestFirstVanishing:
     def test_residue_lane_source(self):
         bound = 2000
         src = ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound))
-        report = first_vanishing(src, bound)
+        report = first_vanishing(src)
         assert report.first_zero is None
         assert report.certification.count(CERT_RESIDUE) == bound
 
     def test_lane_and_series_scans_agree(self):
         bound = 1500
         via_lanes = first_vanishing(
-            ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound)),
-            bound,
+            ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound))
         )
-        via_series = first_vanishing(ScanSource.from_series(delta_eta(bound)), bound)
+        via_series = first_vanishing(ScanSource.from_series(delta_eta(bound)))
         assert via_lanes.zeros == via_series.zeros
         assert via_lanes.certification == via_series.certification
 
@@ -222,12 +221,12 @@ class TestFirstVanishing:
         # the exact fallback must rescue those indices, not report zeros.
         bound = 50
         src = ScanSource(bound, delta_coefficient, (7,), partial(delta_eta_mod, bound))
-        report = first_vanishing(src, bound)
+        report = first_vanishing(src)
         assert report.first_zero is None
         assert report.certification.count(CERT_EXACT) > 0
 
     def test_every_index_below_zero_certified(self):
-        report = first_vanishing(curve_source(FIXTURES["37a1"], 50), 50)
+        report = first_vanishing(curve_source(FIXTURES["37a1"], 50))
         first = report.first_zero
         for n in range(1, first):
             assert report.certification[n - 1] in (CERT_RESIDUE, CERT_EXACT)
@@ -237,20 +236,23 @@ class TestFirstVanishing:
         # coprime_to = 5 is not a multiple of M_f = 6, so the composite hit 8
         # is mathematically fine; but coprime_to is taken as M_f, so it raises.
         with pytest.raises(GuaranteeViolationError):
-            first_vanishing(curve_source(FIXTURES["37a1"], 100), 100, coprime_to=5)
+            first_vanishing(curve_source(FIXTURES["37a1"], 100), coprime_to=5)
 
     def test_insufficient_coverage(self):
-        with pytest.raises(ValueError, match="below scan bound"):
-            first_vanishing(ScanSource.from_series(delta_eta(10)), 20)
-        with pytest.raises(ValueError, match="below scan bound"):
-            first_vanishing(curve_source(FIXTURES["37a1"], 10), 20)
+        # a source whose lanes or exact values stop below its bound is refused
+        series = delta_eta(10)
+        with pytest.raises(ValueError, match="do not cover 20"):
+            first_vanishing(ScanSource(20, series.__getitem__, (7,), partial(reduce_mod, series)))
+        oracle = CoefficientOracle(prime_table(FIXTURES["37a1"], 10))
+        with pytest.raises(ValueError, match="exceeds the prime-table bound 10"):
+            first_vanishing(ScanSource(20, oracle.coeff))
 
     def test_short_lane_refused(self):
         with pytest.raises(ValueError, match="do not cover 20"):
-            first_vanishing(ScanSource(20, delta_coefficient, (7,), partial(delta_eta_mod, 10)), 20)
+            first_vanishing(ScanSource(20, delta_coefficient, (7,), partial(delta_eta_mod, 10)))
 
     def test_tau_nonvanishing_small(self):
-        report = first_vanishing(ScanSource.from_series(delta_eta(3000)), 3000)
+        report = first_vanishing(ScanSource.from_series(delta_eta(3000)))
         assert report.first_zero is None
         assert len(report.certification) == 3000
 
@@ -262,16 +264,16 @@ class TestFirstVanishing:
         from qvanish.ec import WeierstrassCurve
 
         curve = WeierstrassCurve(0, 0, 0, 25, 0, label="additive-5")
-        report = first_vanishing(curve_source(curve, 30), 30, level=10)
+        report = first_vanishing(curve_source(curve, 30), level=10)
         assert report.first_zero == 2
         assert report.first_zero_divides_level is True
         assert report.first_zero_is_prime is True
         assert 5 in report.zeros and 10 in report.zeros
-        coprime = first_vanishing(curve_source(curve, 30), 30, coprime_to=1)
+        coprime = first_vanishing(curve_source(curve, 30), coprime_to=1)
         assert coprime.first_zero_coprime == 2
 
     def test_scan_bound_one(self):
-        report = first_vanishing(ScanSource.from_series(delta_eta(1)), 1)
+        report = first_vanishing(ScanSource.from_series(delta_eta(1)))
         assert report.first_zero is None
         assert report.certification == b"r"
 
@@ -312,7 +314,7 @@ class TestLaneCascade:
 
         built = []
         report = first_vanishing(
-            ScanSource(bound, tau.__getitem__, moduli, self.counted_builder(bound, built)), bound
+            ScanSource(bound, tau.__getitem__, moduli, self.counted_builder(bound, built))
         )
         assert report.certification == bytes(cert)
         assert report.zeros == zeros
@@ -329,7 +331,7 @@ class TestLaneCascade:
         ]
         assert set(first_nonzero) == {0, 1, 2, None}
         report = first_vanishing(
-            ScanSource(bound, tau.__getitem__, (7, 11, 23), partial(delta_eta_mod, bound)), bound
+            ScanSource(bound, tau.__getitem__, (7, 11, 23), partial(delta_eta_mod, bound))
         )
         assert report.certification.count(CERT_EXACT) == first_nonzero.count(None)
 
@@ -341,7 +343,7 @@ class TestLaneCascade:
         monkeypatch.setattr(
             vanish_module, "reduce_mod", lambda qs, m: reduced.append(m) or real(qs, m)
         )
-        report = first_vanishing(ScanSource.from_series(delta_eta(500)), 500)
+        report = first_vanishing(ScanSource.from_series(delta_eta(500)))
         assert reduced == [LANE_PRIMES[0]]
         assert report.lane_moduli == LANE_PRIMES
 
@@ -352,6 +354,6 @@ class TestLaneCascade:
             return delta_eta_mod(10 if m == 11 else bound, m)
 
         # every tau(n) <= 50 has a nonzero residue mod 998244353 or mod 7
-        first_vanishing(ScanSource(bound, delta_coefficient, (7, 998244353, 11), lane), bound)
+        first_vanishing(ScanSource(bound, delta_coefficient, (7, 998244353, 11), lane))
         with pytest.raises(ValueError, match="do not cover 50"):
-            first_vanishing(ScanSource(bound, delta_coefficient, (7, 11), lane), bound)
+            first_vanishing(ScanSource(bound, delta_coefficient, (7, 11), lane))

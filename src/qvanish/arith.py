@@ -7,6 +7,7 @@ no index of such a table is factorized.
 
 from __future__ import annotations
 
+from itertools import chain, cycle
 from typing import Callable
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (Sorenson-Webster).
@@ -83,14 +84,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    d = 5
+    d, steps = 2, chain((1, 2), cycle((2, 4)))  # 2, 3, then 6j +- 1
     while d * d <= n and d <= TRIAL_DIVISION_LIMIT:
         if n % d == 0:
             e = 0
@@ -98,7 +92,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= d
                 e += 1
             out.append((d, e))
-        d += 2 if d % 6 == 5 else 4  # step over multiples of 2 and 3
+        d += next(steps)
     if d * d <= n and not (n < _MR_LIMIT and is_prime(n)):
         raise ValueError(
             f"cannot factor: cofactor {n} has no prime factor up to "

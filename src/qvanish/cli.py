@@ -315,23 +315,22 @@ def _eigenform_series(rf: ResolvedForm, bound: int) -> QSeries:
     return qs
 
 
-def _mf_payload(rf: ResolvedForm):
+def _mf(rf: ResolvedForm) -> vanish.MfResult:
     qs = _eigenform_series(rf, 3)
-    mf = vanish.compute_mf(rf.spec.level, qs[2], qs[3], rf.spec.weight)
-    reasons = {str(p): rec for p, rec in sorted(mf.justification.items())}
-    return mf, {"kept": list(mf.factors_kept), "mf": mf.value, "reasons": reasons}
+    return vanish.compute_mf(rf.spec.level, qs[2], qs[3], rf.spec.weight)
 
 
 def cmd_mf(args, parser) -> int:
-    rf = _resolve_form(args, parser)
-    _emit_json(_mf_payload(rf)[1])
+    mf = _mf(_resolve_form(args, parser))
+    reasons = {str(p): rec for p, rec in sorted(mf.justification.items())}
+    _emit_json({"kept": list(mf.factors_kept), "mf": mf.value, "reasons": reasons})
     return 0
 
 
 def cmd_scan(args, parser) -> int:
     limit = _gated_limit(args, parser)
     rf = _resolve_form(args, parser)
-    mf_value = _mf_payload(rf)[0].value if args.coprime_mf else None
+    mf_value = _mf(rf).value if args.coprime_mf else None
     if rf.scan_source:
         source = rf.scan_source(limit)
     else:

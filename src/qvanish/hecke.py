@@ -23,15 +23,17 @@ from .series import QSeries
 def coeff_prime_power(
     a_p: int, p: int, r: int, k: int, p_divides_level: bool = False
 ) -> int:
-    """a(p^r) from a(p), exactly.  r = 0 gives 1, r = 1 gives a_p."""
+    """a(p^r) from a(p), exactly.  r = 0 gives 1, r = 1 gives a_p.
+
+    p^(k-1) is built only when the recurrence runs, at a good prime with
+    r >= 2, so r <= 1 costs nothing at any weight.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
     if k < 2 or k % 2:
         raise ValueError("even weight k >= 2 required")
-    if p_divides_level:
+    if p_divides_level or r <= 1:
         return a_p**r
-    if r == 0:
-        return 1
     prev, cur = 1, a_p
     pk = p ** (k - 1)
     for _ in range(r - 1):

@@ -16,17 +16,21 @@ comparing a_p^2 against t * p^(k-1) for t in {1, 2, 3, 4} in exact integers:
     else                  zeta is not a root of unity, never zero
 
 At a bad prime a(p^r) = a_p^r, so zeros occur at every r >= 1 or never.
+When p^(k-1) has at least twice the bits of a_p, a_p^2 < p^(k-1) and the
+answer is never-zero without building p^(k-1), so any weight is answered at
+once.
 
 The obstruction modulus M_f records which of p = 2, 3 can actually vanish at
-prime powers: the optimal choice keeps 2 iff 2 does not divide the level and
-a(2) = +-2^(k/2), likewise for 3, so M_f | 6 and gcd(M_f, level) = 1.
+prime powers: the optimal choice keeps p exactly where classify reports
+periodic zeros, that is where p does not divide the level and a(p) =
++-p^(k/2), so M_f | 6 and gcd(M_f, level) = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd
+from math import gcd, prod
 from typing import Callable
 
 import numpy as np
@@ -77,6 +81,9 @@ def classify(a_p: int, p: int, k: int, p_divides_level: bool = False) -> VanishC
         return VanishClass(BAD_PRIME, witness=1 if a_p == 0 else None)
     if a_p == 0:
         return VanishClass(AP_ZERO, witness=1)
+    # p^(k-1) >= 2^((k-1)(bits(p)-1)) >= 2^(2 bits(a_p)) > a_p^2
+    if (k - 1) * (p.bit_length() - 1) >= 2 * a_p.bit_length():
+        return VanishClass(NEVER_ZERO)
     s = a_p * a_p
     pk = p ** (k - 1)
     if s == 2 * pk:
@@ -90,45 +97,38 @@ def zeros_up_to(vc: VanishClass, bound: int) -> set[int]:
     """Exactly the exponents r <= bound with a(p^r) = 0."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if vc.kind == NEVER_ZERO:
+    if vc.witness is None:
         return set()
-    if vc.kind == AP_ZERO:
-        return set(range(1, bound + 1, 2))
-    if vc.kind == BAD_PRIME:
-        return set(range(1, bound + 1)) if vc.witness == 1 else set()
-    m = vc.order
-    return set(range(m - 1, bound + 1, m))
+    step = {AP_ZERO: 2, BAD_PRIME: 1}.get(vc.kind, vc.order)
+    return set(range(vc.witness, bound + 1, step))
 
 
 @dataclass(frozen=True)
 class MfResult:
     """The obstruction modulus M_f | 6 with its per-prime justification."""
 
-    value: int
     factors_kept: tuple[int, ...]
     justification: dict[int, dict]
 
-    def __post_init__(self):
-        if self.value not in (1, 2, 3, 6):
-            raise ValueError("M_f must divide 6")
+    @property
+    def value(self) -> int:
+        return prod(self.factors_kept)
 
 
 def compute_mf(level: int, a2: int, a3: int, k: int) -> MfResult:
     """Optimal M_f for trivial character and integer coefficients.
 
-    Start from 2^[2 not dividing N] * 3^[3 not dividing N], then drop 2
-    unless a(2) = +-2^(k/2) and drop 3 unless a(3) = +-3^(k/2).  The result
-    divides 6 and is coprime to the level by construction.
+    Keeps p in {2, 3} exactly when classify reports periodic zeros of
+    a(p^r), which happens only for p not dividing the level and a(p) =
+    +-p^(k/2).  The result divides 6 and is coprime to the level.
     """
-    if k < 2 or k % 2:
-        raise ValueError("even weight k >= 2 required")
     if level < 1:
         raise ValueError("level must be >= 1")
     kept = []
     justification: dict[int, dict] = {}
     for p, ap in ((2, a2), (3, a3)):
         divides_level = level % p == 0
-        critical = (not divides_level) and ap * ap == p**k
+        critical = classify(ap, p, k, divides_level).kind == PERIODIC
         if critical:
             kept.append(p)
         justification[p] = {
@@ -136,10 +136,7 @@ def compute_mf(level: int, a2: int, a3: int, k: int) -> MfResult:
             "divides_level": divides_level,
             "ap_is_critical": critical,  # a_p = +-p^(k/2)
         }
-    value = 1
-    for p in kept:
-        value *= p
-    return MfResult(value=value, factors_kept=tuple(kept), justification=justification)
+    return MfResult(factors_kept=tuple(kept), justification=justification)
 
 
 # Per-index certification codes in ScanReport.certification (index n-1).

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -613,6 +615,33 @@ class TestMf:
         assert data["kept"] == [3]
         assert data["reasons"]["2"]["ap"] == -1
         assert data["reasons"]["3"]["ap_is_critical"] is True
+
+
+class TestAnyWeight:
+    """A huge weight is answered at once, never by building p^(k-1)."""
+
+    def _run(self, tmp_path, *argv):
+        src = os.path.dirname(os.path.dirname(vanish.__file__))
+        env = dict(os.environ, PYTHONPATH=src, QVANISH_CACHE_DIR=str(tmp_path))
+        return subprocess.run(
+            [sys.executable, "-m", "qvanish", *argv],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+
+    def test_classify(self, tmp_path):
+        done = self._run(tmp_path, "classify", "--p", "3", "--ap", "1", "--k", "100000000")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"kind": "never_zero", "zeros_sample": []}
+
+    def test_mf_file(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(
+            "# weight: 100000000\n# level: 11\n# character: trivial\n"
+            "1 1\n2 1\n3 1\n"
+        )
+        done = self._run(tmp_path, "mf", "--file", str(path))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["mf"] == 1
 
 
 class TestMfNeedsAnEigenform:

@@ -16,7 +16,6 @@ from qvanish.vanish import (
     CERT_RESIDUE,
     CERT_ZERO,
     GuaranteeViolationError,
-    MfResult,
     ScanSource,
     VanishClass,
     classify,
@@ -60,6 +59,21 @@ class TestClassify:
         # for even k; values past every boundary are generic never-zero.
         assert classify(5, 2, 2).kind == NEVER_ZERO
         assert classify(100, 7, 4).kind == NEVER_ZERO
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_size_check_edge(self, p, sign):
+        # at k = 10^4, +-p^(k/2) sits at the size check and stays periodic;
+        # one step off it is never-zero
+        k = 10**4
+        half = p ** (k // 2)
+        vc = classify(sign * half, p, k)
+        assert (vc.kind, vc.order) == (PERIODIC, {2: 4, 3: 6}[p])
+        assert classify(sign * (half + 1), p, k).kind == NEVER_ZERO
+
+    def test_any_weight_answered(self):
+        # p^(k-1) would have about 1.6e12 bits; the size check answers first
+        assert classify(1, 3, 10**12) == VanishClass(NEVER_ZERO)
 
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError, match="even weight"):
@@ -159,17 +173,28 @@ class TestComputeMf:
                     assert 6 % mf.value == 0
                     assert math.gcd(mf.value, level) == 1
 
-    def test_consistency_with_zero_sets(self):
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_consistency_with_zero_sets(self, data):
         # p is kept in M_f exactly when the classifier reports periodic zeros
-        for level, a2, a3, k in [(37, -2, -3, 2), (53, -1, -3, 2), (1, -24, 252, 12)]:
-            mf = compute_mf(level, a2, a3, k)
-            for p, ap in ((2, a2), (3, a3)):
-                periodic = classify(ap, p, k, level % p == 0).kind == PERIODIC
-                assert (p in mf.factors_kept) == periodic
+        level = data.draw(st.sampled_from([1, 2, 3, 6, 11, 37, 53, 12, 35]), "level")
+        k = data.draw(st.integers(min_value=1, max_value=32), "k/2") * 2
 
-    def test_value_validation(self):
-        with pytest.raises(ValueError):
-            MfResult(value=4, factors_kept=(), justification={})
+        def a(p):
+            half = p ** (k // 2)
+            near = st.sampled_from([0, half, -half, half + 1, half - 1, -half + 1, -half - 1])
+            return data.draw(st.one_of(near, st.integers()), f"a{p}")
+
+        a2, a3 = a(2), a(3)
+        mf = compute_mf(level, a2, a3, k)
+        for p, ap in ((2, a2), (3, a3)):
+            periodic = classify(ap, p, k, level % p == 0).kind == PERIODIC
+            assert (p in mf.factors_kept) == periodic
+            assert mf.justification[p]["ap_is_critical"] == periodic
+            # the rule M_f used to state on its own: p does not divide N, a_p = +-p^(k/2)
+            assert periodic == (level % p != 0 and ap * ap == p**k)
+        assert mf.value == math.prod(mf.factors_kept)
+        assert 6 % mf.value == 0
 
 
 class TestFirstVanishing:

@@ -1,12 +1,12 @@
 """Command-line surface: coeffs, classify, mf, scan.
 
-Each form selector resolves to a ResolvedForm.  Delta and the eta quotients
-are one kind, the eta product at level 1 or N, served at every level by
-forms.eta_quotient, eta_quotient_mod and eta_quotient_coefficient.  Each rule
-of a request is checked once, before any form is built or file opened:
-argparse owns the exclusive choices, coeffs and scan share one compute gate
-(a limit above SCAN_GATE needs --allow-large), and --mod takes the lanes'
-modulus rule.  A scan's bound is that of its source, built for the limit.
+argparse owns every selector name (--form takes a key of NAMED_FORMS, --fixture
+one of ec.FIXTURES), and each resolves by lookup to the ResolvedForm built by
+the one constructor of its family: the eta product (Delta at level 1, the eta
+quotients at N), Eisenstein series, curves, files.  Each rule of a request is
+checked once, before any form is built or file opened: coeffs and scan share
+one compute gate (a limit above SCAN_GATE needs --allow-large), and --mod
+takes the lanes' modulus rule.  A scan's bound is that of its source.
 
 JSON output is key-sorted and timestamp-free, so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 usage or input errors, 3 when a
@@ -79,67 +79,63 @@ def _eta_product_form(level: int) -> ResolvedForm:
     )
 
 
-def _resolve_form(args, parser) -> ResolvedForm:
-    if args.form is not None:
-        name = args.form
-        if name == "delta":
-            return _eta_product_form(1)
-        if name in ("e4", "e6"):
-            half = 2 if name == "e4" else 3
-            spec = FormSpec(
-                weight=2 * half, level=1, label=name, source=f"eisenstein:{name}"
-            )
-            return ResolvedForm(
-                spec=spec,
-                exact_series=lambda b, h=half: forms.eisenstein_coeffs(h, b),
-            )
-        if name.startswith("eta-quotient:"):
-            try:
-                level = int(name.split(":", 1)[1])
-            except ValueError:
-                parser.error(f"bad eta quotient selector {name!r}")
-            if level not in forms.ETA_QUOTIENT_LEVELS:
-                parser.error(
-                    f"eta quotient level must be one of {forms.ETA_QUOTIENT_LEVELS}"
-                )
-            return _eta_product_form(level)
-        parser.error(f"unknown form selector {name!r}")
-    if args.curve is not None or args.fixture is not None:
-        if args.fixture is not None:
-            curve = ec.FIXTURES.get(args.fixture)
-            if curve is None:
-                parser.error(f"unknown fixture {args.fixture!r}; have {sorted(ec.FIXTURES)}")
-        else:
-            try:
-                curve = ec.parse_curve(args.curve)
-            except ValueError as exc:
-                parser.error(str(exc))
-        return ResolvedForm(
-            spec=ec.curve_form(curve),
-            exact_series=lambda b: hecke.qexp_from_primes(ec.prime_table(curve, b), b),
-            scan_source=lambda b: _curve_source(curve, b),
-            newform=True,
-        )
-    try:
-        spec, qs = forms.ingest_qexp(args.file)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot ingest {args.file}: {exc}")
+def _eisenstein_form(name: str, half: int) -> ResolvedForm:
+    """E4 (half = 2) or E6 (half = 3): exact series only, with a constant term."""
     return ResolvedForm(
-        spec=spec,
-        exact_series=lambda b, q=qs: _slice_series(q, b, args.file),
+        spec=FormSpec(weight=2 * half, level=1, label=name, source=f"eisenstein:{name}"),
+        exact_series=lambda b: forms.eisenstein_coeffs(half, b),
     )
 
 
-def _curve_source(curve, bound) -> vanish.ScanSource:
-    return vanish.ScanSource(bound, hecke.CoefficientOracle(ec.prime_table(curve, bound)).coeff)
+def _curve_form(curve: ec.WeierstrassCurve) -> ResolvedForm:
+    """The weight-2 newform of a curve: a(n) from the prime table of point counts."""
+    label = curve.label or "curve"
+    return ResolvedForm(
+        spec=FormSpec(weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"),
+        exact_series=lambda b: hecke.qexp_from_primes(ec.prime_table(curve, b), b),
+        scan_source=lambda b: vanish.ScanSource(
+            b, hecke.CoefficientOracle(ec.prime_table(curve, b)).coeff
+        ),
+        newform=True,
+    )
 
 
-def _slice_series(qs: QSeries, bound: int, path) -> QSeries:
-    if bound > qs.trunc_bound:
-        raise ValueError(
-            f"{path} covers n <= {qs.trunc_bound}, below requested {bound}"
-        )
-    return QSeries(qs.coeffs[: bound + 1])
+def _file_form(path) -> ResolvedForm:
+    """The series read from a q-expansion file, served to the bound it covers."""
+    spec, qs = forms.ingest_qexp(path)
+
+    def exact_series(bound: int) -> QSeries:
+        if bound > qs.trunc_bound:
+            raise ValueError(f"{path} covers n <= {qs.trunc_bound}, below requested {bound}")
+        return QSeries(qs.coeffs[: bound + 1])
+
+    return ResolvedForm(spec=spec, exact_series=exact_series)
+
+
+# every --form name and the constructor it resolves to, called once per request
+NAMED_FORMS = {
+    "delta": partial(_eta_product_form, 1),
+    "e4": partial(_eisenstein_form, "e4", 2),
+    "e6": partial(_eisenstein_form, "e6", 3),
+    **{f"eta-quotient:{n}": partial(_eta_product_form, n) for n in forms.ETA_QUOTIENT_LEVELS},
+}
+
+
+def _resolve_form(args, parser) -> ResolvedForm:
+    if args.form is not None:
+        return NAMED_FORMS[args.form]()
+    if args.fixture is not None:
+        return _curve_form(ec.FIXTURES[args.fixture])
+    if args.curve is not None:
+        try:
+            curve = ec.parse_curve(args.curve)
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _curve_form(curve)
+    try:
+        return _file_form(args.file)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot ingest {args.file}: {exc}")
 
 
 def _emit_json(obj) -> None:
@@ -249,8 +245,7 @@ def cmd_coeffs(args, parser) -> int:
         if rf.residue_series is not None:
             lane = partial(rf.residue_series, limit)
         else:
-            # no residue pipeline: compute the exact coefficients once and
-            # reduce them per modulus
+            # no residue pipeline: reduce the exact coefficients, computed once
             lane = partial(reduce_mod, rf.exact_series(limit))
         blocks = {m: lane(m).coeffs[1:].tolist() for m in moduli}
         if args.json:
@@ -303,16 +298,32 @@ def _eigenform_series(rf: ResolvedForm, bound: int) -> QSeries:
     qs = rf.exact_series(bound)
     if rf.newform:
         return qs
+    k, level = rf.spec.weight, rf.spec.level
     primes = {p: qs[p] for p in sieve_primes(bound)}
-    pe = hecke.PrimeEigenvalues(rf.spec.weight, rf.spec.level, primes, bound)
-    want = hecke.qexp_from_primes(pe, bound)
-    bad = next((n for n in range(1, bound + 1) if qs[n] != want[n]), None)
-    if bad is not None:
-        raise ValueError(
-            f"{rf.spec.label} is not a normalized Hecke eigenform: a({bad}) = {qs[bad]}, "
-            f"its a(p) give {want[bad]}; M_f holds only for one"
-        )
-    return qs
+    # At a good p, a(p^2) = a(p)^2 - p^(k-1) has at least m = (k-1)(bits(p)-1) bits; once
+    # m >= size it equals no a(n) here, so p^(k-1) is not built and only n < p^2 are compared.
+    size = 2 * max(map(abs, qs.coeffs)).bit_length() + 2
+    big = next((p for p in primes if p * p <= bound and level % p
+                and (k - 1) * (p.bit_length() - 1) >= size), None)
+    cut = big * big if big else bound + 1
+    want = hecke.qexp_from_primes(hecke.PrimeEigenvalues(k, level, primes, bound), cut - 1)
+    bad = next((n for n in range(1, cut) if qs[n] != want[n]), cut)
+    if bad > bound:
+        return qs
+    gives = (_decimal(want[bad]) if bad < cut
+             else f"a number of at least {(k - 1) * (big.bit_length() - 1)} bits")
+    raise ValueError(
+        f"{rf.spec.label} is not a normalized Hecke eigenform: a({bad}) = {qs[bad]}, "
+        f"its a(p) give {gives}; M_f holds only for one"
+    )
+
+
+def _decimal(value: int) -> str:
+    """value in decimal, or its size where Python refuses so long a conversion."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a number of {value.bit_length()} bits"
 
 
 def _mf(rf: ResolvedForm) -> vanish.MfResult:
@@ -360,18 +371,10 @@ def cmd_scan(args, parser) -> int:
 
 def _add_form_args(sub: argparse.ArgumentParser) -> None:
     selector = sub.add_mutually_exclusive_group(required=True)
-    selector.add_argument(
-        "--form",
-        help="named form: delta, e4, e6, or eta-quotient:N with N in {2,3,5,11}",
-    )
+    selector.add_argument("--form", choices=NAMED_FORMS, help="named form")
     selector.add_argument("--curve", help="elliptic curve, five integers a1,a2,a3,a4,a6")
-    selector.add_argument("--fixture", help="named curve fixture: 37a1 or 53a1")
+    selector.add_argument("--fixture", choices=sorted(ec.FIXTURES), help="named curve fixture")
     selector.add_argument("--file", help="path to a q-expansion file")
-    sub.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="override the compute-budget guard on large limits",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,6 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the first zero coprime to M_f (hits must be prime)",
     )
     p_scan.set_defaults(func=cmd_scan)
+    for sub in (p_coeffs, p_scan):  # the commands with a limit, and so with the gate
+        sub.add_argument(
+            "--allow-large", action="store_true", help="override the compute gate on large limits"
+        )
     return parser
 
 

@@ -28,7 +28,6 @@ from math import isqrt
 import numpy as np
 
 from .arith import factorize, sieve_primes
-from .forms import FormSpec
 from .hecke import PrimeEigenvalues
 
 
@@ -107,13 +106,6 @@ def parse_curve(text: str) -> WeierstrassCurve:
         raise ValueError("expected five comma-separated integers a1,a2,a3,a4,a6")
     a = [int(part.strip()) for part in parts]
     return WeierstrassCurve(*a, label=text)
-
-
-def curve_form(curve: WeierstrassCurve) -> FormSpec:
-    label = curve.label or "curve"
-    return FormSpec(
-        weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"
-    )
 
 
 def _char_sum(curve: WeierstrassCurve, p: int) -> int:

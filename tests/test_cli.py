@@ -55,11 +55,26 @@ class TestCoeffs:
         assert exc.value.code == 2
 
     def test_unknown_selector(self, capsys):
-        for name in ("j-function", ""):
+        # argparse refuses a name outside its table as it parses
+        for selector in (
+            ("--form", "j-function"),
+            ("--form", ""),
+            ("--form", "eta-quotient:7"),
+            ("--form", "eta-quotient:02"),
+            ("--form", "eta-quotient: 2"),
+            ("--fixture", "11a1"),
+        ):
             with pytest.raises(SystemExit) as exc:
-                main(["coeffs", "--form", name, "--limit", "5"])
+                main(["coeffs", *selector, "--limit", "5"])
             assert exc.value.code == 2
-            assert f"unknown form selector {name!r}" in capsys.readouterr().err
+            out = capsys.readouterr()
+            assert (out.out, "invalid choice" in out.err) == ("", True), selector
+
+    @pytest.mark.parametrize("name", sorted(cli.NAMED_FORMS))
+    def test_every_named_form_answers(self, capsys, name):
+        code, out, err = run(capsys, "coeffs", "--form", name, "--limit", "3")
+        assert (code, err) == (0, "")
+        assert out
 
     def test_selector_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -642,6 +657,25 @@ class TestAnyWeight:
         done = self._run(tmp_path, "mf", "--file", str(path))
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["mf"] == 1
+
+    @pytest.mark.parametrize(
+        "weight, a2, limit",
+        [(100000000, 0, 9), (20002, 0, 4), (20002, 10**3100, 4)],
+        ids=["k=10^8", "k=20002", "k=20002,a2=10^3100"],
+    )
+    def test_non_eigenform_file_at_any_weight(self, tmp_path, weight, a2, limit):
+        # a(4) = a(2)^2 - 2^(k-1) is refused, and never printed: with a(2) = 0 it
+        # is never built either, and 10^6200 - 2^20001 has too many digits to print
+        path = tmp_path / "zeros.txt"
+        path.write_text(
+            f"# weight: {weight}\n# level: 11\n# character: trivial\n1 1\n2 {a2}\n"
+            + "".join(f"{n} 0\n" for n in range(3, limit + 1))
+        )
+        argv = ("scan", "--file", str(path), "--limit", str(limit), "--coprime-mf")
+        done = self._run(tmp_path, *argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "a(4) = 0" in done.stderr
+        assert "Exceeds the limit" not in done.stderr
 
 
 class TestMfNeedsAnEigenform:

@@ -52,6 +52,8 @@ class ResolvedForm:
     scan_source: Callable[[int], vanish.ScanSource] | None = None
     # an eigenform by construction (Delta, eta quotients, curves): cached, M_f unchecked
     newform: bool = False
+    # the largest n a file gives, to which M_f checks that it is an eigenform
+    data_bound: int | None = None
 
 
 def _eta_product_form(level: int) -> ResolvedForm:
@@ -109,7 +111,7 @@ def _file_form(path) -> ResolvedForm:
             raise ValueError(f"{path} covers n <= {qs.trunc_bound}, below requested {bound}")
         return QSeries(qs.coeffs[: bound + 1])
 
-    return ResolvedForm(spec=spec, exact_series=exact_series)
+    return ResolvedForm(spec=spec, exact_series=exact_series, data_bound=qs.trunc_bound)
 
 
 # every --form name and the constructor it resolves to, called once per request
@@ -327,7 +329,13 @@ def _decimal(value: int) -> str:
 
 
 def _mf(rf: ResolvedForm) -> vanish.MfResult:
-    qs = _eigenform_series(rf, 3)
+    """M_f from a(2) and a(3), once the form is known to be a normalized eigenform.
+
+    A file is checked to its own last index, so that M_f never rests on a
+    premise its data refute; any other form that is not a newform by
+    construction is checked to 3.
+    """
+    qs = _eigenform_series(rf, max(3, rf.data_bound or 3))
     return vanish.compute_mf(rf.spec.level, qs[2], qs[3], rf.spec.weight)
 
 
@@ -341,13 +349,13 @@ def cmd_mf(args, parser) -> int:
 def cmd_scan(args, parser) -> int:
     limit = _gated_limit(args, parser)
     rf = _resolve_form(args, parser)
+    # with M_f the form must be an eigenform, so that exit 3 stays a bug signal;
+    # _mf checks a file to its last index, and so to any limit it serves
     mf_value = _mf(rf).value if args.coprime_mf else None
     if rf.scan_source:
         source = rf.scan_source(limit)
     else:
-        # with M_f the series must be an eigenform, so that exit 3 stays a bug signal
-        qs = _eigenform_series(rf, limit) if args.coprime_mf else rf.exact_series(limit)
-        source = vanish.ScanSource.from_series(qs)
+        source = vanish.ScanSource.from_series(rf.exact_series(limit))
     report = vanish.first_vanishing(source, coprime_to=mf_value, level=rf.spec.level)
     cert = report.certification
     # vars, not asdict: asdict would deep-copy every zero before the cap
@@ -372,7 +380,11 @@ def cmd_scan(args, parser) -> int:
 def _add_form_args(sub: argparse.ArgumentParser) -> None:
     selector = sub.add_mutually_exclusive_group(required=True)
     selector.add_argument("--form", choices=NAMED_FORMS, help="named form")
-    selector.add_argument("--curve", help="elliptic curve, five integers a1,a2,a3,a4,a6")
+    selector.add_argument(
+        "--curve",
+        help="elliptic curve, five integers a1,a2,a3,a4,a6; write --curve=-1,0,0,0,1 "
+        "when a1 is negative, since argparse reads a leading '-' as an option",
+    )
     selector.add_argument("--fixture", choices=sorted(ec.FIXTURES), help="named curve fixture")
     selector.add_argument("--file", help="path to a q-expansion file")
 

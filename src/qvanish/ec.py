@@ -4,26 +4,38 @@ For a model minimal at p, one count gives a_p at every prime: a_p = p -
 #{affine points of the model mod p}.  At a good prime that is p + 1 -
 #E(F_p); at a bad prime the reduction has one singular point, so it is
 p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
-(additive).  _ap picks one of two exact counts per prime:
+(additive).  Two exact counts serve the primes:
 
-- Good primes above BSGS_CROSSOVER: Shanks' baby-step giant-step finds the
-  orders N in the Hasse interval [p+1-2*sqrt(p), p+1+2*sqrt(p)] with
-  N*P = O for a few points P; when one N is left, #E(F_p) = N.  This costs
-  O(p^(1/4)) group operations per point.
-- Every other odd prime, and any good prime where BSGS leaves more than one
-  N: the character sum, O(p).  The substitution u = 2y + a1*x + a3 turns
-  the model into u^2 = 4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes
-  1 + chi(g(x)) points with chi the quadratic character.
+- Good primes above BSGS_CROSSOVER, all in one call (_lane_aps): Shanks'
+  baby-step giant-step in int64 numpy lanes, one lane per prime.  For a few
+  points P, each of E or of its quadratic twist (Mestre's method; Cohen,
+  GTM 138), it keeps the orders N in the Hasse interval
+  [p+1-2*sqrt(p), p+1+2*sqrt(p)] with N*P = O; when one N is left,
+  #E(F_p) = N.  That is O(p^(1/4)) group operations per point, and every
+  lane takes the same ones, so the interpreter is paid once per step of a
+  chunk of primes, not once per prime: about 15-30 us per prime from 2^12
+  to 2^18, against about 2-5 ms for a lane on its own (ap_good above the
+  crossover).
+- Every other odd prime, and any good prime whose lane leaves more than one
+  N: the character sum, O(p), about 10 us + 20 ns * p.  The substitution
+  u = 2y + a1*x + a3 turns the model into u^2 = 4x^3 + b2*x^2 + 2*b4*x + b6,
+  so each x contributes 1 + chi(g(x)) points with chi the quadratic
+  character.
 
-At p = 2 the four pairs (x, y) are tried.  Models that may not be minimal
-are refused (see WeierstrassCurve.level).
+At p = 2 the four pairs (x, y) are tried.  Primes from 2^31 on are refused:
+the lanes hold residues below p in int64, which keeps a product of two
+below 2^62 only while p < 2^31, and the character sum there would take O(p)
+time and memory.  Models that may not be minimal are refused (see
+WeierstrassCurve.level).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,125 +136,303 @@ def _char_sum(curve: WeierstrassCurve, p: int) -> int:
     return int(w[g].sum(dtype=np.int64)) - p
 
 
-# Above this prime a good prime's count goes by baby-step giant-step; at and
-# below it, the character sum is faster.  Measured per prime (best of 5 over
-# 60 primes; Python 3.11, numpy 2.4.6, shared 2-core x86-64 host) on 37a1 and
-# 53a1: the two routes cost the same between p = 1500 and 2000 (55-63 us
-# each); BSGS takes ~90 us against ~260 us at p = 14000 and ~150 us against
-# ~6.5 ms at 2*10^5.  prime_table to 14000 costs the same, within noise, for
-# any crossover from 500 to 4000.
-BSGS_CROSSOVER = 1800
-# Points tried before a good prime falls back to the character sum.
+# Above this prime a good prime's a_p goes by the lanes; at and below it, by
+# the character sum.  prime_table to 14000 for 37a1 and 53a1 (best of 10 to
+# 25 in one process, four runs; Python 3.11, numpy 2.4.6, shared 2-core
+# x86-64 host) costs the same within the host's noise for every crossover
+# tried from 255 to 2047, and 1023 was the lowest in 7 of the 8 curve-runs:
+# below 1024 a lane costs about what a character sum costs, and 1023 fills
+# the 11-bit chunk of the lanes.
+BSGS_CROSSOVER = 1023
+# Points tried on a lane before its prime falls back to the character sum.
 BSGS_POINTS = 8
 
-
-def _add(P, Q, a: int, p: int):
-    """P + Q on y^2 = x^3 + a*x + b over F_p; None is the point at infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
+# The lanes: int64 arrays with one entry per prime p < 2^31.  Every operand is
+# reduced into [0, p), so a product is below 2^62 and a sum or difference of
+# two products stays inside int64; each product is reduced before it is used.
 
 
-def _mul(n: int, P, a: int, p: int):
-    """n*P for n >= 0, by double-and-add."""
-    result = None
-    while n:
-        if n & 1:
-            result = _add(result, P, a, p)
-        n >>= 1
-        if n:
-            P = _add(P, P, a, p)
+def _pow(base, exp, p):
+    """base^exp mod p entrywise; exp >= 0 broadcasts against base."""
+    result = np.ones(np.broadcast_shapes(base.shape, exp.shape), dtype=np.int64)
+    while exp.any():
+        result = np.where(exp & 1 == 1, result * base % p, result)
+        base = base * base % p
+        exp = exp >> 1
     return result
 
 
-def _annihilators(P, a: int, p: int, lo: int, hi: int) -> set[int]:
-    """Every N in [lo, hi] with N*P = O, by baby-step giant-step.
+def _inverses(z, p):
+    """z <- 1/z mod p in place, for a nonzero (k, lanes) array z.
 
-    Baby steps store x(jP) for j = 1..m.  If two of them meet (jP = -j'P),
-    or jP = O or has y = 0, the order n of P is at most 2m and is read off
-    directly.  Otherwise n > 2m, so each window [c-m, c+m] holds at most one
-    N with N*P = O, and it shows as cP = -kP for k = N - c in [-m, m]: a
-    lookup of x(cP) among the baby steps, with the sign of y picking k.
+    One power per lane: Montgomery's trick along the k rows.
     """
-    m = isqrt((hi - lo) // 2) + 1
-    baby: dict[int, tuple[int, int]] = {}
-    Q = None
-    for j in range(1, m + 1):
-        Q = _add(Q, P, a, p)
-        if Q is None:
-            n = j
-        elif Q[1] == 0:
-            n = 2 * j
-        elif Q[0] in baby:
-            n = j + baby[Q[0]][0]
-        else:
-            baby[Q[0]] = (j, Q[1])
-            continue
-        return set(range(-(-lo // n) * n, hi + 1, n))
-    giant = _add(_add(Q, Q, a, p), P, a, p)  # (2m + 1)P
-    found = set()
-    c = lo + m
-    R = _mul(c, P, a, p)
-    while c - m <= hi:
-        if R is None:
-            found.add(c)
-        elif R[0] in baby:
-            k, y = baby[R[0]]
-            found.add(c - k if R[1] == y else c + k)
-        R = _add(R, giant, a, p)
-        c += 2 * m + 1
-    return {n for n in found if lo <= n <= hi}
+    prefix = z.copy()
+    for i in range(1, len(z)):
+        prefix[i] = prefix[i - 1] * z[i] % p
+    inv = _pow(prefix[-1], p - 2, p)
+    for i in range(len(z) - 1, 0, -1):
+        inv, z[i] = inv * z[i] % p, inv * prefix[i - 1] % p
+    z[0] = inv
 
 
-def _bsgs_ap(curve: WeierstrassCurve, p: int) -> int | None:
-    """a_p at a good prime p >= 5 from the group order, or None if not pinned down.
+def _double(P, a, p):
+    """2P in projective (X : Y : Z) on y^2 = x^3 + a*x + b; O is (0 : Y : 0)."""
+    X, Y, Z = P
+    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = Y * Z % p
+    B = X * Y % p * s % p
+    h = (w * w - 8 * B) % p
+    ss = s * s % p
+    R = (
+        2 * (h * s % p) % p,
+        (w * ((4 * B - h) % p) - 8 * (Y * Y % p * ss % p)) % p,
+        8 * (s * ss % p) % p,
+    )
+    if Z.all():
+        return R
+    return tuple(np.where(Z == 0, c, d) for c, d in zip(P, R))
 
-    Works on the short model y^2 = x^3 + a*x + b, a = -27*c4, b = -54*c6,
-    and takes x = 0, 1, 2, ... in turn.  Where r = x^3 + a*x + b is a nonzero
-    square, (x*r, r^2) is a point of y^2 = X^3 + a*r^2*X + b*r^3: the twist
-    of the model by the square r, so the same curve, and no square root is
-    taken.  Each point leaves the orders N in the Hasse interval with N*P = O;
-    once one N is left, #E(F_p) = N.  After BSGS_POINTS points with more than
-    one left, the answer is None.
+
+def _add(P, Q, a, p):
+    """P + Q in projective coordinates, every case: O, P = Q and P = -Q included."""
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    y1z2 = Y1 * Z2 % p
+    x1z2 = X1 * Z2 % p
+    z1z2 = Z1 * Z2 % p
+    u = (Y2 * Z1 - y1z2) % p
+    v = (X2 * Z1 - x1z2) % p
+    vv = v * v % p
+    vvv = v * vv % p
+    r = vv * x1z2 % p
+    A = (u * u % p * z1z2 - vvv - 2 * r) % p
+    R = (v * A % p, (u * ((r - A) % p) - vvv * y1z2) % p, vvv * z1z2 % p)
+    # Every exception has equal x, so v = 0; the formula itself gives P + (-P) = O.
+    if v.all():
+        return R
+    o1, o2 = Z1 == 0, Z2 == 0
+    R = tuple(np.where(o1, q, np.where(o2, c, e)) for c, q, e in zip(P, Q, R))
+    same = (v == 0) & (u == 0) & ~o1 & ~o2
+    if same.any():
+        R = tuple(np.where(same, d, e) for d, e in zip(_double(P, a, p), R))
+    return R
+
+
+def _mul(n, table, a, p):
+    """n*P for n >= 0 lane by lane, from the rows table[c][j - 1] of jP, j = 1..k.
+
+    Horner in base 2^w, with w the largest that has 2^w - 1 <= k: w
+    doublings and one addition per digit.
     """
-    c4, c6 = curve.c_invariants
-    a, b = -27 * c4 % p, -54 * c6 % p
-    width = isqrt(4 * p)
-    lo, hi = p + 1 - width, p + 1 + width
-    orders = None
-    points = 0
-    for x in range(p):
-        if points == BSGS_POINTS:
-            break
-        r = (x * x * x + a * x + b) % p
-        if r == 0 or pow(r, (p - 1) // 2, p) != 1:
-            continue
-        points += 1
+    w = (len(table[0]) + 1).bit_length() - 1
+    lanes = np.arange(len(n))
+    R = (np.zeros_like(n), np.ones_like(n), np.zeros_like(n))
+    top = (int(n.max()).bit_length() - 1) // w * w
+    for shift in range(top, -1, -w):
+        for _ in range(w):
+            R = _double(R, a, p)
+        d = (n >> shift) & (2**w - 1)
+        S = _add(R, tuple(c[np.maximum(d, 1) - 1, lanes] for c in table), a, p)
+        R = tuple(np.where(d > 0, s, c) for s, c in zip(S, R))
+    return R
+
+
+def _walk(P, step, a, p):
+    """P, P + step, P + 2*step, ..."""
+    while True:
+        yield P
+        P = _add(P, step, a, p)
+
+
+def _affine(points, k, p):
+    """(x, y, at_infinity) of the first k points, as (k, lanes) arrays."""
+    X, Y, Z = (np.empty((k, len(p)), dtype=np.int64) for _ in range(3))
+    for i, P in zip(range(k), points):
+        X[i], Y[i], Z[i] = P
+    inf = Z == 0
+    Z[inf] = 1
+    _inverses(Z, p)
+    X *= Z
+    X %= p
+    Y *= Z
+    Y %= p
+    return X, Y, inf
+
+
+def _annihilators(P, a, p, lo, span, m):
+    """(small, N): the orders N in [lo, lo + span] that the point P allows, lane by lane.
+
+    small[l] says that P has order at most 2m on lane l, and then it is not
+    used.  Otherwise N[:, l] holds every N in the interval with N*P = O, one
+    row per giant step, with 0 in a row without one.
+
+    The baby steps jP, j = 1..m, are taken in projective coordinates and then
+    made affine, one inverse per lane (Montgomery's trick).  The order of P is
+    at most 2m exactly when jP = O, y(jP) = 0 or x(jP) = x(j'P) for some
+    j' < j <= m.  Otherwise each window [c-m, c+m] holds at most one N with
+    N*P = O, and it shows as cP = O or cP = -kP for k = N - c in [-m, m]: a
+    match of x(cP) among the baby steps, with the sign of y picking k.  Only
+    these lanes take giant steps, made affine in the same way.
+    """
+    bx, by, binf = _affine(_walk(P, P, a, p), m, p)
+    small = (binf | (by == 0)).any(0)
+    for j in range(1, m):
+        small |= (bx[:j] == bx[j]).any(0)
+    step = 2 * m + 1
+    N = np.zeros((int((span // step).max()) + 1, len(p)), dtype=np.int64)
+    big = (~small).nonzero()[0]
+    if not len(big):
+        return small, N
+    bx, by, P, a, p, lo, span = (v[..., big] for v in (bx, by, np.stack(P), a, p, lo, span))
+    ones = np.broadcast_to(np.int64(1), bx.shape)
+    giant_step = _add(_double((bx[-1], by[-1], ones[-1]), a, p), tuple(P), a, p)
+    giants = _walk(_mul(lo + m, (bx, by, ones), a, p), giant_step, a, p)
+    gx, gy, ginf = _affine(giants, len(N), p)
+    # k: cP = -kP (N = c + k) or, with y equal, cP = kP (N = c - k)
+    k = np.zeros_like(gx)
+    for i in range(m):
+        k[gx == bx[i]] = i + 1
+    del gx
+    k[ginf] = 0
+    k[(k > 0) & (gy == by[np.maximum(k, 1) - 1, np.arange(len(big))])] *= -1
+    found = lo + m + step * np.arange(len(N))[:, None]
+    found += k
+    found[((k == 0) & ~ginf) | (found > lo + span)] = 0
+    N[:, big] = found
+    return small, N
+
+
+def _baby_steps(p: int) -> int:
+    """m with 2m + 1 > sqrt(2 * Hasse width): baby and giant steps balance."""
+    return isqrt(isqrt(4 * p)) + 1
+
+
+class _Lanes(NamedTuple):
+    """Open lanes, one column per prime p.
+
+    a is the short model's coefficient and [lo, lo + span] the Hasse
+    interval.  x and r give the lane's points, one row each, and t counts
+    the points it has used.  A lane is free until one of them has an
+    order above 2m; from then on cand holds the orders N that every such
+    point allows, with 0 in the unused rows.
+    """
+
+    p: np.ndarray
+    a: np.ndarray
+    lo: np.ndarray
+    span: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    free: np.ndarray
+    cand: np.ndarray
+
+    @classmethod
+    def new(cls, curve: WeierstrassCurve, primes: list[int]) -> _Lanes:
+        """Free lanes for primes, none of whose points is used yet."""
+        c4, c6 = curve.c_invariants
+        p = np.array(primes, dtype=np.int64)
+        a = np.array([-27 * c4 % q for q in primes], dtype=np.int64)
+        b = np.array([-54 * c6 % q for q in primes], dtype=np.int64)
+        span = np.array([2 * isqrt(4 * q) for q in primes], dtype=np.int64)
+        # f has at most three roots, so these x give BSGS_POINTS points
+        xs = np.arange(BSGS_POINTS + 3)[:, None]
+        f = (xs**3 + a * xs + b) % p
+        nonzero = f != 0
+        first = nonzero & (nonzero.cumsum(0) <= BSGS_POINTS)
+        x = first.T.nonzero()[1].reshape(len(p), BSGS_POINTS).T
+        r = np.take_along_axis(f, x, 0)
+        return cls(
+            p, a, p + 1 - span // 2, span, x, r, np.zeros_like(p),
+            np.ones(len(p), dtype=bool), np.zeros((0, len(p)), dtype=np.int64),
+        )
+
+    def join(self, other: _Lanes) -> _Lanes:
+        """Both sets of lanes, side by side."""
+        rows = max(len(self.cand), len(other.cand))
+        cand = [np.pad(c, ((0, rows - len(c)), (0, 0))) for c in (self.cand, other.cand)]
+        return _Lanes(*(np.concatenate(f, -1) for f in zip(self[:-1], other[:-1])),
+                      np.concatenate(cand, 1))
+
+    def step(self, found: dict[int, int]) -> _Lanes:
+        """Each lane uses its next point; found gets the lanes left with one N, the rest return."""
+        lanes = np.arange(len(self.p))
+        p, lo, t, cand = self.p, self.lo, self.t, self.cand
+        r = self.r[t, lanes]
         r2 = r * r % p
-        found = _annihilators((x * r % p, r2), a * r2 % p, p, lo, hi)
-        orders = found if orders is None else orders & found
-        if len(orders) == 1:
-            return p + 1 - orders.pop()
-    return None
+        point = (self.x[t, lanes] * r % p, r2, np.ones_like(p))
+        small, N = _annihilators(
+            point, self.a * r2 % p, p, lo, self.span, _baby_steps(int(p.max()))
+        )
+        twist = _pow(r, (p - 1) // 2, p) != 1
+        # a twist point of order N' allows N = 2p + 2 - N' = 2*lo + span - N'
+        N = np.where(twist & (N > 0), 2 * lo + self.span - N, N)
+        held = ~self.free & ~small
+        if held.any():
+            kept = np.zeros(cand.shape, dtype=bool)
+            for row in N:
+                kept |= cand == row
+            cand = np.where(held & ~kept, 0, cand)
+        fresh = self.free & ~small
+        rows = max(len(cand), len(N))
+        cand = np.pad(cand, ((0, rows - len(cand)), (0, 0)))
+        cand[: len(N), fresh] = N[:, fresh]
+        free = self.free & small
+        one = ~free & ((cand > 0).sum(0) == 1)
+        orders = cand[:, one].max(0)
+        found.update(zip(p[one].tolist(), (p[one] + 1 - orders).tolist()))
+        more = ~one & (t + 1 < BSGS_POINTS)
+        return _Lanes(*(f[..., more] for f in self._replace(t=t + 1, free=free, cand=cand)))
+
+
+def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
+    """a_p at good primes BSGS_POINTS + 3 <= p < 2^31 by baby-step giant-step, one lane each.
+
+    Works on the short model y^2 = x^3 + a*x + b, a = -27*c4, b = -54*c6.  A
+    lane takes x = 0, 1, 2, ... with r = x^3 + a*x + b nonzero, and (x*r, r^2)
+    is a point of y^2 = X^3 + a*r^2*X + b*r^3: the curve itself when r is a
+    square, its quadratic twist when not, and no square root is taken.  Each
+    point keeps the orders N in the Hasse interval that it allows (a twist
+    point of order N' allows 2p + 2 - N'); #E(F_p) is always kept, so once one
+    N is left, #E(F_p) = N.  A point of order at most 2m is passed over, and
+    a lane with more than one N after BSGS_POINTS points is left out of the
+    result.
+
+    Primes enter in chunks of one bit length, one chunk per round, and every
+    lane of a round takes the same group operations, one point each.  Lanes
+    still open ride along with the next chunk, with its larger m (any m
+    works for a lane, as long as the giant steps cover the Hasse interval),
+    until each has had BSGS_POINTS points.
+    """
+    found: dict[int, int] = {}
+    if not (primes and BSGS_POINTS):
+        return found
+    chunks = [list(g) for _, g in groupby(primes, key=int.bit_length)]
+    lanes = _Lanes.new(curve, chunks[0])
+    # a round: every open lane tries one point, then the next chunk joins
+    for chunk in chunks[1:] + [[]] * BSGS_POINTS:
+        if len(lanes.p):
+            lanes = lanes.step(found)
+        if chunk:
+            lanes = lanes.join(_Lanes.new(curve, chunk))
+    return found
+
+
+def _good_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
+    """a_p at good primes above BSGS_CROSSOVER: lanes, or the character sum if open."""
+    found = _lane_aps(curve, primes)
+    return {p: found[p] if p in found else -_char_sum(curve, p) for p in primes}
 
 
 def _ap(curve: WeierstrassCurve, p: int) -> int:
-    """p - #{affine points of the model mod p}: a_p at any prime of a minimal model.
+    """p - #{affine points of the model mod p}: a_p at any prime p < 2^31 of a minimal model.
 
-    Good primes above BSGS_CROSSOVER go by _bsgs_ap; small primes, bad
-    primes and the primes BSGS leaves open go by the character sum.
+    A good prime above BSGS_CROSSOVER is a batch of one for _good_aps; small
+    primes and bad primes go by the character sum.
     """
+    if p >= 2**31:
+        raise ValueError(f"p={p} is not below 2^31, the bound of the int64 lanes")
     if p == 2:
         a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
         return 2 - sum(
@@ -251,20 +441,21 @@ def _ap(curve: WeierstrassCurve, p: int) -> int:
             for y in (0, 1)
         )
     if p > BSGS_CROSSOVER and curve.discriminant % p:
-        ap = _bsgs_ap(curve, p)
-        if ap is not None:
-            return ap
+        return _good_aps(curve, [p])[p]
     return -_char_sum(curve, p)
+
+
+def _hasse(p: int, ap: int) -> int:
+    if ap * ap > 4 * p:
+        raise ValueError(f"Hasse bound violated at p={p}: a_p={ap}")
+    return ap
 
 
 def ap_good(curve: WeierstrassCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at a prime of good reduction."""
     if curve.discriminant % p == 0:
         raise ValueError(f"{p} divides the discriminant; use ap_bad")
-    ap = _ap(curve, p)
-    if ap * ap > 4 * p:
-        raise ValueError(f"Hasse bound violated at p={p}: a_p={ap}")
-    return ap
+    return _hasse(p, _ap(curve, p))
 
 
 def ap_bad(curve: WeierstrassCurve, p: int) -> int:
@@ -284,13 +475,19 @@ def ap_bad(curve: WeierstrassCurve, p: int) -> int:
 
 
 def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
-    """a_p for every prime p <= bound (none for bound 1), from ap_good or ap_bad."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    """a_p for every prime p <= bound (none for bound 1).
+
+    The good primes above BSGS_CROSSOVER go through _good_aps in one call;
+    every other prime through ap_good or ap_bad.
+    """
+    if not 1 <= bound < 2**31:
+        raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
+    primes = sieve_primes(bound)
+    lanes = _good_aps(curve, [p for p in primes if p > BSGS_CROSSOVER and level % p])
     table = {
-        p: ap_bad(curve, p) if level % p == 0 else ap_good(curve, p)
-        for p in sieve_primes(bound)
+        p: _hasse(p, lanes[p]) if p in lanes
+        else ap_bad(curve, p) if level % p == 0 else ap_good(curve, p)
+        for p in primes
     }
     return PrimeEigenvalues(weight=2, level=level, table=table, bound=bound)
-

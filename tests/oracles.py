@@ -123,6 +123,43 @@ def count_affine_points(a1, a2, a3, a4, a6, p):
     return n
 
 
+def curve_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a*x + b over F_p in affine Python ints; None is O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def curve_mul(n, P, a, p):
+    """n*P, n >= 0, by double-and-add on curve_add."""
+    result = None
+    while n:
+        if n & 1:
+            result = curve_add(result, P, a, p)
+        P = curve_add(P, P, a, p)
+        n >>= 1
+    return result
+
+
+def point_order(P, a, p):
+    """The least n >= 1 with n*P = O, by repeated addition."""
+    n, Q = 1, P
+    while Q is not None:
+        Q = curve_add(Q, P, a, p)
+        n += 1
+    return n
+
+
 def count_nonsingular(a1, a2, a3, a4, a6, p):
     """Nonsingular affine points plus infinity, by full enumeration."""
     n = 0

@@ -631,6 +631,28 @@ class TestMf:
         assert data["reasons"]["2"]["ap"] == -1
         assert data["reasons"]["3"]["ap_is_critical"] is True
 
+    def test_file_checked_to_its_last_index(self, capsys, tmp_path):
+        # a(1..3) fit an eigenform, a(4) = 0 does not: a(2)^2 - 2 = -1
+        path = tmp_path / "z4.qexp"
+        path.write_text(
+            "# weight: 2\n# level: 11\n# character: trivial\n# label: z4\n"
+            "1 1\n2 1\n3 1\n4 0\n5 1\n"
+        )
+        for argv in (("mf",), ("scan", "--limit", "5", "--coprime-mf")):
+            code, out, err = run(capsys, *argv, "--file", str(path))
+            assert (code, out) == (2, "")
+            assert "a(4) = 0" in err
+
+    def test_negative_a1_needs_the_equals_spelling(self, capsys):
+        assert run_json(capsys, "mf", "--curve=-1,0,0,0,1")["mf"] == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["mf", "--curve", "-1,0,0,0,1"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["mf", "--help"])
+        assert "--curve=-1,0,0,0,1" in " ".join(capsys.readouterr().out.split())
+
 
 class TestAnyWeight:
     """A huge weight is answered at once, never by building p^(k-1)."""

@@ -3,7 +3,9 @@ import io
 import os
 import subprocess
 import sys
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from qvanish.ec import (
 from qvanish.cli import main
 from qvanish.hecke import qexp_from_primes
 
-from .oracles import count_affine_points, count_nonsingular
+from .oracles import count_affine_points, count_nonsingular, curve_mul, point_order
 
 C37 = FIXTURES["37a1"]
 C53 = FIXTURES["53a1"]
@@ -210,20 +212,16 @@ def good_primes(curve, lo, hi):
 
 
 class TestBSGS:
-    """Baby-step giant-step against the character sum, the exact O(p) count."""
+    """Baby-step giant-step in int64 lanes against the character sum and Python ints."""
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_equals_char_sum_to_20000(self, curve):
-        primes = good_primes(curve, 5, 20000)
-        unresolved = 0
-        for p in primes:
-            ap = ec._bsgs_ap(curve, p)
-            if ap is None:
-                unresolved += 1
-            else:
-                assert ap == -ec._char_sum(curve, p), (curve.label, p)
-        # BSGS answers nearly everywhere, so the agreement is not vacuous.
-        assert unresolved < len(primes) // 20
+        # from 11 on, where the x a lane tries are distinct mod p
+        primes = good_primes(curve, 11, 20000)
+        found = ec._lane_aps(curve, primes)
+        assert {p: -ec._char_sum(curve, p) for p in found} == found
+        # the lanes answer nearly everywhere, so the agreement is not vacuous
+        assert len(primes) - len(found) < len(primes) // 20
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.tuples(*[st.integers(-30, 30)] * 5))
@@ -233,31 +231,70 @@ class TestBSGS:
             curve.level
         except ValueError:
             assume(False)
+        table = prime_table(curve, 3000).table
         primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 3000)
         assert primes
-        for p in primes:
-            assert ap_good(curve, p) == -ec._char_sum(curve, p), (a, p)
+        assert {p: table[p] for p in primes} == {p: -ec._char_sum(curve, p) for p in primes}
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(60) if p >= 5])
     def test_annihilators_are_the_multiples_of_the_order(self, p):
-        # Every affine point of y^2 = x^3 + a*x + b for a few (a, b) at small p,
-        # where small orders and non-cyclic groups are common.
-        width = 2 * int(p**0.5) + 1
-        lo, hi = max(1, p + 1 - width), p + 1 + width
+        # Every affine point of y^2 = x^3 + a*x + b and of its twist by a
+        # non-square d, for a few (a, b) at small p, where small orders and
+        # non-cyclic groups are common: one lane per point.
+        d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+        points = []
         for a, b in [(0, 1), (1, 0), (2, 3), (p - 1, 0), (3, 5)]:
             if (4 * a**3 + 27 * b * b) % p == 0:
                 continue
-            points = [
-                (x, y) for x in range(p) for y in range(p)
-                if (y * y - x**3 - a * x - b) % p == 0
-            ]
-            for P in points:
-                order, Q = 1, P
-                while Q is not None:
-                    Q = ec._add(Q, P, a, p)
-                    order += 1
-                expected = {n for n in range(lo, hi + 1) if n % order == 0}
-                assert ec._annihilators(P, a, p, lo, hi) == expected, (a, b, P)
+            for ca, cb in ((a, b), (a * d * d % p, b * d**3 % p)):
+                points += [
+                    (x, y, ca) for x in range(p) for y in range(p)
+                    if (y * y - x**3 - ca * x - cb) % p == 0
+                ]
+        x, y, a = (np.array(c, dtype=np.int64) for c in zip(*points))
+        lanes = np.full_like(x, p)
+        width = isqrt(4 * p)
+        lo, span = p + 1 - width, 2 * width
+        m = ec._baby_steps(p)
+        P = (x, y, np.ones_like(x))
+        small, N = ec._annihilators(P, a, lanes, lanes * 0 + lo, lanes * 0 + span, m)
+        for i, (px, py, ca) in enumerate(points):
+            order = point_order((px, py), ca, p)
+            expected = {k for k in range(lo, lo + span + 1) if k % order == 0}
+            if order <= 2 * m:
+                assert small[i], (px, py, ca)
+            else:
+                assert (small[i], set(N[:, i].tolist()) - {0}) == (False, expected), (px, py, ca)
+
+    def test_group_law_at_the_largest_primes_below_2_31(self):
+        # Products of residues near 2^31 come close to the int64 bound; each
+        # lane is checked against Python ints, on the points a lane would take.
+        primes = [2147483647, 2147483629, 2147483587]
+        c4, c6 = C37.c_invariants
+        for x in (0, 1, 2):
+            lanes, refs = [], []
+            for p in primes:
+                a, b = -27 * c4 % p, -54 * c6 % p
+                r = (x**3 + a * x + b) % p
+                lanes.append((x * r % p, r * r % p, a * r * r % p, p))
+                refs.append(((x * r % p, r * r % p), a * r * r % p))
+            px, py, a, p = (np.array(c, dtype=np.int64) for c in zip(*lanes))
+            P = (px, py, np.ones_like(px))
+            k = 40
+            mx, my, minf = ec._affine(ec._walk(P, P, a, p), k, p)
+            for i, (R, ca) in enumerate(refs):
+                want = [curve_mul(j, R, ca, primes[i]) for j in range(1, k + 1)]
+                assert list(zip(mx[:, i].tolist(), my[:, i].tolist())) == want
+                assert not minf[:, i].any()
+            n = np.array([q + 1 - 2 * isqrt(q) + 3 for q in primes], dtype=np.int64)
+            nx, ny, _ = ec._affine(iter([ec._mul(n, (mx, my, np.ones_like(mx)), a, p)]), 1, p)
+            for i, (R, ca) in enumerate(refs):
+                assert (nx[0, i], ny[0, i]) == curve_mul(int(n[i]), R, ca, primes[i])
+            minus = (px, (p - py) % p, np.ones_like(px))
+            assert (ec._add(P, minus, a, p)[2] == 0).all()
+            O = (0 * px, 0 * px + 1, 0 * px)
+            for S in (ec._add(O, P, a, p), ec._add(P, O, a, p)):
+                assert all((s == c).all() for s, c in zip(S, P))
 
     def test_forced_fallback_gives_same_answers(self, monkeypatch):
         bound = 2 * ec.BSGS_CROSSOVER
@@ -277,10 +314,26 @@ class TestBSGS:
         assert len(calls) == len(CURVES) * (len(sieve_primes(bound)) - 1)
 
     def test_hasse_guard_above_crossover(self, monkeypatch):
-        p = good_primes(C37, ec.BSGS_CROSSOVER + 1, 2 * ec.BSGS_CROSSOVER)[0]
-        monkeypatch.setattr(ec, "_bsgs_ap", lambda curve, q: q)
+        bound = 2 * ec.BSGS_CROSSOVER
+        p = good_primes(C37, ec.BSGS_CROSSOVER + 1, bound)[0]
+        monkeypatch.setattr(ec, "_lane_aps", lambda curve, primes: {q: q for q in primes})
         with pytest.raises(ValueError, match=f"Hasse bound violated at p={p}"):
             ap_good(C37, p)
+        with pytest.raises(ValueError, match=f"Hasse bound violated at p={p}"):
+            prime_table(C37, bound)
+
+    def test_primes_from_2_31_refused(self, monkeypatch):
+        # the int64 lanes end there, and the O(p) character sum would not end at all
+        calls = []
+        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: calls.append(p))
+        monkeypatch.setattr(ec, "_lane_aps", lambda curve, primes: calls.extend(primes))
+        p = 2147483659  # the least prime above 2^31
+        for ap in (ap_good, ec._ap):
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                ap(C37, p)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            prime_table(C37, 2**31)
+        assert calls == []
 
 
 class TestResultChecks:

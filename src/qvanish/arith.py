@@ -7,7 +7,7 @@ no index of such a table is factorized.
 
 from __future__ import annotations
 
-from itertools import chain, cycle
+from itertools import chain, compress, cycle
 from typing import Callable
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (Sorenson-Webster).
@@ -27,7 +27,7 @@ def sieve_primes(bound: int) -> list[int]:
         if flags[p]:
             start = p * p
             flags[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(bound + 1), flags))
 
 
 def multiplicative(bound: int, prime_power: Callable[[int, int], int]) -> list[int]:

@@ -336,10 +336,12 @@ class _Lanes(NamedTuple):
         a = np.array([-27 * c4 % q for q in primes], dtype=np.int64)
         b = np.array([-54 * c6 % q for q in primes], dtype=np.int64)
         span = np.array([2 * isqrt(4 * q) for q in primes], dtype=np.int64)
-        # f has at most three roots, so these x give BSGS_POINTS points
-        xs = np.arange(BSGS_POINTS + 3)[:, None]
+        # f has at most three roots, and where a = 0 the point at x = 0 is a
+        # flex, of order 3, and is dropped; so these x give BSGS_POINTS points
+        xs = np.arange(BSGS_POINTS + 4)[:, None]
         f = (xs**3 + a * xs + b) % p
         nonzero = f != 0
+        nonzero[0] &= a != 0
         first = nonzero & (nonzero.cumsum(0) <= BSGS_POINTS)
         x = first.T.nonzero()[1].reshape(len(p), BSGS_POINTS).T
         r = np.take_along_axis(f, x, 0)
@@ -387,12 +389,13 @@ class _Lanes(NamedTuple):
 
 
 def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
-    """a_p at good primes BSGS_POINTS + 3 <= p < 2^31 by baby-step giant-step, one lane each.
+    """a_p at good primes BSGS_POINTS + 4 <= p < 2^31 by baby-step giant-step, one lane each.
 
     Works on the short model y^2 = x^3 + a*x + b, a = -27*c4, b = -54*c6.  A
     lane takes x = 0, 1, 2, ... with r = x^3 + a*x + b nonzero, and (x*r, r^2)
     is a point of y^2 = X^3 + a*r^2*X + b*r^3: the curve itself when r is a
-    square, its quadratic twist when not, and no square root is taken.  Each
+    square, its quadratic twist when not, and no square root is taken.  Where
+    a = 0 (j = 0) the point at x = 0 is a flex, of order 3, and is skipped.  Each
     point keeps the orders N in the Hasse interval that it allows (a twist
     point of order N' allows 2p + 2 - N'); #E(F_p) is always kept, so once one
     N is left, #E(F_p) = N.  A point of order at most 2m is passed over, and

@@ -31,11 +31,13 @@ from .series import (
     LANE_PRIMES,
     QSeries,
     ResidueSeries,
+    SparseSeries,
     eta_cube,
     eta_raw,
     exact_divide,
     mul_sparse,  # noqa: F401  (not called; the benchmark's tracing wraps forms.mul_sparse)
     mul_sparse_mod,
+    mul_sparse_sparse_mod,
 )
 
 # LANE_PRIMES, then two odd primes below 2^31 that lift exact series but never certify
@@ -188,12 +190,15 @@ def eta_product(level: int, bound: int, modulus: int | None = None):
     Level N = 1 is the discriminant form Delta = eta(z)^24, with coefficient
     n equal to tau(n); N in {2, 3, 5, 11} gives the Shimura eta quotient
     eta(z)^a eta(Nz)^a of weight a, equal to (Delta(z)/Delta(Nz))^(1/(N+1)).
-    The eta prefactors contribute q^(a(1+N)/24) = q^1, so the accumulator
-    starts at q.  Then, for each dilation d in (1, N), come a // 3 sparse
-    passes with Jacobi's cube expansion of prod (1 - q^(dn))^3 and a % 3 with
-    the pentagonal expansion of prod (1 - q^(dn)): 4 + 4 passes for Delta,
-    8, 4, 4 and 4 at N = 2, 3, 5 and 11.  Each pass costs O(bound^1.5), and
-    there is no power-series division.
+    The eta prefactors contribute q^(a(1+N)/24) = q^1.  For each dilation d
+    in (1, N) and its exponent e (a, or 24 at d = N = 1) come e // 3 sparse
+    factors with Jacobi's cube expansion of prod (1 - q^(dn))^3 and e % 3
+    with the pentagonal expansion of prod (1 - q^(dn)): 8 factors for Delta,
+    8, 4, 4 and 4 at N = 2, 3, 5 and 11.  q shifts the first factor's terms,
+    whose product with the second, taken from the two term lists alone,
+    seeds the accumulator; each factor after them is one dense sparse pass:
+    6 for Delta, 6, 2, 2 and 2 at N = 2, 3, 5 and 11.  Each pass costs
+    O(bound^1.5), and there is no power-series division.
 
     With a modulus the passes run over Z/modulus and return the residue lane
     as a ResidueSeries.  Without one the exact QSeries over Z is the symmetric
@@ -209,16 +214,21 @@ def eta_product(level: int, bound: int, modulus: int | None = None):
         lanes = (eta_product(level, bound, m).coeffs.astype(object) for m in moduli)
         x = sum(lane * e for lane, e in zip(lanes, basis)) % big_m
         return QSeries(tuple(np.where(2 * x > big_m, x - big_m, x).tolist()))
-    q = np.zeros(bound + 1, dtype=np.int64)
-    q[1] = 1
-    acc = ResidueSeries(modulus, q)
-    cubes, singles = divmod(weight, 3)
-    for dilation in (1, level):
-        for expansion, count in ((eta_cube, cubes), (eta_raw, singles)):
+    exponents = {1: weight}
+    exponents[level] = exponents.get(level, 0) + weight
+    factors = []
+    for dilation, e in exponents.items():
+        for expansion, count in zip((eta_cube, eta_raw), divmod(e, 3)):
             if count:
-                factor = expansion(bound, dilation)
-                for _ in range(count):
-                    acc = mul_sparse_mod(acc, factor)
+                factors += [expansion(bound, dilation)] * count
+    first, second, *rest = factors
+    acc = mul_sparse_sparse_mod(  # q times the first factor, then the second
+        SparseSeries(tuple((i + 1, c) for i, c in first.terms if i < bound), bound),
+        second,
+        modulus,
+    )
+    for factor in rest:
+        acc = mul_sparse_mod(acc, factor)
     return acc
 
 

@@ -8,9 +8,11 @@ a scan can certify a(n) != 0 from a single nonzero residue; only an
 all-lanes-zero index needs exact arithmetic.
 
 Dense-by-sparse products run in one ring, Z/m, on int64 arrays
-(mul_sparse_mod); exact series are lifted from such lanes (see
-forms.eta_product).  mul_sparse, the same product over Z by the schoolbook
-mul, is the reference mul_sparse_mod is tested against.
+(mul_sparse_mod); a lane's first product, of two sparse factors, comes from
+their term lists alone (mul_sparse_sparse_mod) and seeds the dense passes.
+Exact series are lifted from such lanes (see forms.eta_product).
+mul_sparse, the same product over Z by the schoolbook mul, is the reference
+both are tested against.
 
 All values are immutable after construction and every operation is a pure
 function, so anything here may be called from concurrent code.  Truncation
@@ -275,5 +277,37 @@ def mul_sparse_mod(a: ResidueSeries, s: SparseSeries) -> ResidueSeries:
             if tmp is None:
                 tmp = np.empty(bound + 1, dtype=np.int64)
             out[idx:] += np.multiply(seg, c, out=tmp[: len(seg)])
+    out %= m
+    return ResidueSeries(m, out)
+
+
+def mul_sparse_sparse_mod(f: SparseSeries, g: SparseSeries, m: int) -> ResidueSeries:
+    """f * g over Z/m as a residue lane; reduce_mod of mul_sparse on the lifts.
+
+    Each term of f scatters its multiple of g's terms into the lane at once,
+    with mul_sparse_mod's cases for a coefficient of +-1 and any other.  The
+    targets of one term are distinct, so a fancy-index += is exact, and a
+    step allocates only O(len(g.terms)).  Every unreduced sum is at most
+    sum |c_f| * sum |c_g|, which the guard keeps inside int64.
+    """
+    _check_bounds(f, g)
+    if sum(abs(c) for _, c in f.terms) * sum(abs(c) for _, c in g.terms) >= 2**62:
+        raise OverflowError("sparse accumulation would overflow int64")
+    bound = f.trunc_bound
+    out = np.zeros(bound + 1, dtype=np.int64)
+    g_idx, g_coef = (np.fromiter((t[k] for t in g.terms), np.int64, len(g.terms)) for k in (0, 1))
+    tmp = np.empty(len(g.terms), dtype=np.int64)
+    end = len(g.terms)
+    for idx, c in f.terms:
+        # g.terms[:end] are the terms of g that idx keeps within the bound
+        while end and g.terms[end - 1][0] > bound - idx:
+            end -= 1
+        at, seg = g_idx[:end], g_coef[:end]
+        if c == 1:
+            out[idx:][at] += seg
+        elif c == -1:
+            out[idx:][at] -= seg
+        else:
+            out[idx:][at] += np.multiply(seg, c, out=tmp[:end])
     out %= m
     return ResidueSeries(m, out)

@@ -1,8 +1,15 @@
 import time
+from math import isqrt
 
 import pytest
 
-from qvanish.arith import TRIAL_DIVISION_LIMIT, factorize, is_prime, multiplicative
+from qvanish.arith import (
+    TRIAL_DIVISION_LIMIT,
+    factorize,
+    is_prime,
+    multiplicative,
+    sieve_primes,
+)
 
 from .oracles import multiplicative_by_trial_division, sigma_by_divisors
 
@@ -16,6 +23,12 @@ def expand(factors):
 
 def sigma_rule(m):
     return lambda p, e: sum(p ** (m * i) for i in range(e + 1))
+
+
+def test_sieve_matches_trial_division_every_bound_to_2000():
+    primes = [n for n in range(2, 2001) if all(n % d for d in range(2, isqrt(n) + 1))]
+    for bound in range(2001):
+        assert sieve_primes(bound) == [p for p in primes if p <= bound]
 
 
 class TestMultiplicative:

@@ -216,12 +216,24 @@ class TestBSGS:
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_equals_char_sum_to_20000(self, curve):
-        # from 11 on, where the x a lane tries are distinct mod p
+        # from 11 on: the x a lane tries are distinct mod p from 12 on, and
+        # a repeated x only repeats a point
         primes = good_primes(curve, 11, 20000)
         found = ec._lane_aps(curve, primes)
         assert {p: -ec._char_sum(curve, p) for p in found} == found
         # the lanes answer nearly everywhere, so the agreement is not vacuous
         assert len(primes) - len(found) < len(primes) // 20
+
+    def test_lanes_skip_the_flex_at_x0_when_j_is_0(self):
+        # 27a1 has a = 0 on the short model, where (0, r^2) is a flex of
+        # order 3: no lane takes x = 0, and each still has BSGS_POINTS points
+        primes = good_primes(C27, ec.BSGS_CROSSOVER + 1, 3000)
+        lanes = ec._Lanes.new(C27, primes)
+        assert (lanes.a == 0).all()
+        assert lanes.x.shape == (ec.BSGS_POINTS, len(primes)) and (lanes.x != 0).all()
+        # 37a1 (a != 0, b != 0 mod these p) starts every lane at x = 0
+        lanes = ec._Lanes.new(C37, good_primes(C37, ec.BSGS_CROSSOVER + 1, 3000))
+        assert (lanes.x[0] == 0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.tuples(*[st.integers(-30, 30)] * 5))

@@ -280,12 +280,14 @@ class TestEtaProduct:
             assert eta_product(level, bound, m).coeffs.tolist() == [c % m for c in want]
 
     @pytest.mark.parametrize("modulus", [None, LANE_PRIMES[2]])
-    @pytest.mark.parametrize("level, passes", [(1, 8), (2, 8), (3, 4), (5, 4), (11, 4)])
-    def test_sparse_pass_count(self, monkeypatch, level, passes, modulus):
-        # a // 3 cube and a % 3 pentagonal passes for each of eta(z)^a and
-        # eta(Nz)^a, a = 24/(N+1); pentagonal passes alone would take 2a.
-        # Over Z the same passes run once in each lane the lift needs: to 500
-        # that is two lanes at weights 12 and 8, one at the others.
+    @pytest.mark.parametrize("level, factors", [(1, 8), (2, 8), (3, 4), (5, 4), (11, 4)])
+    def test_sparse_pass_count(self, monkeypatch, level, factors, modulus):
+        # a // 3 cube and a % 3 pentagonal factors for each of eta(z)^a and
+        # eta(Nz)^a, a = 24/(N+1); pentagonal factors alone would take 2a.
+        # The first two factors seed the lane from their term lists, and
+        # each later one is a dense pass: 6, 6, 2, 2 and 2 of them.  Over Z
+        # the same calls run once in each lane the lift needs: to 500 that is
+        # two lanes at weights 12 and 8, one at the others.
         calls = []
         for name in ("mul_sparse", "mul_sparse_mod"):
 
@@ -294,6 +296,12 @@ class TestEtaProduct:
                 return inner(a, s)
 
             monkeypatch.setattr(forms, name, counting)
+
+        def seeding(f, g, m, inner=forms.mul_sparse_sparse_mod):
+            calls.append(("mul_sparse_sparse_mod", m))
+            return inner(f, g, m)
+
+        monkeypatch.setattr(forms, "mul_sparse_sparse_mod", seeding)
         if level == 1 and modulus is None:
             delta_eta(500)
         elif level == 1:
@@ -303,7 +311,10 @@ class TestEtaProduct:
         else:
             eta_quotient_mod(level, 500, modulus)
         lanes = [modulus] if modulus else LANE_PRIMES[: 2 if level in (1, 2) else 1]
-        assert calls == [("mul_sparse_mod", m) for m in lanes for _ in range(passes)]
+        want = []
+        for m in lanes:
+            want += [("mul_sparse_sparse_mod", m)] + [("mul_sparse_mod", m)] * (factors - 2)
+        assert calls == want
 
     @given(
         st.sampled_from((1,) + ETA_QUOTIENT_LEVELS), st.integers(min_value=1, max_value=300)

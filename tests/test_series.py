@@ -16,6 +16,7 @@ from qvanish.series import (
     mul,
     mul_sparse,
     mul_sparse_mod,
+    mul_sparse_sparse_mod,
     power,
     reduce_mod,
 )
@@ -38,6 +39,15 @@ wide_series = st.lists(
 def sparse_from(qs: QSeries) -> SparseSeries:
     terms = tuple((i, c) for i, c in enumerate(qs.coeffs) if c)
     return SparseSeries(terms, qs.trunc_bound)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two sparse series to one bound in 1..300, coefficients well inside the int64 guard."""
+    bound = draw(st.integers(min_value=1, max_value=300))
+    coeff = st.integers(min_value=-(2**20), max_value=2**20).filter(bool)
+    terms = st.dictionaries(st.integers(min_value=0, max_value=bound), coeff, max_size=40)
+    return tuple(SparseSeries(tuple(sorted(draw(terms).items())), bound) for _ in range(2))
 
 
 def pad(qs: QSeries, bound: int) -> QSeries:
@@ -152,11 +162,20 @@ class TestOverflowGuard:
         want = reduce_mod(mul_sparse(a, s), m)
         assert mul_sparse_mod(reduce_mod(a, m), s).coeffs.tolist() == want.coeffs.tolist()
 
+    def test_sparse_pair_refused(self):
+        # sum |c_f| * sum |c_g| = 2^31 * (2^31 + 1) >= 2^62, though each sum is below 2^32
+        f = SparseSeries(((0, 2**31),), 4)
+        g = SparseSeries(((1, 2**31), (3, 1)), 4)
+        with pytest.raises(OverflowError):
+            mul_sparse_sparse_mod(f, g, LANE_PRIMES[0])
+
     def test_cube_factor_at_full_lehmer_bound_fits(self):
         # sum |c| over m(m+1)/2 <= B is sum_{m<=K} (2m+1) = (K+1)^2; no series built
         k = (isqrt(8 * FULL_LEHMER_BOUND + 1) - 1) // 2
         assert k * (k + 1) // 2 <= FULL_LEHMER_BOUND < (k + 1) * (k + 2) // 2
         assert ((k + 1) ** 2 + 1) * max(LANE_PRIMES) < 2**62
+        # and the seed of two cube factors, (sum |c|)^2, is far inside the guard
+        assert (k + 1) ** 4 < 2**62
 
 
 class TestReduce:
@@ -244,6 +263,14 @@ class TestProperties:
         exact = reduce_mod(mul_sparse(a, sparse), m)
         lane = mul_sparse_mod(reduce_mod(a, m), sparse)
         assert list(exact.coeffs) == list(lane.coeffs)
+
+    @given(sparse_pairs(), st.sampled_from(LANE_PRIMES + (65537,)))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_sparse_sparse_mod_matches_exact(self, fg, m):
+        f, g = fg
+        exact = reduce_mod(mul_sparse(f.densify(), g), m)
+        lane = mul_sparse_sparse_mod(f, g, m)
+        assert lane.coeffs.tolist() == exact.coeffs.tolist()
 
 
 class TestDeltaPaths:

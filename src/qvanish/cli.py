@@ -46,10 +46,8 @@ CACHE_FORMAT = 2
 class ResolvedForm:
     spec: FormSpec
     exact_series: Callable[[int], QSeries]
-    # lane builder (bound, modulus) -> ResidueSeries, for forms built as a product
-    residue_series: Callable[[int, int], object] | None = None
-    # what a scan to a bound reads, when it is not the exact series
-    scan_source: Callable[[int], vanish.ScanSource] | None = None
+    # what a scan to a bound reads; coeffs --mod prints its lane(m)
+    source: Callable[[int], vanish.ScanSource]
     # an eigenform by construction (Delta, eta quotients, curves): cached, M_f unchecked
     newform: bool = False
     # the largest n a file gives, to which M_f checks that it is an eigenform
@@ -59,45 +57,47 @@ class ResolvedForm:
 def _eta_product_form(level: int) -> ResolvedForm:
     """Delta (level 1) or an eta quotient: residue lanes with an exact fallback.
 
-    The scan builds each lane at most once, and only when it needs it.  Its
-    exact callback lifts a(n) from the lanes that Deligne's bound asks for at
-    n, read through the scan's own lane cache, which builds a lift modulus
-    beyond the certifying ones (Delta above 28521) once, to the scan bound.
-    An index reaches it only once every certifying lane is built.
+    The source's lane cache builds each lane once, to the source's bound, when
+    the scan, coeffs --mod or the exact callback first reads it.  The callback
+    lifts a(n) from the lanes Deligne's bound asks for at n (Delta above 28521
+    also a lift modulus); a scan calls it once every certifying lane is built.
     """
-    lane = partial(forms.eta_quotient_mod, level)
 
-    def scan_source(bound: int) -> vanish.ScanSource:
-        lane_of = cache(partial(lane, bound))
+    def source(bound: int) -> vanish.ScanSource:
+        lane_of = cache(partial(forms.eta_quotient_mod, level, bound))
         exact = partial(forms.eta_quotient_coefficient, level, lane_of=lane_of)
         return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of)
 
     return ResolvedForm(
         spec=forms.eta_product_spec(level),
         exact_series=lambda b: forms.eta_quotient(level, b)[1],
-        residue_series=lane,
-        scan_source=scan_source,
+        source=source,
         newform=True,
     )
 
 
 def _eisenstein_form(name: str, half: int) -> ResolvedForm:
-    """E4 (half = 2) or E6 (half = 3): exact series only, with a constant term."""
+    """E4 (half = 2) or E6 (half = 3): the exact series, with a constant term."""
+    exact_series = partial(forms.eisenstein_coeffs, half)
     return ResolvedForm(
         spec=FormSpec(weight=2 * half, level=1, label=name, source=f"eisenstein:{name}"),
-        exact_series=lambda b: forms.eisenstein_coeffs(half, b),
+        exact_series=exact_series,
+        source=lambda b: vanish.ScanSource.from_series(exact_series(b)),
     )
 
 
 def _curve_form(curve: ec.WeierstrassCurve) -> ResolvedForm:
     """The weight-2 newform of a curve: a(n) from the prime table of point counts."""
     label = curve.label or "curve"
+
+    def source(bound: int) -> vanish.ScanSource:
+        oracle = hecke.CoefficientOracle(ec.prime_table(curve, bound))
+        return vanish.ScanSource(bound, oracle.coeff, lane=partial(reduce_mod, oracle.series))
+
     return ResolvedForm(
         spec=FormSpec(weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"),
         exact_series=lambda b: hecke.qexp_from_primes(ec.prime_table(curve, b), b),
-        scan_source=lambda b: vanish.ScanSource(
-            b, hecke.CoefficientOracle(ec.prime_table(curve, b)).coeff
-        ),
+        source=source,
         newform=True,
     )
 
@@ -111,7 +111,12 @@ def _file_form(path) -> ResolvedForm:
             raise ValueError(f"{path} covers n <= {qs.trunc_bound}, below requested {bound}")
         return QSeries(qs.coeffs[: bound + 1])
 
-    return ResolvedForm(spec=spec, exact_series=exact_series, data_bound=qs.trunc_bound)
+    return ResolvedForm(
+        spec=spec,
+        exact_series=exact_series,
+        source=lambda b: vanish.ScanSource.from_series(exact_series(b)),
+        data_bound=qs.trunc_bound,
+    )
 
 
 # every --form name and the constructor it resolves to, called once per request
@@ -244,11 +249,7 @@ def cmd_coeffs(args, parser) -> int:
             parser.error(f"--mod {m}: modulus must be an odd prime below 2^31")
     rf = _resolve_form(args, parser)
     if moduli:
-        if rf.residue_series is not None:
-            lane = partial(rf.residue_series, limit)
-        else:
-            # no residue pipeline: reduce the exact coefficients, computed once
-            lane = partial(reduce_mod, rf.exact_series(limit))
+        lane = rf.source(limit).lane
         blocks = {m: lane(m).coeffs[1:].tolist() for m in moduli}
         if args.json:
             _emit_json(
@@ -352,11 +353,7 @@ def cmd_scan(args, parser) -> int:
     # with M_f the form must be an eigenform, so that exit 3 stays a bug signal;
     # _mf checks a file to its last index, and so to any limit it serves
     mf_value = _mf(rf).value if args.coprime_mf else None
-    if rf.scan_source:
-        source = rf.scan_source(limit)
-    else:
-        source = vanish.ScanSource.from_series(rf.exact_series(limit))
-    report = vanish.first_vanishing(source, coprime_to=mf_value, level=rf.spec.level)
+    report = vanish.first_vanishing(rf.source(limit), coprime_to=mf_value, level=rf.spec.level)
     cert = report.certification
     # vars, not asdict: asdict would deep-copy every zero before the cap
     payload = {
@@ -377,20 +374,28 @@ def cmd_scan(args, parser) -> int:
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, naming the --curve= spelling when a1 < 0 hid the curve (subparsers too)."""
+
+    def error(self, message):
+        if message.startswith("argument --curve: expected one argument"):
+            message += "; write --curve=-1,0,0,0,1 when a1 is negative"
+        super().error(message)
+
+
 def _add_form_args(sub: argparse.ArgumentParser) -> None:
     selector = sub.add_mutually_exclusive_group(required=True)
     selector.add_argument("--form", choices=NAMED_FORMS, help="named form")
     selector.add_argument(
         "--curve",
-        help="elliptic curve, five integers a1,a2,a3,a4,a6; write --curve=-1,0,0,0,1 "
-        "when a1 is negative, since argparse reads a leading '-' as an option",
+        help="elliptic curve, five integers a1,a2,a3,a4,a6; write --curve=-1,0,0,0,1 when a1 < 0",
     )
     selector.add_argument("--fixture", choices=sorted(ec.FIXTURES), help="named curve fixture")
     selector.add_argument("--file", help="path to a q-expansion file")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qvanish",
         description=(
             "Exact Fourier coefficients of classical newforms, their prime-power "

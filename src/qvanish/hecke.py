@@ -58,36 +58,28 @@ class PrimeEigenvalues:
             raise ValueError(f"prime table is missing primes <= bound: {missing[:5]}")
 
 
-def _coefficients(pe: PrimeEigenvalues, bound: int) -> list[int]:
-    """[0, a(1), ..., a(bound)] from the prime table, multiplicatively."""
-    return multiplicative(
-        bound,
-        lambda p, e: coeff_prime_power(pe.table[p], p, e, pe.weight, pe.level % p == 0),
-    )
-
-
 class CoefficientOracle:
-    """a(n) lookups over a prime table; a(1..bound) is built once."""
+    """a(n) lookups in series, the q-expansion of a prime table to its bound, built once."""
 
     def __init__(self, primes: PrimeEigenvalues):
         self.primes = primes
-        self.coeffs = _coefficients(primes, primes.bound)
+        self.series = qexp_from_primes(primes, primes.bound)
 
     def coeff(self, n: int) -> int:
         """a(n) = prod a(p^e) over the prime powers p^e || n; a(1) = 1."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > self.primes.bound:
-            raise ValueError(
-                f"n = {n} exceeds the prime-table bound {self.primes.bound}"
-            )
-        return self.coeffs[n]
+            raise ValueError(f"n = {n} exceeds the prime-table bound {self.primes.bound}")
+        return self.series.coeffs[n]
 
 
 def qexp_from_primes(pe: PrimeEigenvalues, bound: int) -> QSeries:
-    """Assemble the q-expansion up to bound from a prime table."""
+    """The q-expansion a(0..bound), a(0) = 0, from a prime table, multiplicatively."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > pe.bound:
         raise ValueError(f"bound {bound} exceeds prime coverage {pe.bound}")
-    return QSeries(tuple(_coefficients(pe, bound)))
+    table, k, level = pe.table, pe.weight, pe.level
+    a = multiplicative(bound, lambda p, e: coeff_prime_power(table[p], p, e, k, not level % p))
+    return QSeries(tuple(a))

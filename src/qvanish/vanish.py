@@ -177,6 +177,8 @@ class ScanSource:
     certify with, tried in order, and lane(m) builds the lane modulo m; a
     scan calls it at most once per modulus, and only while some index is
     still uncertified by the lanes before it.  Each lane must cover bound.
+    A source may carry a lane with no certifying moduli, as a curve's does:
+    its scan reads every a(n) exactly.  coeffs --mod prints lane(m).
     """
 
     bound: int

@@ -135,14 +135,42 @@ class TestCoeffs:
         )
         assert twice_json == once_json
 
-    def test_mod_residues_match_exact(self, capsys):
-        data = run_json(
-            capsys, "coeffs", "--form", "delta", "--limit", "30",
-            "--mod", "998244353", "--json",
-        )
-        exact = delta_eta(30)
-        for n, r in data["residues"]["998244353"]:
-            assert r == exact[n] % 998244353
+    def test_mod_residues_match_exact(self, capsys, tmp_path):
+        # every family's lanes print the residues of the coefficients coeffs gives
+        path = tmp_path / "delta.qexp"
+        path.write_text(export_qexp(eta_product_spec(1), delta_eta(40)))
+        selectors = [
+            *(("--form", name) for name in cli.NAMED_FORMS),
+            ("--fixture", "37a1"),
+            ("--fixture", "53a1"),
+            ("--curve=-1,0,0,0,1",),
+            ("--file", str(path)),
+        ]
+        for selector in selectors:
+            argv = ("coeffs", *selector, "--limit", "40")
+            exact = run_json(capsys, *argv, "--json")["coefficients"]
+            data = run_json(capsys, *argv, "--mod", "998244353", "--mod", "691", "--json")
+            assert sorted(data["residues"]) == ["691", "998244353"], selector
+            for m, residues in data["residues"].items():
+                assert residues == [[n, a % int(m)] for n, a in exact], (selector, m)
+
+    def test_mod_builds_only_what_it_prints(self, capsys, monkeypatch):
+        built = TestLaneCascade.count_lane_builds(monkeypatch)
+        argv = ("coeffs", "--form", "eta-quotient:11", "--limit", "2000")
+        code, out, err = run(capsys, *argv, "--mod", "7", "--mod", "5", "--mod", "7")
+        assert code == 0, err
+        assert built == [7, 5]  # no lift lane, no exact series
+        tables = []
+        real = ec.prime_table
+
+        def prime_table(curve, bound):
+            tables.append(bound)
+            return real(curve, bound)
+
+        monkeypatch.setattr(ec, "prime_table", prime_table)
+        code, out, err = run(capsys, "coeffs", "--fixture", "37a1", "--limit", "500", "--mod", "7")
+        assert code == 0, err
+        assert tables == [500]
 
     def test_eta_quotient_and_curve_agree(self, capsys):
         via_name = run_json(
@@ -645,10 +673,14 @@ class TestMf:
 
     def test_negative_a1_needs_the_equals_spelling(self, capsys):
         assert run_json(capsys, "mf", "--curve=-1,0,0,0,1")["mf"] == 1
-        with pytest.raises(SystemExit) as exc:
-            main(["mf", "--curve", "-1,0,0,0,1"])
-        assert exc.value.code == 2
-        assert "expected one argument" in capsys.readouterr().err
+        for argv in (("mf",), ("scan", "--limit", "5")):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--curve", "-1,0,0,0,1"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "argument --curve: expected one argument" in err
+            assert "--curve=-1,0,0,0,1" in err
         with pytest.raises(SystemExit):
             main(["mf", "--help"])
         assert "--curve=-1,0,0,0,1" in " ".join(capsys.readouterr().out.split())

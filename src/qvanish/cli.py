@@ -45,8 +45,7 @@ CACHE_FORMAT = 2
 @dataclass
 class ResolvedForm:
     spec: FormSpec
-    exact_series: Callable[[int], QSeries]
-    # what a scan to a bound reads; coeffs --mod prints its lane(m)
+    # what a scan to a bound reads; coeffs --mod prints its lane(m), coeffs and mf its series()
     source: Callable[[int], vanish.ScanSource]
     # an eigenform by construction (Delta, eta quotients, curves): cached, M_f unchecked
     newform: bool = False
@@ -55,34 +54,29 @@ class ResolvedForm:
 
 
 def _eta_product_form(level: int) -> ResolvedForm:
-    """Delta (level 1) or an eta quotient: residue lanes with an exact fallback.
+    """Delta (level 1) or an eta quotient: residue lanes, lifted for exact values.
 
     The source's lane cache builds each lane once, to the source's bound, when
-    the scan, coeffs --mod or the exact callback first reads it.  The callback
-    lifts a(n) from the lanes Deligne's bound asks for at n (Delta above 28521
-    also a lift modulus); a scan calls it once every certifying lane is built.
+    the scan, coeffs --mod or an exact value first reads it.  The series is
+    the lift of the lanes Deligne's bound asks for at the bound, and the exact
+    callback lifts a(n) from those it asks for at n (Delta above 28521 also a
+    lift modulus); a scan calls it once every certifying lane is built.
     """
 
     def source(bound: int) -> vanish.ScanSource:
         lane_of = cache(partial(forms.eta_quotient_mod, level, bound))
         exact = partial(forms.eta_quotient_coefficient, level, lane_of=lane_of)
-        return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of)
+        series = partial(forms.eta_quotient, level, bound, lane_of)
+        return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of, series=series)
 
-    return ResolvedForm(
-        spec=forms.eta_product_spec(level),
-        exact_series=lambda b: forms.eta_quotient(level, b)[1],
-        source=source,
-        newform=True,
-    )
+    return ResolvedForm(spec=forms.eta_product_spec(level), source=source, newform=True)
 
 
 def _eisenstein_form(name: str, half: int) -> ResolvedForm:
     """E4 (half = 2) or E6 (half = 3): the exact series, with a constant term."""
-    exact_series = partial(forms.eisenstein_coeffs, half)
     return ResolvedForm(
         spec=FormSpec(weight=2 * half, level=1, label=name, source=f"eisenstein:{name}"),
-        exact_series=exact_series,
-        source=lambda b: vanish.ScanSource.from_series(exact_series(b)),
+        source=lambda b: vanish.ScanSource.from_series(forms.eisenstein_coeffs(half, b)),
     )
 
 
@@ -92,11 +86,13 @@ def _curve_form(curve: ec.WeierstrassCurve) -> ResolvedForm:
 
     def source(bound: int) -> vanish.ScanSource:
         oracle = hecke.CoefficientOracle(ec.prime_table(curve, bound))
-        return vanish.ScanSource(bound, oracle.coeff, lane=partial(reduce_mod, oracle.series))
+        return vanish.ScanSource(
+            bound, oracle.coeff, lane=partial(reduce_mod, oracle.series),
+            series=lambda: oracle.series,
+        )
 
     return ResolvedForm(
         spec=FormSpec(weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"),
-        exact_series=lambda b: hecke.qexp_from_primes(ec.prime_table(curve, b), b),
         source=source,
         newform=True,
     )
@@ -106,17 +102,12 @@ def _file_form(path) -> ResolvedForm:
     """The series read from a q-expansion file, served to the bound it covers."""
     spec, qs = forms.ingest_qexp(path)
 
-    def exact_series(bound: int) -> QSeries:
+    def source(bound: int) -> vanish.ScanSource:
         if bound > qs.trunc_bound:
             raise ValueError(f"{path} covers n <= {qs.trunc_bound}, below requested {bound}")
-        return QSeries(qs.coeffs[: bound + 1])
+        return vanish.ScanSource.from_series(QSeries(qs.coeffs[: bound + 1]))
 
-    return ResolvedForm(
-        spec=spec,
-        exact_series=exact_series,
-        source=lambda b: vanish.ScanSource.from_series(exact_series(b)),
-        data_bound=qs.trunc_bound,
-    )
+    return ResolvedForm(spec=spec, source=source, data_bound=qs.trunc_bound)
 
 
 # every --form name and the constructor it resolves to, called once per request
@@ -197,12 +188,12 @@ def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
     Newforms are cusp forms, so the text is what coeffs prints.
     """
     if not rf.newform:
-        return rf.exact_series(bound), None
+        return rf.source(bound).series(), None
     path = os.path.join(_cache_dir(), _cache_key(rf.spec, bound) + ".qexp")
     hit = _cache_hit(path, rf.spec, bound)
     if hit is not None:
         return hit
-    qs = rf.exact_series(bound)
+    qs = rf.source(bound).series()
     text = forms.export_qexp(rf.spec, qs)
     body = text.encode()
     os.makedirs(_cache_dir(), exist_ok=True)
@@ -298,7 +289,7 @@ def cmd_classify(args, parser) -> int:
 
 def _eigenform_series(rf: ResolvedForm, bound: int) -> QSeries:
     """rf's series to bound, refused unless it is a normalized eigenform, as M_f needs."""
-    qs = rf.exact_series(bound)
+    qs = rf.source(bound).series()
     if rf.newform:
         return qs
     k, level = rf.spec.weight, rf.spec.level
@@ -464,6 +455,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
         return 2
 
 

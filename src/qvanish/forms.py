@@ -1,16 +1,15 @@
 """Coefficient providers for the classical primitive forms in scope.
 
-Every product form here is one eta product, built by eta_product over Z or
-over Z/m: the weight-12 level-1 discriminant form Delta = eta(z)^24 is its
+Every product form here is one eta product, whose lane over Z/m eta_product
+builds: the weight-12 level-1 discriminant form Delta = eta(z)^24 is its
 level-1 entry, and the Shimura eta quotients eta(z)^a eta(Nz)^a for N in
-{2, 3, 5, 11} are the others.  Its sparse passes run in residue lanes over
-Z/m only: every eta product is a normalized newform, so Deligne's bound makes
-the symmetric CRT lift of enough lanes exact, and that lift is the series
-over Z.  A single value a(n) is lifted in the same way from the lanes its
-index needs, which a lane source (a scan's lane cache) supplies.  The
-eta_quotient_* functions serve every level, Delta's included; the delta_*
-names are the same calls at level 1.  Delta also has an independent route
-through the normalized Eisenstein series, which live here too.  A
+{2, 3, 5, 11} are the others.  Every eta product is a normalized newform, so
+Deligne's bound makes the symmetric CRT lift of enough lanes exact:
+eta_quotient lifts the series over Z, and _deligne_lift a single a(n), both
+from the lanes _lift_lanes reads from a lane source (a form's lane cache).
+The eta_quotient_* functions serve every level, Delta's included; the
+delta_* names are the same calls at level 1.  Delta also has an independent
+route through the normalized Eisenstein series, which live here too.  A
 line-oriented q-expansion file format carries externally supplied forms.
 """
 
@@ -184,8 +183,34 @@ def _lift_moduli(weight: int, bound: int) -> tuple[int, ...]:
     raise ValueError(f"exact weight-{weight} series stop at bound {lo}; {bound} is past it")
 
 
-def eta_product(level: int, bound: int, modulus: int | None = None):
-    """q prod_{n>=1} (1 - q^n)^a (1 - q^(N*n))^a, a = 24/(N+1), truncated at bound.
+@lru_cache(maxsize=None)
+def _crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(M, e): M the product of the moduli, e_i = 1 mod m_i and 0 mod the others."""
+    big_m = prod(moduli)
+    return big_m, tuple(big_m // m * pow(big_m // m, -1, m) for m in moduli)
+
+
+def _lift_lanes(
+    level: int, n: int, lane_of: Callable[[int], ResidueSeries] | None
+) -> tuple[list[ResidueSeries], int, tuple[int, ...]]:
+    """(lanes, M, e): the lanes an exact a(1..n) is lifted from, and their CRT basis.
+
+    The lanes are those modulo _lift_moduli(k, n), read from lane_of(m), or
+    built to n without it; each must cover n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    moduli = _lift_moduli(eta_product_spec(level).weight, n)
+    lane_of = lane_of or partial(eta_quotient_mod, level, n)
+    lanes = [lane_of(m) for m in moduli]
+    short = [lane.modulus for lane in lanes if lane.trunc_bound < n]
+    if short:
+        raise ValueError(f"residue lanes mod {short} do not cover n = {n}")
+    return (lanes, *_crt_basis(moduli))
+
+
+def eta_product(level: int, bound: int, modulus: int) -> ResidueSeries:
+    """q prod_{n>=1} (1 - q^n)^a (1 - q^(N*n))^a modulo m, a = 24/(N+1), truncated at bound.
 
     Level N = 1 is the discriminant form Delta = eta(z)^24, with coefficient
     n equal to tau(n); N in {2, 3, 5, 11} gives the Shimura eta quotient
@@ -198,22 +223,12 @@ def eta_product(level: int, bound: int, modulus: int | None = None):
     whose product with the second, taken from the two term lists alone,
     seeds the accumulator; each factor after them is one dense sparse pass:
     6 for Delta, 6, 2, 2 and 2 at N = 2, 3, 5 and 11.  Each pass costs
-    O(bound^1.5), and there is no power-series division.
-
-    With a modulus the passes run over Z/modulus and return the residue lane
-    as a ResidueSeries.  Without one the exact QSeries over Z is the symmetric
-    CRT lift of the lanes modulo _lift_moduli(a, bound), exact by Deligne's
-    bound; a bound past the last modulus raises ValueError before any lane.
+    O(bound^1.5), and there is no power-series division.  The passes run
+    over Z/modulus; the series over Z is eta_quotient, their lift.
     """
     weight = eta_product_spec(level).weight  # rejects levels out of scope
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if modulus is None:
-        moduli = _lift_moduli(weight, bound)
-        big_m, basis = _crt_basis(moduli)
-        lanes = (eta_product(level, bound, m).coeffs.astype(object) for m in moduli)
-        x = sum(lane * e for lane, e in zip(lanes, basis)) % big_m
-        return QSeries(tuple(np.where(2 * x > big_m, x - big_m, x).tolist()))
     exponents = {1: weight}
     exponents[level] = exponents.get(level, 0) + weight
     factors = []
@@ -234,7 +249,7 @@ def eta_product(level: int, bound: int, modulus: int | None = None):
 
 def delta_eta(bound: int) -> QSeries:
     """The discriminant form q prod (1-q^n)^24; coefficient n is tau(n)."""
-    return eta_product(1, bound)
+    return eta_quotient(1, bound)
 
 
 def delta_eta_mod(bound: int, m: int) -> ResidueSeries:
@@ -242,21 +257,23 @@ def delta_eta_mod(bound: int, m: int) -> ResidueSeries:
     return eta_product(1, bound, m)
 
 
-def eta_quotient(level: int, bound: int) -> tuple[FormSpec, QSeries]:
-    """eta_product(level, bound) with its spec: Delta at level 1, else the eta quotient."""
-    return eta_product_spec(level), eta_product(level, bound)
+def eta_quotient(
+    level: int, bound: int, lane_of: Callable[[int], ResidueSeries] | None = None
+) -> QSeries:
+    """The exact series of eta_product(level, ...) to bound: Delta at level 1.
+
+    It is the symmetric CRT lift of the lanes _lift_lanes reads, exact by
+    Deligne's bound (see _deligne_lift); a bound past the last lift modulus
+    raises ValueError before any lane.
+    """
+    lanes, big_m, basis = _lift_lanes(level, bound, lane_of)
+    x = sum(lane.coeffs[: bound + 1].astype(object) * e for lane, e in zip(lanes, basis)) % big_m
+    return QSeries(tuple(np.where(2 * x > big_m, x - big_m, x).tolist()))
 
 
 def eta_quotient_mod(level: int, bound: int, m: int) -> ResidueSeries:
     """eta_product(level, bound, m): the residue lane modulo the odd prime m."""
     return eta_product(level, bound, m)
-
-
-@lru_cache(maxsize=None)
-def _crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(M, e): M the product of the moduli, e_i = 1 mod m_i and 0 mod the others."""
-    big_m = prod(moduli)
-    return big_m, tuple(big_m // m * pow(big_m // m, -1, m) for m in moduli)
 
 
 def _deligne_lift(
@@ -270,18 +287,10 @@ def _deligne_lift(
     M with 16 n^k < M^2, that is 2 |a(n)| < M, so the symmetric CRT lift of
     their residues at n (the representative in (-M/2, M/2]) is a(n) itself.
     lane_of(m) gives the lane modulo m, which must cover n; without it the
-    lanes are built to n.
+    lanes are built to n.  The lift stays on Python ints: it runs once per
+    all-lanes-zero index of a scan.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    moduli = _lift_moduli(eta_product_spec(level).weight, n)
-    if lane_of is None:
-        lane_of = partial(eta_product, level, n)
-    lanes = [lane_of(m) for m in moduli]
-    short = [lane.modulus for lane in lanes if lane.trunc_bound < n]
-    if short:
-        raise ValueError(f"residue lanes mod {short} do not cover n = {n}")
-    big_m, basis = _crt_basis(moduli)
+    lanes, big_m, basis = _lift_lanes(level, n, lane_of)
     x = sum(int(lane.coeffs[n]) * e for lane, e in zip(lanes, basis)) % big_m
     return x - big_m if 2 * x > big_m else x
 

@@ -51,25 +51,9 @@ class QSeries:
         if len(self.coeffs) < 2:
             raise ValueError("trunc_bound must be >= 1")
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> QSeries:
-        return cls(tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def one(cls, bound: int) -> QSeries:
-        return cls((1,) + (0,) * bound)
-
     @property
     def trunc_bound(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def valuation(self) -> int | None:
-        """Smallest index with a nonzero coefficient; None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]

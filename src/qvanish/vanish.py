@@ -178,18 +178,21 @@ class ScanSource:
     scan calls it at most once per modulus, and only while some index is
     still uncertified by the lanes before it.  Each lane must cover bound.
     A source may carry a lane with no certifying moduli, as a curve's does:
-    its scan reads every a(n) exactly.  coeffs --mod prints lane(m).
+    its scan reads every a(n) exactly.  coeffs --mod prints lane(m), and
+    coeffs and mf read series(), the exact a(0..bound); a scan never does.
     """
 
     bound: int
     exact: Callable[[int], int]
     moduli: tuple[int, ...] = ()
     lane: Callable[[int], ResidueSeries] | None = None
+    series: Callable[[], QSeries] | None = field(default=None, kw_only=True)
 
     @classmethod
     def from_series(cls, qs: QSeries) -> ScanSource:
         """The series itself as exact values, with LANE_PRIMES reduced on demand."""
-        return cls(qs.trunc_bound, qs.__getitem__, LANE_PRIMES, partial(reduce_mod, qs))
+        return cls(qs.trunc_bound, qs.__getitem__, LANE_PRIMES, partial(reduce_mod, qs),
+                   series=lambda: qs)
 
 
 def first_vanishing(

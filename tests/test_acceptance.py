@@ -17,6 +17,7 @@ from qvanish.forms import (
     delta_eta,
     delta_eta_mod,
     eisenstein_coeffs,
+    eta_product_spec,
     eta_quotient,
 )
 from qvanish.hecke import (
@@ -192,8 +193,8 @@ def test_criterion_08_eta_quotient_sanity():
     ok = True
     for level in (2, 3, 5, 11):
         k = 24 // (level + 1)
-        spec, qs = eta_quotient(level, 2500)
-        ok = ok and qs[1] == 1 and spec.weight == k
+        qs = eta_quotient(level, 2500)
+        ok = ok and qs[1] == 1 and eta_product_spec(level).weight == k
         for p in sieve_primes(50):
             if p != level:
                 ok = ok and qs[p * p] == qs[p] ** 2 - p ** (k - 1)

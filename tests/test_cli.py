@@ -253,7 +253,8 @@ class TestComputeGate:
     @pytest.mark.parametrize(
         "selector, limit, built",
         [
-            (("--form", "delta"), 5001, ("eta_product", 1, 5001)),
+            # the first build a Delta miss reaches is its first lift lane
+            (("--form", "delta"), 5001, ("eta_product", 1, 5001, LANE_PRIMES[0])),
             (("--fixture", "37a1"), 100001, ("prime_table", ec.FIXTURES["37a1"], 100001)),
         ],
     )
@@ -310,6 +311,19 @@ class TestCache:
             monkeypatch.setattr(forms, name, counted)
         return calls
 
+    def test_delta_miss_builds_each_lift_lane_once(self, capsys, monkeypatch):
+        # a miss lifts the series from the form's own lane cache, so each lift
+        # lane is built once, to the limit, through eta_quotient_mod
+        built, products = [], []
+        real_mod, real_prod = forms.eta_quotient_mod, forms.eta_product
+        monkeypatch.setattr(forms, "eta_quotient_mod", lambda *a: built.append(a) or real_mod(*a))
+        monkeypatch.setattr(forms, "eta_product", lambda *a: products.append(a) or real_prod(*a))
+        code, out, err = run(capsys, "coeffs", "--form", "delta", "--limit", "4000")
+        assert code == 0, err
+        assert forms._lift_moduli(12, 4000) == LANE_PRIMES
+        assert built == [(1, 4000, m) for m in LANE_PRIMES]
+        assert products == built
+
     def test_miss_exports_once_and_parses_nothing(self, capsys, monkeypatch):
         calls = self._count_calls(monkeypatch)
         code, out, _ = run(capsys, "coeffs", "--form", "delta", "--limit", "30")
@@ -339,7 +353,7 @@ class TestCache:
         _, warm, _ = run(capsys, *args)
         assert calls == {"ingest_qexp": 1, "export_qexp": 0}
         assert warm == cold
-        coeffs = forms.eta_quotient(11, 30)[1].coeffs
+        coeffs = forms.eta_quotient(11, 30).coeffs
         assert json.loads(warm)["coefficients"] == [[n, coeffs[n]] for n in range(1, 31)]
 
     def test_cache_payload_is_qexp_format(self, capsys):
@@ -444,6 +458,17 @@ class TestRefusals:
         assert "curve coefficients must be ASCII" in capsys.readouterr().err
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, form", [("coeffs", "e4"), ("scan", "e6")])
+    def test_exits_2_without_a_traceback(self, capsys, command, form):
+        # the Eisenstein table of 10^15 + 1 entries exceeds any address space,
+        # so its allocation fails at once and touches no page
+        code, out, err = run(capsys, command, "--form", form, "--limit", str(10**15),
+                             "--allow-large")
+        assert (code, out) == (2, "")
+        assert err == "error: not enough memory for this request\n"
+
+
 class TestCurveLabel:
     SPACED = "--curve= 0,0,1,-1,0"
 
@@ -544,22 +569,20 @@ class TestNoFactorizationPerIndex:
 
 class TestEtaQuotientLift:
     def test_scan_builds_no_product_over_z(self, capsys, monkeypatch):
-        # every all-lanes-zero index is lifted from the lanes, none rebuilt
+        # every all-lanes-zero index is lifted from the lanes, and the series
+        # over Z, the source's series(), is never lifted
         bound = 20000
         exact_builds = []
-        real = forms.eta_product
+        real = forms.eta_quotient
         monkeypatch.setattr(
-            forms,
-            "eta_product",
-            lambda level, b, modulus=None: (modulus is None and exact_builds.append(b))
-            or real(level, b, modulus),
+            forms, "eta_quotient", lambda *args: exact_builds.append(args) or real(*args)
         )
         data = run_json(capsys, "scan", "--form", "eta-quotient:11", "--limit", str(bound))
         assert exact_builds == []
-        monkeypatch.setattr(forms, "eta_product", real)
+        monkeypatch.setattr(forms, "eta_quotient", real)
 
         report = vanish.first_vanishing(
-            vanish.ScanSource.from_series(forms.eta_quotient(11, bound)[1]), level=11
+            vanish.ScanSource.from_series(forms.eta_quotient(11, bound)), level=11
         )
         cert = report.certification
         assert data["certification"] == {
@@ -579,9 +602,8 @@ class TestLaneCascade:
         built = []
         real = forms.eta_product
 
-        def eta_product(level, bound, modulus=None):
-            if modulus is not None:
-                built.append(modulus)
+        def eta_product(level, bound, modulus):
+            built.append(modulus)
             return real(level, bound, modulus)
 
         monkeypatch.setattr(forms, "eta_product", eta_product)
@@ -602,7 +624,7 @@ class TestLaneCascade:
 
         # the eager reference: all three lanes, a residue in any one certifies
         monkeypatch.undo()
-        exact = forms.eta_quotient(11, bound)[1]
+        exact = forms.eta_quotient(11, bound)
         lanes = [forms.eta_quotient_mod(11, bound, m) for m in LANE_PRIMES]
         residue = [n for n in range(1, bound + 1) if any(lane.coeffs[n] for lane in lanes)]
         zeros = [n for n in range(1, bound + 1) if exact[n] == 0]

@@ -137,7 +137,7 @@ class TestDeltaRoutes:
     def test_tau_matches_naive_product(self):
         tau = tau_by_product(1000)
         assert list(delta_eta(1000).coeffs) == tau
-        assert list(eta_product(1, 1000).coeffs) == tau
+        assert list(eta_quotient(1, 1000).coeffs) == tau
         for m in LANE_PRIMES:
             assert eta_product(1, 1000, m).coeffs.tolist() == [t % m for t in tau]
 
@@ -187,7 +187,7 @@ class TestDeltaRoutes:
         built = []
         real = forms.eta_product
 
-        def eta_product(level, bound, modulus=None):
+        def eta_product(level, bound, modulus):
             built.append((bound, modulus))
             return real(level, bound, modulus)
 
@@ -210,14 +210,14 @@ ETA_FIRST_12 = {
 class TestEtaQuotients:
     @pytest.mark.parametrize("level", [2, 3, 5, 11])
     def test_first_coefficients(self, level):
-        spec, qs = eta_quotient(level, 12)
+        spec, qs = eta_product_spec(level), eta_quotient(level, 12)
         assert spec.weight == 24 // (level + 1)
         assert spec.level == level
         assert qs[0] == 0 and qs[1] == 1
         assert list(qs.coeffs[1:13]) == ETA_FIRST_12[level]
 
     def test_level_11_coefficient_two(self):
-        _, qs = eta_quotient(11, 2)
+        qs = eta_quotient(11, 2)
         assert qs[2] == -2
 
     def test_rejects_other_levels(self):
@@ -230,7 +230,7 @@ class TestEtaQuotients:
 
         bound = 10000
         k = 24 // (level + 1)
-        _, qs = eta_quotient(level, bound)
+        qs = eta_quotient(level, bound)
         for p in sieve_primes(100):
             if p != level:
                 assert qs[p * p] == qs[p] ** 2 - p ** (k - 1), (level, p)
@@ -239,31 +239,31 @@ class TestEtaQuotients:
     def test_multiplicativity(self, level):
         from math import gcd
 
-        _, qs = eta_quotient(level, 900)
+        qs = eta_quotient(level, 900)
         for m in range(2, 31):
             for n in range(2, 31):
                 if gcd(m, n) == 1:
                     assert qs[m * n] == qs[m] * qs[n]
 
     def test_residue_twin_matches(self):
-        _, exact = eta_quotient(5, 150)
+        exact = eta_quotient(5, 150)
         lane = eta_quotient_mod(5, 150, LANE_PRIMES[0])
         assert list(lane.coeffs) == list(reduce_mod(exact, LANE_PRIMES[0]).coeffs)
 
     def test_single_coefficient(self):
-        _, exact = eta_quotient(3, 60)
+        exact = eta_quotient(3, 60)
         assert eta_quotient_coefficient(3, 60) == exact[60]
         assert eta_quotient_coefficient(3, 17) == exact[17]
 
 
 class TestEtaProduct:
-    """One builder over Z and Z/m; level 1 is Delta."""
+    """One lane builder over Z/m, and its lift over Z, for every level; level 1 is Delta."""
 
     @pytest.mark.parametrize("m", LANE_PRIMES)
     @pytest.mark.parametrize("level", (1,) + ETA_QUOTIENT_LEVELS)
     def test_lane_matches_exact(self, level, m):
         bound = 300
-        exact = eta_product(level, bound)
+        exact = eta_quotient(level, bound)
         want = reduce_mod(exact, m).coeffs.tolist()
         assert eta_product(level, bound, m).coeffs.tolist() == want
         if level == 1:
@@ -275,7 +275,7 @@ class TestEtaProduct:
     def test_matches_euler_oracle(self, level):
         bound = 300
         want = eta_product_by_euler(level, bound)
-        assert list(eta_product(level, bound).coeffs) == want
+        assert list(eta_quotient(level, bound).coeffs) == want
         for m in LANE_PRIMES:
             assert eta_product(level, bound, m).coeffs.tolist() == [c % m for c in want]
 
@@ -328,7 +328,7 @@ class TestEtaProduct:
     @example(2, 126)
     @settings(max_examples=60, deadline=None)
     def test_lift_matches_euler_oracle(self, level, bound):
-        got = eta_product(level, bound).coeffs
+        got = eta_quotient(level, bound).coeffs
         assert list(got) == eta_product_by_euler(level, bound)
         assert all(type(c) is int for c in got)
 
@@ -352,28 +352,31 @@ class TestEtaProduct:
         built = []
         real = forms.eta_product
 
-        def lane_counting(lvl, b, modulus=None):
-            if modulus is not None:
-                built.append(modulus)
+        def lane_counting(lvl, b, modulus):
+            built.append(modulus)
             return real(lvl, b, modulus)
 
         monkeypatch.setattr(forms, "eta_product", lane_counting)
         with pytest.raises(ValueError, match=f"series stop at bound {limit};"):
-            eta_product(level, limit + 1)
+            eta_quotient(level, limit + 1)
         assert built == []
 
     def test_bound_one(self):
-        assert eta_product(1, 1).coeffs == (0, 1)
+        assert eta_quotient(1, 1).coeffs == (0, 1)
         assert eta_product(11, 1, LANE_PRIMES[0]).coeffs.tolist() == [0, 1]
 
     @pytest.mark.parametrize("level", [0, 4, 7, 12])
     def test_rejects_levels_out_of_scope(self, level):
         with pytest.raises(ValueError):
-            eta_product(level, 10)
+            eta_product(level, 10, LANE_PRIMES[0])
+        with pytest.raises(ValueError):
+            eta_quotient(level, 10)
 
     def test_rejects_bad_bound_and_modulus(self):
         with pytest.raises(ValueError):
-            eta_product(1, 0)
+            eta_product(1, 0, LANE_PRIMES[0])
+        with pytest.raises(ValueError):
+            eta_quotient(1, 0)
         with pytest.raises(ValueError):
             eta_product(2, 10, 9)
 
@@ -393,7 +396,7 @@ class TestDeligneLift:
         bound = 5000
         return {
             level: (
-                eta_product(level, bound),
+                eta_quotient(level, bound),
                 {m: eta_product(level, bound, m) for m in LANE_PRIMES}.__getitem__,
             )
             for level in (1,) + ETA_QUOTIENT_LEVELS
@@ -443,7 +446,7 @@ class TestDeligneLift:
         # M = LANE_PRIMES[0] alone: 16 n^8 < M^2 exactly for n <= 125, so
         # 1..125 read one lane and 126..300 read two
         bound = 300
-        _, exact = eta_quotient(2, bound)
+        exact = eta_quotient(2, bound)
         got, reads = self.lanes_read(monkeypatch, 2, bound)
         assert got == list(exact.coeffs[1:])
         assert reads == [LANE_PRIMES[:1]] * 125 + [LANE_PRIMES[:2]] * 175

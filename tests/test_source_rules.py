@@ -1,6 +1,7 @@
-"""Rules the package source keeps: no assert guards a result.
+"""Rules the package source keeps: no assert guards a result, and the test
+oracles import nothing from it.
 
-The rule is checked twice: statically on the syntax tree, and at run time by
+The assert rule is checked twice: statically on the syntax tree, and at run time by
 running checks that guard results under python -O, which strips asserts.
 """
 
@@ -22,6 +23,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == [], f"{path.name}: assert statements at lines {found}"
+
+
+def test_oracles_import_nothing_from_the_package():
+    # tests/oracles.py checks the package, so it must not run the package's code
+    path = pathlib.Path(__file__).resolve().parent / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.lineno, node.module))
+    assert [(line, name) for line, name in found if name.split(".")[0] == "qvanish"] == []
 
 
 # Exits 0 only if asserts are stripped and the M_f guarantee still raises.

@@ -143,7 +143,7 @@ def _emit_json(obj) -> None:
 # ---------------------------------------------------------------- cache
 
 def _cache_dir() -> str:
-    return os.path.expanduser(os.environ.get(CACHE_ENV, DEFAULT_CACHE))
+    return os.path.expanduser(os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
 
 
 def _cache_key(spec: FormSpec, bound: int) -> str:
@@ -185,7 +185,8 @@ def _cache_hit(path: str, spec: FormSpec, bound: int) -> tuple[QSeries, str] | N
 def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
     """The series to bound and, for a newform, its q-expansion text.
 
-    Newforms are cusp forms, so the text is what coeffs prints.
+    Newforms are cusp forms, so the text is what coeffs prints.  An entry
+    that cannot be written costs a warning on stderr, not the answer.
     """
     if not rf.newform:
         return rf.source(bound).series(), None
@@ -196,16 +197,18 @@ def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
     qs = rf.source(bound).series()
     text = forms.export_qexp(rf.spec, qs)
     body = text.encode()
-    os.makedirs(_cache_dir(), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=_cache_dir(), suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(_cache_dir(), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=_cache_dir(), suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(_checksum_line(body) + body)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        print(f"warning: cache entry not written: {exc}", file=sys.stderr)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return qs, text
 
 
@@ -345,15 +348,9 @@ def cmd_scan(args, parser) -> int:
     # _mf checks a file to its last index, and so to any limit it serves
     mf_value = _mf(rf).value if args.coprime_mf else None
     report = vanish.first_vanishing(rf.source(limit), coprime_to=mf_value, level=rf.spec.level)
-    cert = report.certification
     # vars, not asdict: asdict would deep-copy every zero before the cap
     payload = {
         **vars(report),
-        "certification": {
-            "exact": cert.count(vanish.CERT_EXACT),
-            "residue": cert.count(vanish.CERT_RESIDUE),
-            "zero": cert.count(vanish.CERT_ZERO),
-        },
         "form": asdict(rf.spec),
         "mf": mf_value,
         "zeros": report.zeros[:ZEROS_CAP],

@@ -139,19 +139,13 @@ def compute_mf(level: int, a2: int, a3: int, k: int) -> MfResult:
     return MfResult(factors_kept=tuple(kept), justification=justification)
 
 
-# Per-index certification codes in ScanReport.certification (index n-1).
-CERT_RESIDUE = ord("r")
-CERT_EXACT = ord("e")
-CERT_ZERO = ord("z")
-
-
 @dataclass
 class ScanReport:
     """Result of a first-vanishing scan over 1 <= n <= bound.
 
-    certification records, per index, whether the coefficient was certified
-    nonzero by a residue lane ('r') or by exact arithmetic ('e'), or found to
-    be an exact zero ('z').  Every index below a reported zero is certified.
+    certification counts the indices certified nonzero by a residue lane
+    ("residue") or by exact arithmetic ("exact"), and the exact zeros
+    ("zero"); every index is in exactly one of the three.
     lane_moduli are the certifying moduli; the extra ones that an exact eta
     product is lifted from never certify and never appear here.
     """
@@ -165,7 +159,7 @@ class ScanReport:
     first_zero_coprime_is_prime: bool | None
     first_zero_coprime_divides_level: bool | None
     zeros: list[int] = field(repr=False)
-    certification: bytes = field(repr=False)
+    certification: dict[str, int]
     lane_moduli: tuple[int, ...]
 
 
@@ -206,10 +200,10 @@ def first_vanishing(
     it shares a factor with the level.
 
     The lanes are built on demand, in the order of source.moduli: lane i is
-    built only while some index is zero in lanes 0..i-1, so an 'r' index is
-    nonzero in the first lane read for it, and only the indices zero in
-    every lane reach source.exact.  A lane that does not cover source.bound
-    raises ValueError when it is built.
+    built only while some index is zero in lanes 0..i-1, so an index counted
+    as "residue" is nonzero in the first lane read for it, and only the
+    indices zero in every lane reach source.exact, once each, in order.  A
+    lane that does not cover source.bound raises ValueError when it is built.
 
     With coprime_to set, the first zero coprime to it is also reported.
     coprime_to is (a multiple of) the form's M_f, so a composite coprime hit
@@ -227,14 +221,7 @@ def first_vanishing(
         if lane.trunc_bound < bound:
             raise ValueError(f"residue lanes mod {[m]} do not cover {bound}")
         pending = pending[lane.coeffs[pending] == 0]
-    cert = bytearray([CERT_RESIDUE]) * bound
-    zeros: list[int] = []
-    for n in pending.tolist():
-        if source.exact(n) == 0:
-            cert[n - 1] = CERT_ZERO
-            zeros.append(n)
-        else:
-            cert[n - 1] = CERT_EXACT
+    zeros = [n for n in pending.tolist() if source.exact(n) == 0]
 
     def _flags(n):
         if n is None:
@@ -243,21 +230,16 @@ def first_vanishing(
         return is_prime(n), divides
 
     first_zero = zeros[0] if zeros else None
-    fz_prime, fz_bad = _flags(first_zero)
-
     first_coprime = None
-    fc_prime = fc_bad = None
     if coprime_to is not None:
-        for n in zeros:
-            if gcd(n, coprime_to) == 1:
-                first_coprime = n
-                break
-        fc_prime, fc_bad = _flags(first_coprime)
-        if first_coprime is not None and not fc_prime:
-            raise GuaranteeViolationError(
-                f"composite n = {first_coprime} coprime to M_f = {coprime_to} "
-                f"has a(n) = 0; this contradicts the primality guarantee"
-            )
+        first_coprime = next((n for n in zeros if gcd(n, coprime_to) == 1), None)
+    fz_prime, fz_bad = _flags(first_zero)
+    fc_prime, fc_bad = _flags(first_coprime)
+    if first_coprime is not None and not fc_prime:
+        raise GuaranteeViolationError(
+            f"composite n = {first_coprime} coprime to M_f = {coprime_to} "
+            f"has a(n) = 0; this contradicts the primality guarantee"
+        )
 
     return ScanReport(
         bound=bound,
@@ -269,6 +251,10 @@ def first_vanishing(
         first_zero_coprime_is_prime=fc_prime,
         first_zero_coprime_divides_level=fc_bad,
         zeros=zeros,
-        certification=bytes(cert),
+        certification={
+            "exact": len(pending) - len(zeros),
+            "residue": bound - len(pending),
+            "zero": len(zeros),
+        },
         lane_moduli=source.moduli,
     )

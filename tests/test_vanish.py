@@ -12,9 +12,6 @@ from qvanish.series import LANE_PRIMES, reduce_mod
 from qvanish.vanish import (
     AP_ZERO,
     BAD_PRIME,
-    CERT_EXACT,
-    CERT_RESIDUE,
-    CERT_ZERO,
     GuaranteeViolationError,
     ScanSource,
     VanishClass,
@@ -203,7 +200,9 @@ class TestFirstVanishing:
         assert report.first_zero == 8
         assert report.first_zero_is_prime is False
         assert report.first_zero_divides_level is False
-        assert all(c == CERT_EXACT for c in report.certification[:7])
+        # a curve's source has no lanes: 1..7 are certified by their exact values
+        zero = len(report.zeros)
+        assert report.certification == {"exact": 100 - zero, "residue": 0, "zero": zero}
 
     def test_37a1_coprime_six(self):
         report = first_vanishing(curve_source(FIXTURES["37a1"], 100), coprime_to=6)
@@ -230,7 +229,7 @@ class TestFirstVanishing:
         src = ScanSource(bound, delta_coefficient, LANE_PRIMES, partial(delta_eta_mod, bound))
         report = first_vanishing(src)
         assert report.first_zero is None
-        assert report.certification.count(CERT_RESIDUE) == bound
+        assert report.certification == {"exact": 0, "residue": bound, "zero": 0}
 
     def test_lane_and_series_scans_agree(self):
         bound = 1500
@@ -248,14 +247,19 @@ class TestFirstVanishing:
         src = ScanSource(bound, delta_coefficient, (7,), partial(delta_eta_mod, bound))
         report = first_vanishing(src)
         assert report.first_zero is None
-        assert report.certification.count(CERT_EXACT) > 0
+        assert report.certification["exact"] > 0
+        assert report.certification["zero"] == 0
+        assert sum(report.certification.values()) == bound
 
     def test_every_index_below_zero_certified(self):
-        report = first_vanishing(curve_source(FIXTURES["37a1"], 50))
-        first = report.first_zero
-        for n in range(1, first):
-            assert report.certification[n - 1] in (CERT_RESIDUE, CERT_EXACT)
-        assert report.certification[first - 1] == CERT_ZERO
+        source = curve_source(FIXTURES["37a1"], 50)
+        report = first_vanishing(source)
+        zeros = [n for n in range(1, 51) if source.exact(n) == 0]
+        # the zeros are exactly the exact zeros, so every index below the
+        # first is certified nonzero, and every index is counted once
+        assert report.zeros == zeros
+        assert report.first_zero == zeros[0]
+        assert report.certification == {"exact": 50 - len(zeros), "residue": 0, "zero": len(zeros)}
 
     def test_guarantee_violation_raises(self):
         # coprime_to = 5 is not a multiple of M_f = 6, so the composite hit 8
@@ -279,7 +283,8 @@ class TestFirstVanishing:
     def test_tau_nonvanishing_small(self):
         report = first_vanishing(ScanSource.from_series(delta_eta(3000)))
         assert report.first_zero is None
-        assert len(report.certification) == 3000
+        assert report.certification["zero"] == 0
+        assert sum(report.certification.values()) == 3000
 
     def test_bad_prime_zeros_reported_and_flagged(self):
         # y^2 = x^3 + 25x has additive reduction at 2 and 5 (a_p = 0 there),
@@ -300,7 +305,7 @@ class TestFirstVanishing:
     def test_scan_bound_one(self):
         report = first_vanishing(ScanSource.from_series(delta_eta(1)))
         assert report.first_zero is None
-        assert report.certification == b"r"
+        assert report.certification == {"exact": 0, "residue": 1, "zero": 0}
 
 
 class TestLaneCascade:
@@ -323,16 +328,15 @@ class TestLaneCascade:
         tau = delta_eta(bound)
         lanes = [delta_eta_mod(bound, m) for m in moduli]
         # the eager reference: every lane built, a residue in any one certifies
-        cert, zeros, reached = bytearray(), [], 1
+        cert, zeros, reached = {"exact": 0, "residue": 0, "zero": 0}, [], 1
         for n in range(1, bound + 1):
-            residues = [int(lane.coeffs[n]) for lane in lanes]
-            if any(residues):
-                cert.append(CERT_RESIDUE)
+            if any(int(lane.coeffs[n]) for lane in lanes):
+                cert["residue"] += 1
             elif tau[n] == 0:
-                cert.append(CERT_ZERO)
+                cert["zero"] += 1
                 zeros.append(n)
             else:
-                cert.append(CERT_EXACT)
+                cert["exact"] += 1
         for i in range(1, len(moduli)):
             if any(not any(int(lane.coeffs[n]) for lane in lanes[:i]) for n in range(1, bound + 1)):
                 reached += 1
@@ -341,7 +345,8 @@ class TestLaneCascade:
         report = first_vanishing(
             ScanSource(bound, tau.__getitem__, moduli, self.counted_builder(bound, built))
         )
-        assert report.certification == bytes(cert)
+        assert report.certification == cert
+        assert sum(report.certification.values()) == bound
         assert report.zeros == zeros
         assert report.lane_moduli == moduli
         assert built == list(moduli[:reached])
@@ -358,7 +363,7 @@ class TestLaneCascade:
         report = first_vanishing(
             ScanSource(bound, tau.__getitem__, (7, 11, 23), partial(delta_eta_mod, bound))
         )
-        assert report.certification.count(CERT_EXACT) == first_nonzero.count(None)
+        assert report.certification["exact"] == first_nonzero.count(None)
 
     def test_from_series_reduces_on_demand(self, monkeypatch):
         import qvanish.vanish as vanish_module

@@ -13,9 +13,9 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   [p+1-2*sqrt(p), p+1+2*sqrt(p)] with N*P = O; when one N is left,
   #E(F_p) = N.  That is O(p^(1/4)) group operations per point, and every
   lane takes the same ones, so the interpreter is paid once per step of a
-  chunk of primes, not once per prime: about 15-30 us per prime from 2^12
-  to 2^18, against about 2-5 ms for a lane on its own (ap_good above the
-  crossover).
+  round of primes (LANES_PER_ROUND or more where the table has them), not
+  once per prime: about 15-25 us per prime from 2^9 to 2^18, against about
+  2-4 ms for a lane on its own (ap_good above the crossover).
 - Every other odd prime, and any good prime whose lane leaves more than one
   N: the character sum, O(p), about 10 us + 20 ns * p.  The substitution
   u = 2y + a1*x + a3 turns the model into u^2 = 4x^3 + b2*x^2 + 2*b4*x + b6,
@@ -105,7 +105,7 @@ FIXTURES = {
 
 
 def parse_curve(text: str) -> WeierstrassCurve:
-    """Curve from 'a1,a2,a3,a4,a6' (five comma-separated ASCII integers).
+    """Curve from 'a1,a2,a3,a4,a6' (five comma-separated ASCII decimal integers).
 
     The label is the text without surrounding whitespace; any other
     non-printable character is refused, so the label fits one header line.
@@ -113,6 +113,8 @@ def parse_curve(text: str) -> WeierstrassCurve:
     text = text.strip()
     if not (text.isascii() and text.isprintable()):
         raise ValueError("curve coefficients must be ASCII integers a1,a2,a3,a4,a6")
+    if "_" in text:
+        raise ValueError("curve coefficients must be decimal integers, without '_' separators")
     parts = text.split(",")
     if len(parts) != 5:
         raise ValueError("expected five comma-separated integers a1,a2,a3,a4,a6")
@@ -137,15 +139,24 @@ def _char_sum(curve: WeierstrassCurve, p: int) -> int:
 
 
 # Above this prime a good prime's a_p goes by the lanes; at and below it, by
-# the character sum.  prime_table to 14000 for 37a1 and 53a1 (best of 10 to
-# 25 in one process, four runs; Python 3.11, numpy 2.4.6, shared 2-core
-# x86-64 host) costs the same within the host's noise for every crossover
-# tried from 255 to 2047, and 1023 was the lowest in 7 of the 8 curve-runs:
-# below 1024 a lane costs about what a character sum costs, and 1023 fills
-# the 11-bit chunk of the lanes.
-BSGS_CROSSOVER = 1023
+# the character sum.  prime_table to 14000 for 37a1 and 53a1 (CPU time, 80
+# runs of each crossover alternating in one process; Python 3.11, numpy
+# 2.4.6, shared 2-core x86-64 host) had medians of 30.7 and 30.9 ms at 255,
+# 30.5 and 31.1 at 383, 31.1 and 31.5 at 511, and 32.1 and 32.6 at 1023:
+# above 512 a lane is cheaper than a character sum, and below it they cost
+# about the same.  511 is kept over the tied 255 and 383 because there the
+# round's m, taken from primes near 14000, leaves the lane of p = 277 open
+# for the CM curve 27a1.
+BSGS_CROSSOVER = 511
 # Points tried on a lane before its prime falls back to the character sum.
 BSGS_POINTS = 8
+# Chunks of primes of one bit length join a round until it has this many
+# lanes (see _lane_aps).  prime_table to 14000 for 37a1 and 53a1 (medians of
+# 100 alternating runs, as above, on a busier host) took 37.3 and 37.6 ms at
+# 512 lanes, 34.3 and 34.8 at 1024, and 34.4 and 34.6 at 2048, which makes
+# the same rounds as 1024 to 20000; to 2*10^5, 1024, 2048 and 4096 tied
+# within the noise (10 runs).
+LANES_PER_ROUND = 1024
 
 # The lanes: int64 arrays with one entry per prime p < 2^31.  Every operand is
 # reduced into [0, p), so a product is below 2^62 and a sum or difference of
@@ -213,9 +224,11 @@ def _add(P, Q, a, p):
         return R
     o1, o2 = Z1 == 0, Z2 == 0
     R = tuple(np.where(o1, q, np.where(o2, c, e)) for c, q, e in zip(P, Q, R))
-    same = (v == 0) & (u == 0) & ~o1 & ~o2
-    if same.any():
-        R = tuple(np.where(same, d, e) for d, e in zip(_double(P, a, p), R))
+    # P = Q is rare, so only those lanes are doubled
+    same = ((v == 0) & (u == 0) & ~o1 & ~o2).nonzero()[0]
+    if len(same):
+        for c, d in zip(R, _double(tuple(c[same] for c in P), a[same], p[same])):
+            c[same] = d
     return R
 
 
@@ -230,7 +243,7 @@ def _mul(n, table, a, p):
     R = (np.zeros_like(n), np.ones_like(n), np.zeros_like(n))
     top = (int(n.max()).bit_length() - 1) // w * w
     for shift in range(top, -1, -w):
-        for _ in range(w):
+        for _ in range(w if shift < top else 0):  # R is O until the top digit
             R = _double(R, a, p)
         d = (n >> shift) & (2**w - 1)
         S = _add(R, tuple(c[np.maximum(d, 1) - 1, lanes] for c in table), a, p)
@@ -358,34 +371,46 @@ class _Lanes(NamedTuple):
                       np.concatenate(cand, 1))
 
     def step(self, found: dict[int, int]) -> _Lanes:
-        """Each lane uses its next point; found gets the lanes left with one N, the rest return."""
-        lanes = np.arange(len(self.p))
-        p, lo, t, cand = self.p, self.lo, self.t, self.cand
-        r = self.r[t, lanes]
+        """Each lane takes one point in its first round, two in its second, the rest in its third.
+
+        Every point is a column of one _annihilators call, and a lane's
+        points then keep in turn the orders that each allows.  found gets the
+        lanes left with one N; the rest return while they have points left.
+        """
+        uses = np.minimum(np.where(self.t < 2, self.t + 1, BSGS_POINTS), BSGS_POINTS - self.t)
+        lane = np.repeat(np.arange(len(self.p)), uses)  # the lane of each column
+        nth = np.arange(len(lane)) - (np.cumsum(uses) - uses)[lane]
+        row = self.t[lane] + nth
+        p, lo, span = self.p[lane], self.lo[lane], self.span[lane]
+        r = self.r[row, lane]
         r2 = r * r % p
-        point = (self.x[t, lanes] * r % p, r2, np.ones_like(p))
+        point = (self.x[row, lane] * r % p, r2, np.ones_like(p))
         small, N = _annihilators(
-            point, self.a * r2 % p, p, lo, self.span, _baby_steps(int(p.max()))
+            point, self.a[lane] * r2 % p, p, lo, span, _baby_steps(int(p.max()))
         )
         twist = _pow(r, (p - 1) // 2, p) != 1
         # a twist point of order N' allows N = 2p + 2 - N' = 2*lo + span - N'
-        N = np.where(twist & (N > 0), 2 * lo + self.span - N, N)
-        held = ~self.free & ~small
-        if held.any():
-            kept = np.zeros(cand.shape, dtype=bool)
-            for row in N:
-                kept |= cand == row
-            cand = np.where(held & ~kept, 0, cand)
-        fresh = self.free & ~small
-        rows = max(len(cand), len(N))
-        cand = np.pad(cand, ((0, rows - len(cand)), (0, 0)))
-        cand[: len(N), fresh] = N[:, fresh]
-        free = self.free & small
+        N = np.where(twist & (N > 0), 2 * lo + span - N, N)
+        free = self.free.copy()
+        rows = max(len(self.cand), len(N))
+        cand = np.pad(self.cand, ((0, rows - len(self.cand)), (0, 0)))
+        # a lane's points in turn: each keeps the orders it allows among the
+        # lane's candidates, or gives a free lane its first candidates
+        for j in range(int(uses.max())):
+            col = ((nth == j) & ~small).nonzero()[0]
+            held = ~free[lane[col]]
+            c, l = col[held], lane[col[held]]
+            kept = (cand[:, None, l] == N[:, c]).any(1)
+            cand[:, l] = np.where(kept, cand[:, l], 0)
+            c, l = col[~held], lane[col[~held]]
+            cand[: len(N), l] = N[:, c]
+            free[l] = False
         one = ~free & ((cand > 0).sum(0) == 1)
         orders = cand[:, one].max(0)
-        found.update(zip(p[one].tolist(), (p[one] + 1 - orders).tolist()))
-        more = ~one & (t + 1 < BSGS_POINTS)
-        return _Lanes(*(f[..., more] for f in self._replace(t=t + 1, free=free, cand=cand)))
+        found.update(zip(self.p[one].tolist(), (self.p[one] + 1 - orders).tolist()))
+        t = self.t + uses
+        more = ~one & (t < BSGS_POINTS)
+        return _Lanes(*(f[..., more] for f in self._replace(t=t, free=free, cand=cand)))
 
 
 def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
@@ -402,23 +427,37 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     a lane with more than one N after BSGS_POINTS points is left out of the
     result.
 
-    Primes enter in chunks of one bit length, one chunk per round, and every
-    lane of a round takes the same group operations, one point each.  Lanes
-    still open ride along with the next chunk, with its larger m (any m
-    works for a lane, as long as the giant steps cover the Hasse interval),
-    until each has had BSGS_POINTS points.
+    Primes enter in chunks of one bit length.  Consecutive chunks join one
+    round until it holds LANES_PER_ROUND lanes, and a last round with fewer
+    joins the one before it, so a table to 20000 is one round of chunks;
+    from 2^14 on a chunk is wider than that and has a round of its own.
+    Every lane of a round takes the same group operations, with the m of the
+    round's largest prime: any m works for a lane, as long as the giant
+    steps cover the Hasse interval.  A round costs about 1.7 ms plus 8 us per
+    point, and most lanes are settled by their first point; so a lane takes
+    one point in its first round, two in its second and all it has left in
+    its third.  Lanes still open ride along with the next chunk, and after
+    the last chunk take at most two rounds of their own.  Every point in the
+    second round would cost 7 points a lane where most need one: the 67
+    lanes of 37a1 that one point leaves open to 14000 took 5.6 ms so, 3.3 ms
+    with two points each and 2.2 ms with one (best of 15).
     """
     found: dict[int, int] = {}
     if not (primes and BSGS_POINTS):
         return found
-    chunks = [list(g) for _, g in groupby(primes, key=int.bit_length)]
-    lanes = _Lanes.new(curve, chunks[0])
-    # a round: every open lane tries one point, then the next chunk joins
-    for chunk in chunks[1:] + [[]] * BSGS_POINTS:
-        if len(lanes.p):
-            lanes = lanes.step(found)
-        if chunk:
-            lanes = lanes.join(_Lanes.new(curve, chunk))
+    rounds = [[]]
+    for _, chunk in groupby(primes, key=int.bit_length):
+        if len(rounds[-1]) >= LANES_PER_ROUND:
+            rounds.append([])
+        rounds[-1] += chunk
+    if len(rounds) > 1 and len(rounds[-1]) < LANES_PER_ROUND:
+        last = rounds.pop()
+        rounds[-1] += last
+    lanes = _Lanes.new(curve, rounds[0])
+    for chunk in rounds[1:]:
+        lanes = lanes.step(found).join(_Lanes.new(curve, chunk))
+    while len(lanes.p):
+        lanes = lanes.step(found)
     return found
 
 

@@ -128,7 +128,8 @@ def eisenstein_coeffs(half_weight: int, bound: int) -> QSeries:
             f"(normalization {c})"
         )
     sig = _sigma_table(bound, 2 * half_weight - 1)
-    return QSeries((1, *(c.numerator * s for s in sig[1:])))
+    norm = c.numerator
+    return QSeries((1, *(norm * s for s in sig[1:])))
 
 
 def delta_eisenstein(bound: int) -> QSeries:
@@ -337,6 +338,13 @@ def export_qexp(spec: FormSpec, qs: QSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(text: str) -> int:
+    """int(text) for a decimal integer; int() alone also reads '_' digit separators."""
+    if "_" in text:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 # Joins the body lines before their one split.  The mark is a token of its own
 # that int() refuses.  With L lines joined into 3L - 1 tokens, and every token
 # off the positions 2 mod 3 an integer, the L - 1 marks can only sit at those
@@ -349,7 +357,7 @@ def _body_columns(joined: str, rows: int) -> tuple[list[bool], list[int]] | None
     its line's position, and the a(n) column.  None unless each line is
     exactly two integers."""
     tokens = joined.split()
-    if len(tokens) != 3 * rows - 1:
+    if len(tokens) != 3 * rows - 1 or "_" in joined:
         return None
     try:
         in_place = list(map(eq, map(int, tokens[0::3]), range(1, rows + 1)))
@@ -370,7 +378,7 @@ def _bad_body_line(lines: list[str], start: int) -> str:
         if len(parts) != 2:
             return f"line {lineno}: expected '<n> <a(n)>', got {line!r}"
         try:
-            int(parts[0]), int(parts[1])
+            _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             return f"line {lineno}: non-integer entry in {line!r}"
     return "malformed body"
@@ -412,8 +420,8 @@ def parse_qexp(text: str, label_fallback: str = "file") -> tuple[FormSpec, QSeri
     if headers["character"] != "trivial":
         raise ValueError("nontrivial character declared; unsupported")
     try:
-        weight = int(headers["weight"])
-        level = int(headers["level"])
+        weight = _decimal(headers["weight"])
+        level = _decimal(headers["level"])
     except ValueError:
         raise ValueError("weight and level headers must be integers") from None
     if weight % 2:

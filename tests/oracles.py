@@ -176,6 +176,13 @@ def count_nonsingular(a1, a2, a3, a4, a6, p):
     return n + 1
 
 
+def _plain_int(token):
+    """int(token), but '_' digit separators are not part of the format."""
+    if "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_qexp_by_lines(text, label_fallback="file"):
     """The q-expansion text format read one line at a time.
 
@@ -201,7 +208,7 @@ def parse_qexp_by_lines(text, label_fallback="file"):
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<n> <a(n)>', got {line!r}")
         try:
-            n, an = int(parts[0]), int(parts[1])
+            n, an = _plain_int(parts[0]), _plain_int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer entry in {line!r}") from None
         body.append((n, an))
@@ -212,8 +219,8 @@ def parse_qexp_by_lines(text, label_fallback="file"):
     if headers["character"] != "trivial":
         raise ValueError("nontrivial character declared; unsupported")
     try:
-        weight = int(headers["weight"])
-        level = int(headers["level"])
+        weight = _plain_int(headers["weight"])
+        level = _plain_int(headers["level"])
     except ValueError:
         raise ValueError("weight and level headers must be integers") from None
     if weight % 2:

@@ -532,6 +532,15 @@ class TestCurveLabel:
         assert "curve coefficients must be ASCII" in capsys.readouterr().err
         assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
 
+    @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
+    def test_digit_separator_exits_2(self, capsys, command):
+        # int() alone reads 0,0,1,-1_0,0 as the curve 0,0,1,-10,0
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curve=0,0,1,-1_0,0", *CURVE_COMMANDS[command]])
+        assert exc.value.code == 2
+        assert "without '_' separators" in capsys.readouterr().err
+        assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
+
 
 class TestMinimality:
     @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))

@@ -82,6 +82,9 @@ class TestModel:
         assert (c.a1, c.a2, c.a3, c.a4, c.a6) == (0, 0, 1, -1, 0)
         with pytest.raises(ValueError):
             parse_curve("1,2,3")
+        # int() alone reads -1_0 as -10
+        with pytest.raises(ValueError, match="without '_' separators"):
+            parse_curve("0,0,1,-1_0,0")
 
     def test_levels(self):
         assert C37.level == 37
@@ -223,6 +226,28 @@ class TestBSGS:
         assert {p: -ec._char_sum(curve, p) for p in found} == found
         # the lanes answer nearly everywhere, so the agreement is not vacuous
         assert len(primes) - len(found) < len(primes) // 20
+
+    # (rounds of _lane_aps at 14000, most lanes left open at 14000 and at
+    # 20000) for the good primes above BSGS_CROSSOVER.  The table to 14000 is
+    # one round of chunks, and a lane takes one point in its first round, two
+    # in its second and the rest in its third; only the CM curves 27a1 and
+    # y^2 = x^3 + 25x need the third.
+    LANE_ROUNDS = {"37a1": (2, 0), "53a1": (2, 0), "11a1": (2, 0), "27a1": (3, 1),
+                   "additive-5": (3, 1)}
+
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_few_rounds_and_no_more_open_lanes(self, curve, monkeypatch):
+        rounds, open_lanes = self.LANE_ROUNDS[curve.label]
+        widths = []
+        step = ec._Lanes.step
+        monkeypatch.setattr(
+            ec._Lanes, "step", lambda lanes, found: widths.append(len(lanes.p)) or step(lanes, found)
+        )
+        primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 14000)
+        assert len(ec._lane_aps(curve, primes)) >= len(primes) - open_lanes
+        assert 1 <= len(widths) <= rounds
+        primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 20000)
+        assert len(ec._lane_aps(curve, primes)) >= len(primes) - open_lanes
 
     def test_lanes_skip_the_flex_at_x0_when_j_is_0(self):
         # 27a1 has a = 0 on the short model, where (0, r^2) is a flex of

@@ -512,6 +512,27 @@ class TestQexpFiles:
         with pytest.raises(ValueError, match="non-integer"):
             parse_qexp(text)
 
+    @pytest.mark.parametrize(
+        "body, bad",
+        [
+            ("1 1\n2 -24\n3 1_0\n", "line 6: non-integer entry in '3 1_0'"),
+            ("1 1\n2 -24\n3 252\n0_4 2\n", "line 7: non-integer entry in '0_4 2'"),
+        ],
+        ids=["value", "index"],
+    )
+    def test_digit_separator_in_body_rejected(self, body, bad):
+        # int() alone reads '1_0' as 10 and '0_4' as 4
+        text = "# weight: 12\n# level: 1\n# character: trivial\n" + body
+        with pytest.raises(ValueError) as exc:
+            parse_qexp(text)
+        assert str(exc.value) == bad
+
+    @pytest.mark.parametrize("weight, level", [("1_2", "1"), ("12", "0_1")])
+    def test_digit_separator_in_header_rejected(self, weight, level):
+        text = f"# weight: {weight}\n# level: {level}\n# character: trivial\n1 1\n"
+        with pytest.raises(ValueError, match="weight and level headers must be integers"):
+            parse_qexp(text)
+
     def test_malformed_header_rejected(self):
         text = "# weight 12\n# level: 1\n# character: trivial\n1 1\n"
         with pytest.raises(ValueError):
@@ -587,6 +608,9 @@ QEXP_MUTATIONS = {
     "mark as a value": _edit_value(lambda v: ";"),
     "carried token": _at_body(_carry_token),
     "decimal": _edit_value(lambda v: "1.5"),
+    "separator in value": _edit_value(lambda v: v[:-1] + "_" + v[-1:]),
+    "separator in index": _edit_line(lambda line: "0_" + line.lstrip() if line.strip() else line),
+    "separator in header": lambda lines, i: ["# weight: 1_2"] + lines[1:],
     "gap": _at_body(lambda lines, j: lines[:j] + lines[j + 1:]),
     "duplicate index": _at_body(lambda lines, j: lines[: j + 1] + lines[j:]),
     "empty body": lambda lines, i: lines[:4],

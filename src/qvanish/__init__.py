@@ -21,7 +21,7 @@ from .forms import (
     ingest_qexp,
     sigma,
 )
-from .hecke import CoefficientOracle, PrimeEigenvalues, coeff_prime_power, qexp_from_primes
+from .hecke import PrimeEigenvalues, coeff_prime_power, qexp_from_primes
 from .series import LANE_PRIMES, QSeries, ResidueSeries, SparseSeries, eta_raw
 from .vanish import (
     GuaranteeViolationError,
@@ -38,7 +38,6 @@ from .vanish import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientOracle",
     "FIXTURES",
     "FormSpec",
     "GuaranteeViolationError",

@@ -85,10 +85,10 @@ def _curve_form(curve: ec.WeierstrassCurve) -> ResolvedForm:
     label = curve.label or "curve"
 
     def source(bound: int) -> vanish.ScanSource:
-        oracle = hecke.CoefficientOracle(ec.prime_table(curve, bound))
+        primes = ec.prime_table(curve, bound)
         return vanish.ScanSource(
-            bound, oracle.coeff, lane=partial(reduce_mod, oracle.series),
-            series=lambda: oracle.series,
+            bound, primes.coeff, lane=lambda m: reduce_mod(primes.series, m),
+            series=lambda: primes.series,
         )
 
     return ResolvedForm(

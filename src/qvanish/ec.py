@@ -22,11 +22,11 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   so each x contributes 1 + chi(g(x)) points with chi the quadratic
   character.
 
-At p = 2 the four pairs (x, y) are tried.  Primes from 2^31 on are refused:
-the lanes hold residues below p in int64, which keeps a product of two
-below 2^62 only while p < 2^31, and the character sum there would take O(p)
-time and memory.  Models that may not be minimal are refused (see
-WeierstrassCurve.level).
+At p = 2 the four pairs (x, y) are tried.  _aps alone routes primes.
+Primes from 2^31 on are refused: the lanes hold residues below p in int64,
+which keeps a product of two below 2^62 only while p < 2^31, and the
+character sum there would take O(p) time and memory.  Models that may not
+be minimal are refused (see WeierstrassCurve.level).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, sieve_primes
+from .arith import factorize, is_prime, sieve_primes
 from .hecke import PrimeEigenvalues
 
 
@@ -461,43 +461,46 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     return found
 
 
-def _good_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
-    """a_p at good primes above BSGS_CROSSOVER: lanes, or the character sum if open."""
-    found = _lane_aps(curve, primes)
-    return {p: found[p] if p in found else -_char_sum(curve, p) for p in primes}
+def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
+    """p - #{affine points of the model mod p}: a_p at primes p < 2^31 of a minimal model.
 
-
-def _ap(curve: WeierstrassCurve, p: int) -> int:
-    """p - #{affine points of the model mod p}: a_p at any prime p < 2^31 of a minimal model.
-
-    A good prime above BSGS_CROSSOVER is a batch of one for _good_aps; small
-    primes and bad primes go by the character sum.
+    The one router, by whether p divides the discriminant: p = 2 tries its
+    four pairs, the good primes above BSGS_CROSSOVER take one _lane_aps call,
+    and every other prime and open lane the character sum.  Each a_p is
+    checked: a_p^2 <= 4p (Hasse), and a_p in {-1, 0, 1} at a bad prime.
     """
-    if p >= 2**31:
-        raise ValueError(f"p={p} is not below 2^31, the bound of the int64 lanes")
-    if p == 2:
-        a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-        return 2 - sum(
-            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-            for x in (0, 1)
-            for y in (0, 1)
-        )
-    if p > BSGS_CROSSOVER and curve.discriminant % p:
-        return _good_aps(curve, [p])[p]
-    return -_char_sum(curve, p)
-
-
-def _hasse(p: int, ap: int) -> int:
-    if ap * ap > 4 * p:
-        raise ValueError(f"Hasse bound violated at p={p}: a_p={ap}")
-    return ap
+    if max(primes, default=0) >= 2**31:
+        raise ValueError(f"p={max(primes)} is not below 2^31, the bound of the int64 lanes")
+    bad = {p for p in primes if curve.discriminant % p == 0}
+    found = _lane_aps(curve, [p for p in primes if p > BSGS_CROSSOVER and p not in bad])
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    aps = {}
+    for p in primes:
+        if p in found:
+            ap = found[p]
+        elif p == 2:
+            ap = 2 - sum(
+                (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                for x in (0, 1)
+                for y in (0, 1)
+            )
+        else:
+            ap = -_char_sum(curve, p)
+        if p in bad and ap not in (-1, 0, 1):
+            raise ValueError(f"bad-prime a_p={ap} outside {{-1,0,1}} at p={p}")
+        if ap * ap > 4 * p:
+            raise ValueError(f"Hasse bound violated at p={p}: a_p={ap}")
+        aps[p] = ap
+    return aps
 
 
 def ap_good(curve: WeierstrassCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at a prime of good reduction."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
     if curve.discriminant % p == 0:
         raise ValueError(f"{p} divides the discriminant; use ap_bad")
-    return _hasse(p, _ap(curve, p))
+    return _aps(curve, [p])[p]
 
 
 def ap_bad(curve: WeierstrassCurve, p: int) -> int:
@@ -508,28 +511,21 @@ def ap_bad(curve: WeierstrassCurve, p: int) -> int:
     infinity replaces, so the affine count gives a_p here as at a good
     prime.  prime_table refuses models that may not be minimal.
     """
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
     if curve.discriminant % p != 0:
         raise ValueError(f"{p} does not divide the discriminant; use ap_good")
-    ap = _ap(curve, p)
-    if ap not in (-1, 0, 1):
-        raise ValueError(f"bad-prime a_p={ap} outside {{-1,0,1}} at p={p}")
-    return ap
+    return _aps(curve, [p])[p]
 
 
 def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
-    """a_p for every prime p <= bound (none for bound 1).
+    """a_p for every prime p <= bound (none for bound 1), by _aps in one call.
 
-    The good primes above BSGS_CROSSOVER go through _good_aps in one call;
-    every other prime through ap_good or ap_bad.
+    The level comes first, so a model that may not be minimal is refused
+    before any count.
     """
     if not 1 <= bound < 2**31:
         raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
-    primes = sieve_primes(bound)
-    lanes = _good_aps(curve, [p for p in primes if p > BSGS_CROSSOVER and level % p])
-    table = {
-        p: _hasse(p, lanes[p]) if p in lanes
-        else ap_bad(curve, p) if level % p == 0 else ap_good(curve, p)
-        for p in primes
-    }
+    table = _aps(curve, sieve_primes(bound))
     return PrimeEigenvalues(weight=2, level=level, table=table, bound=bound)

@@ -21,7 +21,6 @@ from qvanish.forms import (
     eta_quotient,
 )
 from qvanish.hecke import (
-    CoefficientOracle,
     PrimeEigenvalues,
     coeff_prime_power,
     qexp_from_primes,
@@ -57,7 +56,7 @@ def test_criterion_01_counterexample_37a1():
     expansion = qexp_from_primes(prime_table(curve, 9), 9)
     ok = expansion.coeffs == KNOWN_37A1 and expansion[8] == 0
     pe = prime_table(curve, 100)
-    scan = first_vanishing(ScanSource(pe.bound, CoefficientOracle(pe).coeff))
+    scan = first_vanishing(ScanSource(pe.bound, pe.coeff))
     ok = ok and scan.first_zero == 8 and scan.first_zero_is_prime is False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0

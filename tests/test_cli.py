@@ -553,10 +553,11 @@ class TestMinimality:
 
     @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
     def test_non_minimal_model_counts_no_point(self, capsys, monkeypatch, command):
-        counted = []
-        monkeypatch.setattr(ec, "_ap", lambda curve, p: counted.append(p))
+        # _aps is the only code that counts points, so no call means no point counted
+        routed = []
+        monkeypatch.setattr(ec, "_aps", lambda curve, primes: routed.append(primes))
         code, _, err = run(capsys, command, f"--curve={NON_MINIMAL[0]}", *CURVE_COMMANDS[command])
-        assert (code, counted) == (2, [])
+        assert (code, routed) == (2, [])
         assert "may not be minimal" in err
 
     @pytest.mark.parametrize("command", sorted(CURVE_COMMANDS))
@@ -565,6 +566,31 @@ class TestMinimality:
         code, out, err = run(capsys, command, f"--curve={model}", *CURVE_COMMANDS[command])
         assert (code, err) == (0, "")
         assert out
+
+
+class TestOneBuildPerRequest:
+    """A curve request builds one prime table and one series from it, cold or by --mod."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--fixture", "37a1", "--limit", "5000"),
+            ("coeffs", "--fixture", "53a1", "--limit", "5000"),
+            ("coeffs", "--fixture", "37a1", "--limit", "50", "--mod", "7"),
+            ("mf", "--fixture", "37a1"),
+        ],
+        ids=["scan", "coeffs-cold", "coeffs-mod", "mf"],
+    )
+    def test_one_prime_table_and_one_series(self, capsys, monkeypatch, argv):
+        built = []
+        for owner, name in ((ec, "prime_table"), (hecke, "qexp_from_primes")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
+            )
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert built == ["prime_table", "qexp_from_primes"]
 
 
 class TestLevelOnce:

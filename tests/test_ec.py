@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import os
 import subprocess
@@ -22,6 +23,7 @@ from qvanish.ec import (
     prime_table,
 )
 from qvanish.cli import main
+from qvanish.forms import eta_quotient
 from qvanish.hecke import qexp_from_primes
 
 from .oracles import count_affine_points, count_nonsingular, curve_mul, point_order
@@ -365,12 +367,86 @@ class TestBSGS:
         monkeypatch.setattr(ec, "_char_sum", lambda curve, p: calls.append(p))
         monkeypatch.setattr(ec, "_lane_aps", lambda curve, primes: calls.extend(primes))
         p = 2147483659  # the least prime above 2^31
-        for ap in (ap_good, ec._ap):
+        for ap in (ap_good, lambda curve, p: ec._aps(curve, [p])):
             with pytest.raises(ValueError, match="below 2\\^31"):
                 ap(C37, p)
         with pytest.raises(ValueError, match="below 2\\^31"):
             prime_table(C37, 2**31)
         assert calls == []
+
+
+class TestRoute:
+    """_aps is the one router: prime_table, ap_good and ap_bad all go through it."""
+
+    @pytest.mark.parametrize(
+        "ap, p",
+        [(ap_good, 4), (ap_good, 0), (ap_good, -5), (ap_good, 1), (ap_bad, 1), (ap_bad, 37**2)],
+        ids=["good-4", "good-0", "good-minus-5", "good-1", "bad-1", "bad-37^2"],
+    )
+    def test_non_prime_refused(self, monkeypatch, ap, p):
+        # before the discriminant test (37 % 0, 37 % 1) and before any count
+        monkeypatch.setattr(ec, "_aps", None)
+        with pytest.raises(ValueError, match=f"p={p} is not prime"):
+            ap(C37, p)
+
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_table_takes_one_lane_call_and_sums_the_rest(self, curve, monkeypatch):
+        lane_calls, summed = [], []
+        lane_aps, char_sum = ec._lane_aps, ec._char_sum
+
+        def lanes(c, primes):
+            lane_calls.append((primes, lane_aps(c, primes)))
+            return lane_calls[-1][1]
+
+        monkeypatch.setattr(ec, "_lane_aps", lanes)
+        monkeypatch.setattr(ec, "_char_sum", lambda c, p: summed.append(p) or char_sum(c, p))
+        prime_table(curve, 20000)
+        primes = sieve_primes(20000)
+        bad = [p for p in primes if curve.discriminant % p == 0]
+        ((sent, found),) = lane_calls
+        assert sent == [p for p in primes if p > ec.BSGS_CROSSOVER and p not in bad]
+        assert summed == [
+            p for p in primes
+            if p > 2 and (p <= ec.BSGS_CROSSOVER or p in bad or p not in found)
+        ]
+
+    @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
+    def test_single_primes_equal_the_table_to_3000(self, curve):
+        table = prime_table(curve, 3000).table
+        single = {p: (ap_good if curve.discriminant % p else ap_bad)(curve, p) for p in table}
+        assert single == table
+
+
+IDENTITY_BOUND = 200000
+# the other two minimal models of the isogeny class 11a
+C11A2 = WeierstrassCurve(0, -1, 1, -7820, -263580, label="11a2")
+C11A3 = WeierstrassCurve(0, -1, 1, 0, 0, label="11a3")
+
+
+@functools.cache
+def identity_table(curve):
+    return prime_table(curve, IDENTITY_BOUND)
+
+
+class TestIdentities:
+    """Theorems that tie the engines together, checked at every p <= IDENTITY_BOUND."""
+
+    def test_eta_quotient_11_is_the_newform_of_11a1(self):
+        # S_2(Gamma0(11)) has dimension one
+        assert eta_quotient(11, IDENTITY_BOUND) == identity_table(C11).series
+
+    def test_isogenous_curves_have_equal_tables(self):
+        table = identity_table(C11).table
+        for model in (C11A2, C11A3):
+            assert identity_table(model).table == table, model.label
+
+    def test_quadratic_twist_by_5(self):
+        # y^2 = x^3 + 25x is the twist by 5 of y^2 = x^3 + x
+        twist = identity_table(C_ADD).table
+        base = identity_table(WeierstrassCurve(0, 0, 0, 1, 0)).table
+        for p in sieve_primes(IDENTITY_BOUND)[3:]:
+            legendre = 1 if pow(5, (p - 1) // 2, p) == 1 else -1
+            assert twist[p] == legendre * base[p], p
 
 
 class TestResultChecks:

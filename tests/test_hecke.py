@@ -6,7 +6,6 @@ import pytest
 from qvanish.ec import FIXTURES, prime_table
 from qvanish.forms import delta_eta
 from qvanish.hecke import (
-    CoefficientOracle,
     PrimeEigenvalues,
     coeff_prime_power,
     qexp_from_primes,
@@ -38,8 +37,7 @@ class TestMultiplicativeTable:
     def test_curves_to_3000(self, curve):
         pe = prime_table(curve, 3000)
         want = oracle_coefficients(pe, 3000)
-        oracle = CoefficientOracle(pe)
-        assert [oracle.coeff(n) for n in range(1, 3001)] == want[1:]
+        assert [pe.coeff(n) for n in range(1, 3001)] == want[1:]
         assert list(qexp_from_primes(pe, 3000).coeffs) == want
 
     def test_delta_to_3000(self):
@@ -54,7 +52,7 @@ class TestMultiplicativeTable:
         want = [0, 1, -24][: bound + 1]
         assert list(qexp_from_primes(pe, bound).coeffs) == want
         pe = PrimeEigenvalues(weight=12, level=1, table=pe.table, bound=bound)
-        assert CoefficientOracle(pe).coeff(bound) == want[bound]
+        assert pe.coeff(bound) == want[bound]
 
 
 class TestPrimePower:
@@ -111,24 +109,25 @@ class TestPrimePower:
 
 class TestOracle:
     def test_37a1_values(self):
-        oracle = CoefficientOracle(prime_table(FIXTURES["37a1"], 10))
-        assert oracle.coeff(1) == 1
-        assert oracle.coeff(6) == 6
-        assert oracle.coeff(9) == 6
+        pe = prime_table(FIXTURES["37a1"], 10)
+        assert pe.coeff(1) == 1
+        assert pe.coeff(6) == 6
+        assert pe.coeff(9) == 6
 
     def test_multiplicativity(self):
         pe = delta_primes(600)
-        oracle = CoefficientOracle(pe)
         rng = random.Random(5)
         for _ in range(60):
             m, n = rng.randrange(1, 40), rng.randrange(1, 15)
             if gcd(m, n) == 1:
-                assert oracle.coeff(m * n) == oracle.coeff(m) * oracle.coeff(n)
+                assert pe.coeff(m * n) == pe.coeff(m) * pe.coeff(n)
 
     def test_bound_enforced(self):
-        oracle = CoefficientOracle(prime_table(FIXTURES["37a1"], 10))
+        pe = prime_table(FIXTURES["37a1"], 10)
         with pytest.raises(ValueError, match="exceeds the prime-table bound"):
-            oracle.coeff(11)
+            pe.coeff(11)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            pe.coeff(0)
 
     def test_table_completeness_enforced(self):
         with pytest.raises(ValueError, match="missing primes"):

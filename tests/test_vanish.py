@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qvanish.ec import FIXTURES, prime_table
 from qvanish.forms import delta_coefficient, delta_eta, delta_eta_mod
-from qvanish.hecke import CoefficientOracle, qexp_from_primes
+from qvanish.hecke import qexp_from_primes
 from qvanish.series import LANE_PRIMES, reduce_mod
 from qvanish.vanish import (
     AP_ZERO,
@@ -28,7 +28,7 @@ from .oracles import prime_power_zeros
 
 def curve_source(curve, bound):
     pe = prime_table(curve, bound)
-    return ScanSource(pe.bound, CoefficientOracle(pe).coeff)
+    return ScanSource(pe.bound, pe.coeff)
 
 
 class TestClassify:
@@ -272,9 +272,9 @@ class TestFirstVanishing:
         series = delta_eta(10)
         with pytest.raises(ValueError, match="do not cover 20"):
             first_vanishing(ScanSource(20, series.__getitem__, (7,), partial(reduce_mod, series)))
-        oracle = CoefficientOracle(prime_table(FIXTURES["37a1"], 10))
+        pe = prime_table(FIXTURES["37a1"], 10)
         with pytest.raises(ValueError, match="exceeds the prime-table bound 10"):
-            first_vanishing(ScanSource(20, oracle.coeff))
+            first_vanishing(ScanSource(20, pe.coeff))
 
     def test_short_lane_refused(self):
         with pytest.raises(ValueError, match="do not cover 20"):

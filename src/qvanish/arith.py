@@ -30,14 +30,18 @@ def sieve_primes(bound: int) -> list[int]:
     return list(compress(range(bound + 1), flags))
 
 
-def multiplicative(bound: int, prime_power: Callable[[int, int], int]) -> list[int]:
+def multiplicative(
+    bound: int, prime_power: Callable[[int, int], int], primes: list[int] | None = None
+) -> list[int]:
     """[0, f(1), ..., f(bound)] for the multiplicative f with f(p^e) = prime_power(p, e).
 
     Each prime power p^e <= bound multiplies its value into every n with
-    p^e || n, so entry n ends as the product over its prime powers.
+    p^e || n, so entry n ends as the product over its prime powers.  primes
+    holds every prime <= bound when the caller has sieved them already;
+    primes past bound add nothing.
     """
     table = [0] + [1] * bound
-    for p in sieve_primes(bound):
+    for p in sieve_primes(bound) if primes is None else primes:
         q, e = p, 1
         while q <= bound:
             value, step = prime_power(p, e), q * p

@@ -60,16 +60,20 @@ def _eta_product_form(level: int) -> ResolvedForm:
     the scan, coeffs --mod or an exact value first reads it.  The series is
     the lift of the lanes Deligne's bound asks for at the bound, and the exact
     callback lifts a(n) from those it asks for at n (Delta above 28521 also a
-    lift modulus); a scan calls it once every certifying lane is built.
+    lift modulus).  The scan's reach is that bound's (forms.lift_reach), so a
+    scan stops building lanes once those it has fix every open index, and
+    then calls the exact callback, which reads only those lanes.
     """
+    spec = forms.eta_product_spec(level)
 
     def source(bound: int) -> vanish.ScanSource:
         lane_of = cache(partial(forms.eta_quotient_mod, level, bound))
         exact = partial(forms.eta_quotient_coefficient, level, lane_of=lane_of)
         series = partial(forms.eta_quotient, level, bound, lane_of)
-        return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of, series=series)
+        reach = partial(forms.lift_reach, spec.weight)
+        return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of, series=series, reach=reach)
 
-    return ResolvedForm(spec=forms.eta_product_spec(level), source=source, newform=True)
+    return ResolvedForm(spec=spec, source=source, newform=True)
 
 
 def _eisenstein_form(name: str, half: int) -> ResolvedForm:

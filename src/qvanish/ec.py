@@ -522,10 +522,12 @@ def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     """a_p for every prime p <= bound (none for bound 1), by _aps in one call.
 
     The level comes first, so a model that may not be minimal is refused
-    before any count.
+    before any count.  The table keeps the one sieve of its primes, which
+    its series reads too.
     """
     if not 1 <= bound < 2**31:
         raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
-    table = _aps(curve, sieve_primes(bound))
-    return PrimeEigenvalues(weight=2, level=level, table=table, bound=bound)
+    primes = sieve_primes(bound)
+    return PrimeEigenvalues(weight=2, level=level, table=_aps(curve, primes), bound=bound,
+                            primes=primes)

@@ -7,6 +7,8 @@ level-1 entry, and the Shimura eta quotients eta(z)^a eta(Nz)^a for N in
 Deligne's bound makes the symmetric CRT lift of enough lanes exact:
 eta_quotient lifts the series over Z, and _deligne_lift a single a(n), both
 from the lanes _lift_lanes reads from a lane source (a form's lane cache).
+How far each prefix of those lanes fixes a(n), lift_reach, picks the lanes a
+lift reads, and is the reach of an eta-product scan.
 The eta_quotient_* functions serve every level, Delta's included; the
 delta_* names are the same calls at level 1.  Delta also has an independent
 route through the normalized Eisenstein series, which live here too.  A
@@ -165,23 +167,37 @@ def eta_product_spec(level: int) -> FormSpec:
     )
 
 
-def _lift_moduli(weight: int, bound: int) -> tuple[int, ...]:
-    """The shortest prefix of _LIFT_MODULI whose product M has 16 bound^weight < M^2.
+@lru_cache(maxsize=None)
+def lift_reach(weight: int, count: int) -> int:
+    """The largest n with 16 n^weight < M^2, M the product of _LIFT_MODULI[:count].
 
-    Then the lift of lanes modulo that prefix is exact to n = bound (see
-    _deligne_lift): for Delta one lane reaches n = 25, two 794, three 28521,
-    four 795228 and five 18675762.
+    Residues of a weight-k newform modulo those count moduli fix a(n) for
+    every n up to it (see _deligne_lift); count 0 gives 0.  Since
+    LANE_PRIMES is a prefix of _LIFT_MODULI, it is also how far a scan's first
+    count lanes fix every a(n): for Delta one lane reaches n = 25, two 794,
+    three 28521, four 795228 and five 18675762.
     """
-    big_m = 1
-    for count, m in enumerate(_LIFT_MODULI, start=1):
-        big_m *= m
-        if 16 * bound**weight < big_m * big_m:
-            return _LIFT_MODULI[:count]
-    lo, hi = 1, bound  # 16 lo^weight < M^2 <= 16 hi^weight
-    while hi - lo > 1:
+    big_m2 = prod(_LIFT_MODULI[:count]) ** 2
+    lo, hi = 0, 1
+    while 16 * hi**weight < big_m2:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # 16 lo^weight < M^2 <= 16 hi^weight
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if 16 * mid**weight < big_m * big_m else (lo, mid)
-    raise ValueError(f"exact weight-{weight} series stop at bound {lo}; {bound} is past it")
+        lo, hi = (mid, hi) if 16 * mid**weight < big_m2 else (lo, mid)
+    return lo
+
+
+def _lift_moduli(weight: int, bound: int) -> tuple[int, ...]:
+    """The shortest prefix of _LIFT_MODULI whose lift reaches bound (lift_reach).
+
+    Then the lift of lanes modulo that prefix is exact to n = bound; a bound
+    past the last lift modulus raises ValueError.
+    """
+    for count in range(1, len(_LIFT_MODULI) + 1):
+        if bound <= lift_reach(weight, count):
+            return _LIFT_MODULI[:count]
+    last = lift_reach(weight, len(_LIFT_MODULI))
+    raise ValueError(f"exact weight-{weight} series stop at bound {last}; {bound} is past it")
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,13 @@ chi0(p) p^(k-1) a(p^(r-2)) with chi0(p) = 0 exactly when p divides the level,
 which collapses to a(p^r) = a(p)^r at bad primes.  The recurrence is iterated
 in exact integers; no Satake closed form is evaluated here.  A prime table
 serves a(n) from its series, built once on first use, multiplicatively
-(arith.multiplicative) from the prime-power values; no index is factorized.
+(arith.multiplicative) from the prime-power values over the table's one
+sieve of primes; no index is factorized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 # factorize is not called here; the name stays importable from hecke because
@@ -44,17 +45,24 @@ def coeff_prime_power(
 
 @dataclass
 class PrimeEigenvalues:
-    """Map p -> a(p) for every prime p <= bound, with weight and level, and the a(n) it fixes."""
+    """Map p -> a(p) for every prime p <= bound, with weight and level, and the a(n) it fixes.
+
+    primes are the primes <= bound: sieved here unless the caller
+    that built the table passes the ones it sieved for it.
+    """
 
     weight: int
     level: int
     table: dict[int, int]
     bound: int
+    primes: list[int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.weight < 2 or self.weight % 2:
             raise ValueError("weight must be even and >= 2")
-        missing = [p for p in sieve_primes(self.bound) if p not in self.table]
+        if self.primes is None:
+            self.primes = sieve_primes(self.bound)
+        missing = [p for p in self.primes if p not in self.table]
         if missing:
             raise ValueError(f"prime table is missing primes <= bound: {missing[:5]}")
 
@@ -83,5 +91,7 @@ def qexp_from_primes(pe: PrimeEigenvalues, bound: int) -> QSeries:
     if bound > pe.bound:
         raise ValueError(f"bound {bound} exceeds prime coverage {pe.bound}")
     table, k, level = pe.table, pe.weight, pe.level
-    a = multiplicative(bound, lambda p, e: coeff_prime_power(table[p], p, e, k, not level % p))
+    a = multiplicative(
+        bound, lambda p, e: coeff_prime_power(table[p], p, e, k, not level % p), pe.primes
+    )
     return QSeries(tuple(a))

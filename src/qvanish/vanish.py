@@ -170,10 +170,14 @@ class ScanSource:
     exact(n) gives a(n) exactly.  moduli are the residue lanes the scan may
     certify with, tried in order, and lane(m) builds the lane modulo m; a
     scan calls it at most once per modulus, and only while some index is
-    still uncertified by the lanes before it.  Each lane must cover bound.
-    A source may carry a lane with no certifying moduli, as a curve's does:
-    its scan reads every a(n) exactly.  coeffs --mod prints lane(m), and
-    coeffs and mf read series(), the exact a(0..bound); a scan never does.
+    still uncertified by the lanes before it and not fixed by them.  Each
+    lane must cover bound.  reach(i) is how far the first i lanes fix a(n):
+    the residues of a(n) modulo moduli[:i] determine it for every
+    n <= reach(i), as Deligne's bound makes them for an eta product; the
+    default reach is 0, lanes that fix nothing.  A source may carry a lane
+    with no certifying moduli, as a curve's does: its scan reads every a(n)
+    exactly.  coeffs --mod prints lane(m), and coeffs and mf read series(),
+    the exact a(0..bound); a scan never does.
     """
 
     bound: int
@@ -181,6 +185,7 @@ class ScanSource:
     moduli: tuple[int, ...] = ()
     lane: Callable[[int], ResidueSeries] | None = None
     series: Callable[[], QSeries] | None = field(default=None, kw_only=True)
+    reach: Callable[[int], int] = field(default=lambda count: 0, kw_only=True)
 
     @classmethod
     def from_series(cls, qs: QSeries) -> ScanSource:
@@ -200,10 +205,14 @@ def first_vanishing(
     it shares a factor with the level.
 
     The lanes are built on demand, in the order of source.moduli: lane i is
-    built only while some index is zero in lanes 0..i-1, so an index counted
-    as "residue" is nonzero in the first lane read for it, and only the
-    indices zero in every lane reach source.exact, once each, in order.  A
-    lane that does not cover source.bound raises ValueError when it is built.
+    built only while some index is zero in lanes 0..i-1 and the largest
+    such index lies past source.reach(i), so an index counted as "residue"
+    is nonzero in the first lane read for it.  Once the largest open index
+    is within reach, lanes 0..i-1 fix every open a(n) at 0, and no later
+    lane could certify one.  Only the indices zero in every lane built reach
+    source.exact, once each, in order, so each zero is still read exactly.
+    A lane that does not cover source.bound raises ValueError when it is
+    built.
 
     With coprime_to set, the first zero coprime to it is also reported.
     coprime_to is (a multiple of) the form's M_f, so a composite coprime hit
@@ -214,8 +223,8 @@ def first_vanishing(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     pending = np.arange(1, bound + 1)
-    for m in source.moduli:
-        if not pending.size:
+    for built, m in enumerate(source.moduli):
+        if not pending.size or int(pending[-1]) <= source.reach(built):
             break
         lane = source.lane(m)
         if lane.trunc_bound < bound:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvanish import cli, ec, forms, hecke, vanish
+from qvanish import arith, cli, ec, forms, hecke, vanish
 from qvanish.cli import main
 from qvanish.forms import delta_eta, eta_product_spec, export_qexp
 from qvanish.series import LANE_PRIMES, QSeries
@@ -569,7 +569,7 @@ class TestMinimality:
 
 
 class TestOneBuildPerRequest:
-    """A curve request builds one prime table and one series from it, cold or by --mod."""
+    """A curve request sieves once and builds one prime table and one series, cold or by --mod."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -588,9 +588,16 @@ class TestOneBuildPerRequest:
             monkeypatch.setattr(
                 owner, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
             )
+        sieved = []
+        for owner in (ec, hecke, arith):
+            real = owner.sieve_primes
+            monkeypatch.setattr(
+                owner, "sieve_primes", lambda b, real=real: sieved.append(b) or real(b)
+            )
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert built == ["prime_table", "qexp_from_primes"]
+        assert len(sieved) == 1
 
 
 class TestLevelOnce:
@@ -678,11 +685,13 @@ class TestLaneCascade:
         assert data["lane_moduli"] == list(LANE_PRIMES)
         assert data["certification"] == {"exact": 0, "residue": 5000, "zero": 0}
 
-    def test_all_lanes_built_while_zeros_remain(self, capsys, monkeypatch):
+    def test_first_lane_fixes_every_zero(self, capsys, monkeypatch):
+        # at weight 2 one lane fixes every a(n) to 249561088, so the zeros it
+        # leaves open are proven and no later lane is built
         bound = 1300
         built = self.count_lane_builds(monkeypatch)
         data = run_json(capsys, "scan", "--form", "eta-quotient:11", "--limit", str(bound))
-        assert built == list(LANE_PRIMES)
+        assert built == [LANE_PRIMES[0]]
 
         # the eager reference: all three lanes, a residue in any one certifies
         monkeypatch.undo()
@@ -698,6 +707,28 @@ class TestLaneCascade:
         assert data["zeros"] == zeros and len(zeros) == 195
         assert data["first_zero"] == 8
         assert data["lane_moduli"] == list(LANE_PRIMES)
+
+    # Levels 5 and 11 are the only ones with indices open after their first
+    # lane to 2*10^5.  One lane reaches 15797 at N = 5 (weight 4), and
+    # 249561088 at N = 11 (weight 2), so lane 1 is built at N = 5 to 20000 only.
+    @pytest.mark.parametrize(
+        "level, bound, lanes",
+        [(5, 15797, 1), (5, 20000, 2), (11, 1300, 1), (11, 20000, 1)],
+    )
+    def test_reach_stops_the_cascade_with_the_same_report(self, monkeypatch, level, bound, lanes):
+        reports, builds = [], []
+        for reach in (None, lambda count: 0):
+            built = self.count_lane_builds(monkeypatch)
+            source = cli._eta_product_form(level).source(bound)
+            if reach is not None:
+                source = dataclasses.replace(source, reach=reach)
+            reports.append(vanish.first_vanishing(source, level=level))
+            builds.append(built)
+            monkeypatch.undo()
+        with_reach, without_reach = reports
+        assert with_reach == without_reach
+        assert with_reach.certification["exact"] == 0
+        assert builds == [list(LANE_PRIMES[:lanes]), list(LANE_PRIMES)]
 
 
 class TestClassify:

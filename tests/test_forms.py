@@ -342,9 +342,18 @@ class TestEtaProduct:
     def test_lane_count_steps(self, weight, last_bounds):
         # the last bound each count of lift moduli covers
         for lanes, bound in enumerate(last_bounds, start=1):
+            assert forms.lift_reach(weight, lanes) == bound
             assert len(forms._lift_moduli(weight, bound)) == lanes
             if lanes < len(forms._LIFT_MODULI):
                 assert len(forms._lift_moduli(weight, bound + 1)) == lanes + 1
+
+    @pytest.mark.parametrize("level, reach", [(5, 15797), (11, 249561088)])
+    def test_one_lane_reach(self, level, reach):
+        # the first scan lane fixes a(n) to reach: 16 n^k < M^2 with M = LANE_PRIMES[0]
+        weight = eta_product_spec(level).weight
+        assert forms.lift_reach(weight, 1) == reach
+        assert 16 * reach**weight < LANE_PRIMES[0] ** 2 <= 16 * (reach + 1) ** weight
+        assert forms.lift_reach(weight, 0) == 0
 
     @pytest.mark.parametrize("level, limit", [(1, 18675762), (2, 80708169314)])
     def test_bound_past_the_last_lift_modulus_refused(self, monkeypatch, level, limit):

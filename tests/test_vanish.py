@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvanish import forms
 from qvanish.ec import FIXTURES, prime_table
 from qvanish.forms import delta_coefficient, delta_eta, delta_eta_mod
 from qvanish.hecke import qexp_from_primes
-from qvanish.series import LANE_PRIMES, reduce_mod
+from qvanish.series import LANE_PRIMES, QSeries, reduce_mod
 from qvanish.vanish import (
     AP_ZERO,
     BAD_PRIME,
@@ -387,3 +388,87 @@ class TestLaneCascade:
         first_vanishing(ScanSource(bound, delta_coefficient, (7, 998244353, 11), lane))
         with pytest.raises(ValueError, match="do not cover 50"):
             first_vanishing(ScanSource(bound, delta_coefficient, (7, 11), lane))
+
+
+def synthetic_source(values, moduli, built, reach=None):
+    """a(1..len(values)) = values, lanes by reduction, each build recorded in built."""
+    qs = QSeries((0, *values))
+
+    def lane(m):
+        built.append(m)
+        return reduce_mod(qs, m)
+
+    extra = {} if reach is None else {"reach": reach}
+    return ScanSource(len(values), qs.__getitem__, moduli, lane, **extra)
+
+
+def honest_reach(values, moduli):
+    """reach(i): the largest n with 2 |a(m)| < prod(moduli[:i]) for every m <= n."""
+
+    def reach(count):
+        big_m = math.prod(moduli[:count])
+        past = (n for n, v in enumerate(values, start=1) if 2 * abs(v) >= big_m)
+        return next(past, len(values) + 1) - 1
+
+    return reach
+
+
+class TestReach:
+    """A scan stops building lanes once those built fix every open index."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(-40, 40), st.integers(-600, 600)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.permutations((7, 11, 13)),
+    )
+    def test_honest_reach_keeps_the_report(self, values, moduli):
+        moduli = tuple(moduli)
+        built, eager = [], []
+        with_reach = first_vanishing(
+            synthetic_source(values, moduli, built, honest_reach(values, moduli))
+        )
+        without = first_vanishing(synthetic_source(values, moduli, eager))
+        assert with_reach == without
+        assert built == eager[: len(built)]
+
+    def test_uncovered_residue_zero_builds_the_next_lane(self):
+        # a(3) = 77 is 0 mod 7 and mod 11, and 2 |a(3)| >= 77, so two lanes
+        # reach only n = 2: lane 2 is built and certifies a(3) by its residue
+        values, moduli = [1, 0, 77], (7, 11, 13)
+        reach = honest_reach(values, moduli)
+        assert [reach(i) for i in range(4)] == [0, 2, 2, 3]
+        built = []
+        report = first_vanishing(synthetic_source(values, moduli, built, reach))
+        assert built == [7, 11, 13]
+        assert report.zeros == [2]
+        assert report.certification == {"exact": 0, "residue": 2, "zero": 1}
+
+    def test_zero_within_reach_stops_at_once(self):
+        # lane 0 leaves only n = 2 open, and it fixes a(n) to n = 2
+        values, moduli = [1, 0, 5], (7, 11, 13)
+        reach = honest_reach(values, moduli)
+        assert reach(1) == 2
+        built = []
+        report = first_vanishing(synthetic_source(values, moduli, built, reach))
+        assert built == [7]
+        assert report.zeros == [2]
+        assert report.certification == {"exact": 0, "residue": 2, "zero": 1}
+
+    def test_index_past_the_last_lift_modulus_continues(self):
+        # at weight 200 the lift of all five moduli reaches only n = 2, so
+        # _lift_moduli refuses n = 3; as a reach it just never covers n = 3
+        weight = 200
+        assert forms.lift_reach(weight, len(forms._LIFT_MODULI)) == 2
+        with pytest.raises(ValueError, match="is past it"):
+            forms._lift_moduli(weight, 3)
+        built = []
+        values = [1, 0, 7 * 11 * 13]
+        reach = partial(forms.lift_reach, weight)
+        report = first_vanishing(synthetic_source(values, (7, 11, 13), built, reach))
+        assert built == [7, 11, 13]
+        assert report.zeros == [2]
+        assert report.certification == {"exact": 1, "residue": 1, "zero": 1}

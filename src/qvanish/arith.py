@@ -8,7 +8,10 @@ no index of such a table is factorized.
 from __future__ import annotations
 
 from itertools import chain, compress, cycle
+from math import isqrt
 from typing import Callable
+
+import numpy as np
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -35,21 +38,65 @@ def multiplicative(
 ) -> list[int]:
     """[0, f(1), ..., f(bound)] for the multiplicative f with f(p^e) = prime_power(p, e).
 
-    Each prime power p^e <= bound multiplies its value into every n with
-    p^e || n, so entry n ends as the product over its prime powers.  primes
-    holds every prime <= bound when the caller has sieved them already;
-    primes past bound add nothing.
+    Entry n ends as the product of f(p^e) over p^e || n, built by array
+    passes, not by a Python step per multiple.  A prime p <= sqrt(bound)
+    takes one strided pass over its multiples, each multiplied by f(p^e) for
+    the p^e || n; a prime above sqrt(bound) divides its multiples once, and
+    no two such primes share one, so all of them take one scatter.
+
+    The table is int64 only where a bound proves every entry fits: an n <=
+    bound has at most omega distinct primes (omega primes whose product is
+    <= bound), so |f(n)| < 2^(omega * bits), bits that of the largest
+    |f(p^e)|, and omega * bits <= 62 suffices.  Otherwise it holds Python
+    ints in a numpy object array.  The table is allocated before the primes
+    are sieved, so a bound no memory holds fails there at once.  primes holds
+    every prime <= bound when the caller has sieved them already; primes past
+    bound add nothing.
     """
-    table = [0] + [1] * bound
-    for p in sieve_primes(bound) if primes is None else primes:
-        q, e = p, 1
-        while q <= bound:
-            value, step = prime_power(p, e), q * p
-            for n in range(q, bound + 1, q):
-                if n % step:
-                    table[n] *= value
-            q, e = step, e + 1
-    return table
+    table = np.ones(bound + 1, dtype=np.int64)
+    table[0] = 0
+    if primes is None:
+        primes = sieve_primes(bound)
+    root = isqrt(bound)
+    small, large = [], []
+    for p in primes:
+        if p <= root:
+            values, q, e = [], p, 1
+            while q <= bound:
+                values.append(prime_power(p, e))
+                q, e = q * p, e + 1
+            small.append((p, values))
+        elif p <= bound:
+            large.append(p)
+        else:
+            break
+    large_values = [prime_power(p, 1) for p in large]
+    omega, product = 0, 1
+    for p in primes:
+        product *= p
+        if product > bound:
+            break
+        omega += 1
+    top = max(map(abs, chain(large_values, *(v for _, v in small))), default=0)
+    if omega * top.bit_length() > 62:
+        table = table.astype(object)
+    for p, values in small:
+        # factor[k - 1] = f(p^e) for p^e || p*k: p^e | p*k exactly when p^(e-1) | k
+        factor = np.full(bound // p, values[0], dtype=table.dtype)
+        step = p
+        for value in values[1:]:
+            factor[step - 1 :: step] = value
+            step *= p
+        table[p::p] *= factor
+    if large:
+        large_primes = np.array(large, dtype=np.int64)
+        counts = bound // large_primes
+        # each large prime times its cofactors 1..bound // p
+        cofactor = np.arange(1, int(counts.sum()) + 1)
+        cofactor -= np.repeat(np.cumsum(counts) - counts, counts)
+        where = np.repeat(large_primes, counts) * cofactor
+        table[where] *= np.repeat(np.array(large_values, dtype=table.dtype), counts)
+    return table.tolist()
 
 
 def is_prime(n: int) -> bool:

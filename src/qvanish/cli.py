@@ -386,6 +386,83 @@ def _add_form_args(sub: argparse.ArgumentParser) -> None:
     selector.add_argument("--file", help="path to a q-expansion file")
 
 
+class _Commands(argparse._SubParsersAction):
+    """The subcommands, each parser built only when its command is dispatched.
+
+    add_parser registers a command's name and help at once, as argparse's own
+    action does, so the top-level help, usage and errors are unchanged; the
+    function that fills the command's parser runs in __call__, for the one
+    command given.  This leans on argparse internals (_SubParsersAction,
+    _ChoicesPseudoAction, _name_parser_map): until it is built, a command's
+    entry in _name_parser_map, whose keys are the choices, is its function.
+    """
+
+    def add_parser(self, name, *, build, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]  # argparse has checked that it is a choice
+        sub = self._name_parser_map[name]
+        if not isinstance(sub, argparse.ArgumentParser):
+            build, sub = sub, self._parser_class(prog=f"{self._prog_prefix} {name}")
+            build(sub)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_gate_arg(sub: argparse.ArgumentParser) -> None:
+    """--allow-large, on the commands with a limit and so with the gate."""
+    sub.add_argument(
+        "--allow-large", action="store_true", help="override the compute gate on large limits"
+    )
+
+
+def _coeffs_args(sub: argparse.ArgumentParser) -> None:
+    _add_form_args(sub)
+    sub.add_argument("--limit", type=int, required=True, help="largest index n")
+    sub.add_argument(
+        "--mod",
+        type=int,
+        action="append",
+        help="emit residues modulo this odd prime below 2^31 (repeatable)",
+    )
+    sub.add_argument("--json", action="store_true", help="JSON instead of text")
+    _add_gate_arg(sub)
+    sub.set_defaults(func=cmd_coeffs)
+
+
+def _classify_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=int, required=True, help="the prime p")
+    sub.add_argument("--ap", type=int, required=True, help="the eigenvalue a(p)")
+    sub.add_argument("--k", type=int, required=True, help="the (even) weight")
+    sub.add_argument("--bad", action="store_true", help="p divides the level (bad prime)")
+    sub.set_defaults(func=cmd_classify)
+
+
+def _mf_args(sub: argparse.ArgumentParser) -> None:
+    _add_form_args(sub)
+    sub.set_defaults(func=cmd_mf)
+
+
+def _scan_args(sub: argparse.ArgumentParser) -> None:
+    _add_form_args(sub)
+    scan_bound = sub.add_mutually_exclusive_group(required=True)
+    scan_bound.add_argument("--limit", type=int, help="scan 1 <= n <= limit")
+    scan_bound.add_argument(
+        "--full-lehmer",
+        action="store_true",
+        help=f"scan to the classical tau bound {FULL_LEHMER_BOUND} (long-running)",
+    )
+    sub.add_argument(
+        "--coprime-mf",
+        action="store_true",
+        help="also report the first zero coprime to M_f (hits must be prime)",
+    )
+    _add_gate_arg(sub)
+    sub.set_defaults(func=cmd_scan)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qvanish",
@@ -395,54 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=f"Coefficient cache directory: ${CACHE_ENV} (default {DEFAULT_CACHE})",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_coeffs = subs.add_parser("coeffs", help="print exact coefficients (or residues)")
-    _add_form_args(p_coeffs)
-    p_coeffs.add_argument("--limit", type=int, required=True, help="largest index n")
-    p_coeffs.add_argument(
-        "--mod",
-        type=int,
-        action="append",
-        help="emit residues modulo this odd prime below 2^31 (repeatable)",
+    commands = parser.add_subparsers(dest="command", required=True, action=_Commands)
+    commands.add_parser("coeffs", build=_coeffs_args, help="print exact coefficients (or residues)")
+    commands.add_parser(
+        "classify", build=_classify_args, help="classify the zero set of r -> a(p^r) from a_p"
     )
-    p_coeffs.add_argument("--json", action="store_true", help="JSON instead of text")
-    p_coeffs.set_defaults(func=cmd_coeffs)
-
-    p_classify = subs.add_parser(
-        "classify", help="classify the zero set of r -> a(p^r) from a_p"
-    )
-    p_classify.add_argument("--p", type=int, required=True, help="the prime p")
-    p_classify.add_argument("--ap", type=int, required=True, help="the eigenvalue a(p)")
-    p_classify.add_argument("--k", type=int, required=True, help="the (even) weight")
-    p_classify.add_argument(
-        "--bad", action="store_true", help="p divides the level (bad prime)"
-    )
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_mf = subs.add_parser("mf", help="compute the obstruction modulus M_f | 6")
-    _add_form_args(p_mf)
-    p_mf.set_defaults(func=cmd_mf)
-
-    p_scan = subs.add_parser("scan", help="first-vanishing scan up to a bound")
-    _add_form_args(p_scan)
-    scan_bound = p_scan.add_mutually_exclusive_group(required=True)
-    scan_bound.add_argument("--limit", type=int, help="scan 1 <= n <= limit")
-    scan_bound.add_argument(
-        "--full-lehmer",
-        action="store_true",
-        help=f"scan to the classical tau bound {FULL_LEHMER_BOUND} (long-running)",
-    )
-    p_scan.add_argument(
-        "--coprime-mf",
-        action="store_true",
-        help="also report the first zero coprime to M_f (hits must be prime)",
-    )
-    p_scan.set_defaults(func=cmd_scan)
-    for sub in (p_coeffs, p_scan):  # the commands with a limit, and so with the gate
-        sub.add_argument(
-            "--allow-large", action="store_true", help="override the compute gate on large limits"
-        )
+    commands.add_parser("mf", build=_mf_args, help="compute the obstruction modulus M_f | 6")
+    commands.add_parser("scan", build=_scan_args, help="first-vanishing scan up to a bound")
     return parser
 
 

@@ -17,10 +17,13 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   once per prime: about 15-25 us per prime from 2^9 to 2^18, against about
   2-4 ms for a lane on its own (ap_good above the crossover).
 - Every other odd prime, and any good prime whose lane leaves more than one
-  N: the character sum, O(p), about 10 us + 20 ns * p.  The substitution
-  u = 2y + a1*x + a3 turns the model into u^2 = 4x^3 + b2*x^2 + 2*b4*x + b6,
-  so each x contributes 1 + chi(g(x)) points with chi the quadratic
-  character.
+  N: the character sum, O(p), all of them in one _char_sums call.  The
+  substitution u = 2y + a1*x + a3 turns the model into u^2 = 4x^3 + b2*x^2
+  + 2*b4*x + b6, so each x contributes 1 + chi(g(x)) points with chi the
+  quadratic character.  A pass lays the x of many primes end to end, so it
+  costs about 25 us plus 20-45 ns per x: the 96 odd primes up to
+  BSGS_CROSSOVER (22546 x) take about 1.0-1.2 ms together, against about
+  2 ms one pass each.
 
 At p = 2 the four pairs (x, y) are tried.  _aps alone routes primes.
 Primes from 2^31 on are refused: the lanes hold residues below p in int64,
@@ -122,20 +125,43 @@ def parse_curve(text: str) -> WeierstrassCurve:
     return WeierstrassCurve(*a, label=text)
 
 
-def _char_sum(curve: WeierstrassCurve, p: int) -> int:
-    """Sum over x in F_p of chi(4x^3 + b2*x^2 + 2*b4*x + b6), odd p only."""
+# A character-sum pass lays out at most this many x, or the F_p of one wider
+# prime, so its int64 temporaries stay within those of a sum at one prime.
+CHAR_SUM_WIDTH = 2**16
+
+
+def _char_sums(curve: WeierstrassCurve, primes: list[int]) -> list[int]:
+    """[sum over x in F_p of chi(4x^3 + b2*x^2 + 2*b4*x + b6) for p in primes], odd p only.
+
+    Each pass lays the ranges F_p of consecutive primes end to end, reduces
+    each entry by its own p, and sums each range with np.add.reduceat, so
+    the interpreter is paid once per pass, not once per prime: the 96 odd
+    primes up to BSGS_CROSSOVER take one pass.
+    """
     b2, b4, b6 = curve.b_invariants
-    x = np.arange(p, dtype=np.int64)
-    # Horner with two reductions: every partial value stays below 6p^2,
-    # exact in int64 for p < 10^9.
-    g = ((4 * x + b2 % p) * x + 2 * b4 % p) % p
-    g = (g * x + b6 % p) % p
-    # w[v] = #{u : u^2 = v}: 1 at 0, 2 at nonzero squares, 0 elsewhere.
-    half = x[: (p + 1) // 2]
-    w = np.zeros(p, dtype=np.int8)
-    w[half * half % p] = 2
-    w[0] = 1
-    return int(w[g].sum(dtype=np.int64)) - p
+    sums = []
+    while primes:
+        cut = max(1, int(np.searchsorted(np.cumsum(primes), CHAR_SUM_WIDTH, side="right")))
+        batch, primes = primes[:cut], primes[cut:]
+        size = np.array(batch, dtype=np.int64)
+        start = np.cumsum(size) - size
+        base = np.repeat(start, size)  # where the range of each entry's prime starts
+        p = np.repeat(size, size)
+        x = np.arange(len(p)) - base
+
+        def reduced(c):
+            return np.repeat(np.array([c % q for q in batch], dtype=np.int64), size)
+
+        # Horner with two reductions: every partial value stays below 6p^2,
+        # exact in int64 for p < 10^9.
+        g = ((4 * x + reduced(b2)) * x + reduced(2 * b4)) % p
+        g = (g * x + reduced(b6)) % p
+        # w[base + v] = #{u : u^2 = v}: 1 at 0, 2 at nonzero squares, 0 elsewhere.
+        w = np.zeros(len(p), dtype=np.int8)
+        w[base + x * x % p] = 2
+        w[start] = 1
+        sums += (np.add.reduceat(w[base + g], start, dtype=np.int64) - size).tolist()
+    return sums
 
 
 # Above this prime a good prime's a_p goes by the lanes; at and below it, by
@@ -466,13 +492,15 @@ def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
 
     The one router, by whether p divides the discriminant: p = 2 tries its
     four pairs, the good primes above BSGS_CROSSOVER take one _lane_aps call,
-    and every other prime and open lane the character sum.  Each a_p is
+    and every other prime and open lane one _char_sums call.  Each a_p is
     checked: a_p^2 <= 4p (Hasse), and a_p in {-1, 0, 1} at a bad prime.
     """
     if max(primes, default=0) >= 2**31:
         raise ValueError(f"p={max(primes)} is not below 2^31, the bound of the int64 lanes")
     bad = {p for p in primes if curve.discriminant % p == 0}
     found = _lane_aps(curve, [p for p in primes if p > BSGS_CROSSOVER and p not in bad])
+    summed = [p for p in primes if p != 2 and p not in found]
+    sums = dict(zip(summed, _char_sums(curve, summed)))
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     aps = {}
     for p in primes:
@@ -485,7 +513,7 @@ def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
                 for y in (0, 1)
             )
         else:
-            ap = -_char_sum(curve, p)
+            ap = -sums[p]
         if p in bad and ap not in (-1, 0, 1):
             raise ValueError(f"bad-prime a_p={ap} outside {{-1,0,1}} at p={p}")
         if ap * ap > 4 * p:

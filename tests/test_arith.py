@@ -2,6 +2,8 @@ import time
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvanish.arith import (
     TRIAL_DIVISION_LIMIT,
@@ -48,6 +50,55 @@ class TestMultiplicative:
         # f(2^3) = 0 zeroes exactly the n with 2^3 || n
         table = multiplicative(100, lambda p, e: 0 if (p, e) == (2, 3) else 1)
         assert [n for n in range(1, 101) if table[n] == 0] == [8, 24, 40, 56, 72, 88]
+
+
+# values of f(p^e): small ones keep the table int64, the others include values
+# from 2^63 on (and below -2^63), which only Python ints hold
+SMALL_VALUES = st.integers(-7, 7)
+ANY_VALUES = st.one_of(
+    st.integers(-7, 7),
+    st.sampled_from([0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64]),
+    st.integers(-(2**80), 2**80),
+)
+
+
+class TestMultiplicativeProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        bound=st.integers(0, 3000),
+        small=st.booleans(),
+        sieve_past=st.one_of(st.none(), st.integers(0, 500)),
+        data=st.data(),
+    )
+    def test_equals_trial_division(self, bound, small, sieve_past, data):
+        values = data.draw(st.lists(SMALL_VALUES if small else ANY_VALUES, min_size=1, max_size=40))
+
+        def rule(p, e):
+            return values[(5 * p + e) % len(values)]
+
+        primes = None if sieve_past is None else sieve_primes(bound + sieve_past)
+        assert multiplicative(bound, rule, primes) == multiplicative_by_trial_division(bound, rule)
+
+    @pytest.mark.parametrize(
+        "f2, f3, n6",
+        [
+            # 7^2 * 73 * 127 and 337 * 92737 * 649657: the product is 2^63 - 1
+            (454279, 20303320287433, 2**63 - 1),
+            (2**21, 2**42, 2**63),
+            (-(2**21), 2**42, -(2**63)),
+            # 2 * 31 bits <= 62: int64; 2 * 32 bits would overflow it
+            (-(2**31 - 1), 2**31 - 1, -((2**31 - 1) ** 2)),
+            (2**32 - 1, 2**32 - 1, (2**32 - 1) ** 2),
+        ],
+        ids=["2^63-1", "2^63", "-2^63", "31-bit", "32-bit"],
+    )
+    def test_products_at_the_int64_edge(self, f2, f3, n6):
+        def rule(p, e):
+            return {(2, 1): f2, (3, 1): f3}.get((p, e), 1)
+
+        table = multiplicative(6, rule)
+        assert table == [0, 1, f2, f3, 1, 1, n6]
+        assert table == multiplicative_by_trial_division(6, rule)
 
 
 class TestFactorize:

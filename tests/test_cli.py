@@ -469,7 +469,7 @@ CURVE_COMMANDS = {
 
 class TestRefusals:
     def test_failed_hasse_check_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: 3 * p)
+        monkeypatch.setattr(ec, "_char_sums", lambda curve, primes: [3 * p for p in primes])
         code, out, err = run(capsys, "coeffs", "--fixture", "37a1", "--limit", "9")
         assert (code, out) == (2, "")
         assert "Hasse bound" in err

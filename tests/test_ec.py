@@ -136,6 +136,32 @@ class TestGoodPrimes:
             assert ap * ap <= 4 * p
 
 
+class TestCharSums:
+    """One _char_sums call against enumeration, at every odd prime up to 600."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(a=st.tuples(*[st.integers(-12, 12)] * 5))
+    def test_random_minimal_curves_equal_enumeration(self, a):
+        try:
+            curve = WeierstrassCurve(*a)
+            curve.level
+        except ValueError:
+            assume(False)
+        primes = sieve_primes(600)[1:]  # p = 3 and the odd bad primes included
+        assume(any(curve.discriminant % p == 0 for p in primes))
+        sums = ec._char_sums(curve, primes)
+        assert sums == [count_affine_points(*a, p) - p for p in primes]
+
+    def test_passes_split_by_width(self, monkeypatch):
+        # passes [3, 5], [7], [11] and [13]: a prime wider than the cap has its own
+        primes = [3, 5, 7, 11, 13]
+        want = ec._char_sums(C37, primes)
+        monkeypatch.setattr(ec, "CHAR_SUM_WIDTH", 8)
+        assert ec._char_sums(C37, primes) == want
+        assert want == [count_affine_points(0, 0, 1, -1, 0, p) - p for p in primes]
+        assert ec._char_sums(C37, []) == []
+
+
 class TestBadPrimes:
     def test_fixture_bad_values_from_brute_force(self):
         # Frozen from the independent full-enumeration nonsingular count
@@ -225,7 +251,7 @@ class TestBSGS:
         # a repeated x only repeats a point
         primes = good_primes(curve, 11, 20000)
         found = ec._lane_aps(curve, primes)
-        assert {p: -ec._char_sum(curve, p) for p in found} == found
+        assert dict(zip(found, (-s for s in ec._char_sums(curve, list(found))))) == found
         # the lanes answer nearly everywhere, so the agreement is not vacuous
         assert len(primes) - len(found) < len(primes) // 20
 
@@ -273,7 +299,9 @@ class TestBSGS:
         table = prime_table(curve, 3000).table
         primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 3000)
         assert primes
-        assert {p: table[p] for p in primes} == {p: -ec._char_sum(curve, p) for p in primes}
+        assert {p: table[p] for p in primes} == {
+            p: -s for p, s in zip(primes, ec._char_sums(curve, primes))
+        }
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(60) if p >= 5])
     def test_annihilators_are_the_multiples_of_the_order(self, p):
@@ -339,14 +367,14 @@ class TestBSGS:
         bound = 2 * ec.BSGS_CROSSOVER
         tables = {c.label: prime_table(c, bound).table for c in CURVES}
         calls = []
-        char_sum = ec._char_sum
+        char_sums = ec._char_sums
 
-        def counted(curve, p):
-            calls.append(p)
-            return char_sum(curve, p)
+        def counted(curve, primes):
+            calls.extend(primes)
+            return char_sums(curve, primes)
 
         monkeypatch.setattr(ec, "BSGS_POINTS", 0)
-        monkeypatch.setattr(ec, "_char_sum", counted)
+        monkeypatch.setattr(ec, "_char_sums", counted)
         for c in CURVES:
             assert prime_table(c, bound).table == tables[c.label]
         # Every odd prime, good or bad, went by the character sum.
@@ -364,7 +392,7 @@ class TestBSGS:
     def test_primes_from_2_31_refused(self, monkeypatch):
         # the int64 lanes end there, and the O(p) character sum would not end at all
         calls = []
-        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: calls.append(p))
+        monkeypatch.setattr(ec, "_char_sums", lambda curve, primes: calls.extend(primes))
         monkeypatch.setattr(ec, "_lane_aps", lambda curve, primes: calls.extend(primes))
         p = 2147483659  # the least prime above 2^31
         for ap in (ap_good, lambda curve, p: ec._aps(curve, [p])):
@@ -392,23 +420,26 @@ class TestRoute:
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_table_takes_one_lane_call_and_sums_the_rest(self, curve, monkeypatch):
         lane_calls, summed = [], []
-        lane_aps, char_sum = ec._lane_aps, ec._char_sum
+        lane_aps, char_sums = ec._lane_aps, ec._char_sums
 
         def lanes(c, primes):
             lane_calls.append((primes, lane_aps(c, primes)))
             return lane_calls[-1][1]
 
         monkeypatch.setattr(ec, "_lane_aps", lanes)
-        monkeypatch.setattr(ec, "_char_sum", lambda c, p: summed.append(p) or char_sum(c, p))
+        monkeypatch.setattr(
+            ec, "_char_sums", lambda c, primes: summed.append(primes) or char_sums(c, primes)
+        )
         prime_table(curve, 20000)
         primes = sieve_primes(20000)
         bad = [p for p in primes if curve.discriminant % p == 0]
         ((sent, found),) = lane_calls
         assert sent == [p for p in primes if p > ec.BSGS_CROSSOVER and p not in bad]
-        assert summed == [
+        # one call for every prime the lanes leave
+        assert summed == [[
             p for p in primes
             if p > 2 and (p <= ec.BSGS_CROSSOVER or p in bad or p not in found)
-        ]
+        ]]
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_single_primes_equal_the_table_to_3000(self, curve):
@@ -453,12 +484,12 @@ class TestResultChecks:
     """The checks that guard a_p are exceptions, so python -O keeps them."""
 
     def test_hasse_violation_raises(self, monkeypatch):
-        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: 3 * p)
+        monkeypatch.setattr(ec, "_char_sums", lambda curve, primes: [3 * p for p in primes])
         with pytest.raises(ValueError, match="Hasse bound violated at p=5"):
             ap_good(C37, 5)
 
     def test_bad_prime_value_out_of_range_raises(self, monkeypatch):
-        monkeypatch.setattr(ec, "_char_sum", lambda curve, p: -2)
+        monkeypatch.setattr(ec, "_char_sums", lambda curve, primes: [-2 for p in primes])
         with pytest.raises(ValueError, match="outside"):
             ap_bad(C37, 37)
 
@@ -466,7 +497,7 @@ class TestResultChecks:
         script = (
             "from qvanish import ec\n"
             "assert False, 'asserts are live: not running under -O'\n"
-            "ec._char_sum = lambda curve, p: 3 * p\n"
+            "ec._char_sums = lambda curve, primes: [3 * p for p in primes]\n"
             "try:\n"
             "    ec.ap_good(ec.FIXTURES['37a1'], 5)\n"
             "except ValueError as exc:\n"

@@ -1,8 +1,10 @@
 """Command-line surface: coeffs, classify, mf, scan.
 
-argparse owns every selector name (--form takes a key of NAMED_FORMS, --fixture
-one of ec.FIXTURES), and each resolves by lookup to the ResolvedForm built by
-the one constructor of its family: the eta product (Delta at level 1, the eta
+COMMANDS declares each option once.  _read takes a command line spelled as
+documented straight from it; argparse, built from it too, reads every other
+spelling and owns help, usage and errors.  A selector (--form a key of
+NAMED_FORMS, --fixture of ec.FIXTURES) resolves by lookup to the ResolvedForm
+of its family's one constructor: the eta product (Delta at level 1, the eta
 quotients at N), Eisenstein series, curves, files.  Each rule of a request is
 checked once, before any form is built or file opened: coeffs and scan share
 one compute gate (a limit above SCAN_GATE needs --allow-large), and --mod
@@ -24,7 +26,8 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import ec, forms, hecke, vanish
 from .arith import is_prime, sieve_primes
@@ -375,116 +378,113 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _add_form_args(sub: argparse.ArgumentParser) -> None:
-    selector = sub.add_mutually_exclusive_group(required=True)
-    selector.add_argument("--form", choices=NAMED_FORMS, help="named form")
-    selector.add_argument(
-        "--curve",
-        help="elliptic curve, five integers a1,a2,a3,a4,a6; write --curve=-1,0,0,0,1 when a1 < 0",
-    )
-    selector.add_argument("--fixture", choices=sorted(ec.FIXTURES), help="named curve fixture")
-    selector.add_argument("--file", help="path to a q-expansion file")
+class _Opt(NamedTuple):
+    flag: str
+    help: str
+    value: object = None  # int, a table whose keys are the choices, or None for text
+    action: str = "store"  # argparse's action: store, store_true or append
 
 
-class _Commands(argparse._SubParsersAction):
-    """The subcommands, each parser built only when its command is dispatched.
+# Each command's help, function and options, declared once for build_parser and
+# _read.  A list is a group of which exactly one option is given (mutually
+# exclusive when it has more than one); a bare option is optional.
+_FORM = [
+    _Opt("--form", "named form", NAMED_FORMS),
+    _Opt("--curve", "elliptic curve, five integers a1,a2,a3,a4,a6; "
+         "write --curve=-1,0,0,0,1 when a1 < 0"),
+    _Opt("--fixture", "named curve fixture", sorted(ec.FIXTURES)),
+    _Opt("--file", "path to a q-expansion file"),
+]
+# on the commands with a limit, and so with the gate
+_GATE = _Opt("--allow-large", "override the compute gate on large limits", action="store_true")
+COMMANDS = {
+    "coeffs": ("print exact coefficients (or residues)", cmd_coeffs, _FORM,
+               [_Opt("--limit", "largest index n", int)],
+               _Opt("--mod", "emit residues modulo this odd prime below 2^31 (repeatable)",
+                    int, "append"),
+               _Opt("--json", "JSON instead of text", action="store_true"), _GATE),
+    "classify": ("classify the zero set of r -> a(p^r) from a_p", cmd_classify,
+                 [_Opt("--p", "the prime p", int)], [_Opt("--ap", "the eigenvalue a(p)", int)],
+                 [_Opt("--k", "the (even) weight", int)],
+                 _Opt("--bad", "p divides the level (bad prime)", action="store_true")),
+    "mf": ("compute the obstruction modulus M_f | 6", cmd_mf, _FORM),
+    "scan": ("first-vanishing scan up to a bound", cmd_scan, _FORM,
+             [_Opt("--limit", "scan 1 <= n <= limit", int),
+              _Opt("--full-lehmer", f"scan to the classical tau bound {FULL_LEHMER_BOUND} "
+                   "(long-running)", action="store_true")],
+             _Opt("--coprime-mf", "also report the first zero coprime to M_f (hits must be prime)",
+                  action="store_true"), _GATE),
+}
 
-    add_parser registers a command's name and help at once, as argparse's own
-    action does, so the top-level help, usage and errors are unchanged; the
-    function that fills the command's parser runs in __call__, for the one
-    command given.  This leans on argparse internals (_SubParsersAction,
-    _ChoicesPseudoAction, _name_parser_map): until it is built, a command's
-    entry in _name_parser_map, whose keys are the choices, is its function.
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse makes of argv if it is spelled as documented, else None.
+
+    That is a command, then its flags in full, each value flag followed by a
+    value not starting with '-' (an int, or a key of its table); only --mod
+    repeats.  Abbreviations, --opt=value, negative values, -h and every error
+    are argparse's.
     """
-
-    def add_parser(self, name, *, build, help):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = build
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]  # argparse has checked that it is a choice
-        sub = self._name_parser_map[name]
-        if not isinstance(sub, argparse.ArgumentParser):
-            build, sub = sub, self._parser_class(prog=f"{self._prog_prefix} {name}")
-            build(sub)
-            self._name_parser_map[name] = sub
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _add_gate_arg(sub: argparse.ArgumentParser) -> None:
-    """--allow-large, on the commands with a limit and so with the gate."""
-    sub.add_argument(
-        "--allow-large", action="store_true", help="override the compute gate on large limits"
-    )
-
-
-def _coeffs_args(sub: argparse.ArgumentParser) -> None:
-    _add_form_args(sub)
-    sub.add_argument("--limit", type=int, required=True, help="largest index n")
-    sub.add_argument(
-        "--mod",
-        type=int,
-        action="append",
-        help="emit residues modulo this odd prime below 2^31 (repeatable)",
-    )
-    sub.add_argument("--json", action="store_true", help="JSON instead of text")
-    _add_gate_arg(sub)
-    sub.set_defaults(func=cmd_coeffs)
-
-
-def _classify_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, required=True, help="the prime p")
-    sub.add_argument("--ap", type=int, required=True, help="the eigenvalue a(p)")
-    sub.add_argument("--k", type=int, required=True, help="the (even) weight")
-    sub.add_argument("--bad", action="store_true", help="p divides the level (bad prime)")
-    sub.set_defaults(func=cmd_classify)
-
-
-def _mf_args(sub: argparse.ArgumentParser) -> None:
-    _add_form_args(sub)
-    sub.set_defaults(func=cmd_mf)
-
-
-def _scan_args(sub: argparse.ArgumentParser) -> None:
-    _add_form_args(sub)
-    scan_bound = sub.add_mutually_exclusive_group(required=True)
-    scan_bound.add_argument("--limit", type=int, help="scan 1 <= n <= limit")
-    scan_bound.add_argument(
-        "--full-lehmer",
-        action="store_true",
-        help=f"scan to the classical tau bound {FULL_LEHMER_BOUND} (long-running)",
-    )
-    sub.add_argument(
-        "--coprime-mf",
-        action="store_true",
-        help="also report the first zero coprime to M_f (hits must be prime)",
-    )
-    _add_gate_arg(sub)
-    sub.set_defaults(func=cmd_scan)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, *entries = COMMANDS[argv[0]]
+    options = {opt.flag: opt for e in entries for opt in (e if isinstance(e, list) else [e])}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        opt = options.get(flag)
+        if opt is None or (flag in given and opt.action != "append"):
+            return None
+        if opt.action == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a flag that ends argv has no value
+        if value.startswith("-"):
+            return None
+        if opt.value is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif opt.value is not None and value not in opt.value:
+            return None
+        given[flag] = [*given.get(flag, ()), value] if opt.action == "append" else value
+    if any(sum(opt.flag in given for opt in e) != 1 for e in entries if isinstance(e, list)):
+        return None
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, opt in options.items():
+        default = False if opt.action == "store_true" else None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qvanish",
-        description=(
-            "Exact Fourier coefficients of classical newforms, their prime-power "
-            "vanishing, the obstruction modulus M_f, and first-vanishing scans."
-        ),
-        epilog=f"Coefficient cache directory: ${CACHE_ENV} (default {DEFAULT_CACHE})",
-    )
-    commands = parser.add_subparsers(dest="command", required=True, action=_Commands)
-    commands.add_parser("coeffs", build=_coeffs_args, help="print exact coefficients (or residues)")
-    commands.add_parser(
-        "classify", build=_classify_args, help="classify the zero set of r -> a(p^r) from a_p"
-    )
-    commands.add_parser("mf", build=_mf_args, help="compute the obstruction modulus M_f | 6")
-    commands.add_parser("scan", build=_scan_args, help="first-vanishing scan up to a bound")
+    parser = _Parser(prog="qvanish", description=(
+        "Exact Fourier coefficients of classical newforms, their prime-power vanishing, "
+        "the obstruction modulus M_f, and first-vanishing scans."
+    ), epilog=f"Coefficient cache directory: ${CACHE_ENV} (default {DEFAULT_CACHE})")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, *entries) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_)
+        sub.set_defaults(func=func)
+        for entry in entries:
+            group = entry if isinstance(entry, list) else [entry]
+            into = sub.add_mutually_exclusive_group(required=True) if len(group) > 1 else sub
+            for opt in group:
+                kind = ({"type": int} if opt.value is int
+                        else {"choices": opt.value} if opt.value else {})
+                into.add_argument(opt.flag, action=opt.action, help=opt.help,
+                                  required=into is sub and isinstance(entry, list), **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+    else:  # a rule checked in a command builds the parser only to report through its error
+        parser = SimpleNamespace(error=lambda message: build_parser().error(message))
     try:
         return args.func(args, parser)
     except vanish.GuaranteeViolationError as exc:

@@ -254,11 +254,15 @@ def eta_product(level: int, bound: int, modulus: int) -> ResidueSeries:
             if count:
                 factors += [expansion(bound, dilation)] * count
     first, second, *rest = factors
-    acc = mul_sparse_sparse_mod(  # q times the first factor, then the second
-        SparseSeries(tuple((i + 1, c) for i, c in first.terms if i < bound), bound),
-        second,
-        modulus,
-    )
+    seed = SparseSeries(tuple((i + 1, c) for i, c in first.terms if i < bound), bound)
+    # the int64 guards of the products below, checked before any lane is allocated
+    size = [sum(abs(c) for _, c in f.terms) for f in (seed, second, *rest)]
+    if size[0] * size[1] >= 2**62 or (max(size[2:]) + 1) * modulus >= 2**62:
+        raise ValueError(
+            f"residue lanes modulo {modulus} stop short of bound {bound}: "
+            "their int64 sums would overflow"
+        )
+    acc = mul_sparse_sparse_mod(seed, second, modulus)  # q times the first factor, then the second
     for factor in rest:
         acc = mul_sparse_mod(acc, factor)
     return acc

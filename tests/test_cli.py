@@ -114,6 +114,28 @@ class TestCoeffs:
         assert "stop at bound 18675762" in err
         assert not os.path.exists(os.environ["QVANISH_CACHE_DIR"])
 
+    @pytest.mark.parametrize(
+        "argv, modulus",
+        [
+            (("--form", "delta", "--mod", "7"), 7),
+            (("--form", "eta-quotient:2"), LANE_PRIMES[0]),
+        ],
+        ids=["delta-mod-7", "eta-quotient:2-lift"],
+    )
+    def test_lane_past_int64_refused(self, capsys, monkeypatch, argv, modulus):
+        # a lane's int64 sums would overflow: refused before any lane is built
+        built = []
+        for name in ("mul_sparse_sparse_mod", "mul_sparse_mod"):
+            monkeypatch.setattr(forms, name, lambda *args, _name=name: built.append(_name))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "coeffs", *argv, "--limit", "1100000000", "--allow-large")
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out, built) == (2, "", [])
+        assert err == (
+            f"error: residue lanes modulo {modulus} stop short of bound 1100000000: "
+            "their int64 sums would overflow\n"
+        )
+
     def test_mod_output(self, capsys):
         code, out, _ = run(
             capsys, "coeffs", "--form", "delta", "--limit", "5", "--mod", "691"

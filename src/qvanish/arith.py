@@ -33,10 +33,22 @@ def sieve_primes(bound: int) -> list[int]:
     return list(compress(range(bound + 1), flags))
 
 
+def multiples(primes: np.ndarray, bound: int) -> np.ndarray:
+    """p*m for every p in primes and 1 <= m <= bound // p, prime by prime, in one array."""
+    counts = bound // primes
+    cofactor = np.arange(1, int(counts.sum()) + 1)
+    cofactor -= np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(primes, counts) * cofactor
+
+
 def multiplicative(
-    bound: int, prime_power: Callable[[int, int], int], primes: list[int] | None = None
+    bound: int,
+    prime_power: Callable[[int, int], int],
+    primes: list[int] | None = None,
+    *,
+    scale: int = 1,
 ) -> list[int]:
-    """[0, f(1), ..., f(bound)] for the multiplicative f with f(p^e) = prime_power(p, e).
+    """[0, c*f(1), ..., c*f(bound)], c = scale, f multiplicative with f(p^e) = prime_power(p, e).
 
     Entry n ends as the product of f(p^e) over p^e || n, built by array
     passes, not by a Python step per multiple.  A prime p <= sqrt(bound)
@@ -47,11 +59,12 @@ def multiplicative(
     The table is int64 only where a bound proves every entry fits: an n <=
     bound has at most omega distinct primes (omega primes whose product is
     <= bound), so |f(n)| < 2^(omega * bits), bits that of the largest
-    |f(p^e)|, and omega * bits <= 62 suffices.  Otherwise it holds Python
-    ints in a numpy object array.  The table is allocated before the primes
-    are sieved, so a bound no memory holds fails there at once.  primes holds
-    every prime <= bound when the caller has sieved them already; primes past
-    bound add nothing.
+    |f(p^e)|, and omega * bits plus the bits of |c| - 1 at most 62 suffices.
+    Otherwise it holds Python ints in a numpy object array.  Every entry
+    starts at c, so the scale costs no pass of its own.  The table is
+    allocated before the primes are sieved, so a bound no memory holds fails
+    there at once.  primes holds every prime <= bound when the caller has
+    sieved them already; primes past bound add nothing.
     """
     table = np.ones(bound + 1, dtype=np.int64)
     table[0] = 0
@@ -78,8 +91,9 @@ def multiplicative(
             break
         omega += 1
     top = max(map(abs, chain(large_values, *(v for _, v in small))), default=0)
-    if omega * top.bit_length() > 62:
+    if omega * top.bit_length() + (abs(scale) - 1).bit_length() > 62:
         table = table.astype(object)
+    table[1:] = scale
     for p, values in small:
         # factor[k - 1] = f(p^e) for p^e || p*k: p^e | p*k exactly when p^(e-1) | k
         factor = np.full(bound // p, values[0], dtype=table.dtype)
@@ -90,12 +104,8 @@ def multiplicative(
         table[p::p] *= factor
     if large:
         large_primes = np.array(large, dtype=np.int64)
-        counts = bound // large_primes
-        # each large prime times its cofactors 1..bound // p
-        cofactor = np.arange(1, int(counts.sum()) + 1)
-        cofactor -= np.repeat(np.cumsum(counts) - counts, counts)
-        where = np.repeat(large_primes, counts) * cofactor
-        table[where] *= np.repeat(np.array(large_values, dtype=table.dtype), counts)
+        values = np.array(large_values, dtype=table.dtype)
+        table[multiples(large_primes, bound)] *= np.repeat(values, bound // large_primes)
     return table.tolist()
 
 

@@ -8,7 +8,8 @@ of its family's one constructor: the eta product (Delta at level 1, the eta
 quotients at N), Eisenstein series, curves, files.  Each rule of a request is
 checked once, before any form is built or file opened: coeffs and scan share
 one compute gate (a limit above SCAN_GATE needs --allow-large), and --mod
-takes the lanes' modulus rule.  A scan's bound is that of its source.
+takes the lanes' modulus rule.  A form record reads its series, its lanes
+and its scan to the limit of the request.
 
 JSON output is key-sorted and timestamp-free, so identical invocations are
 byte-identical.  Exit codes: 0 success, 2 usage or input errors, 3 when a
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple
 from . import ec, forms, hecke, vanish
 from .arith import is_prime, sieve_primes
 from .forms import FormSpec
-from .series import LANE_PRIMES, QSeries, is_lane_modulus, reduce_mod
+from .series import LANE_PRIMES, QSeries, ResidueSeries, is_lane_modulus, reduce_mod
 
 CACHE_ENV = "QVANISH_CACHE_DIR"
 DEFAULT_CACHE = os.path.join("~", ".cache", "qvanish")
@@ -48,15 +49,30 @@ CACHE_FORMAT = 2
 @dataclass
 class ResolvedForm:
     spec: FormSpec
-    # what a scan to a bound reads; coeffs --mod prints its lane(m), coeffs and mf its series()
-    source: Callable[[int], vanish.ScanSource]
+    # series(bound), the exact a(0..bound) that coeffs and mf read
+    series: Callable[[int], QSeries]
+    # lanes(bound), whose lane(m) coeffs --mod prints
+    lanes: Callable[[int], Callable[[int], ResidueSeries]]
+    # scan(bound, coprime_to): the first-vanishing report, with M_f or None
+    scan: Callable[[int, int | None], vanish.ScanReport]
     # an eigenform by construction (Delta, eta quotients, curves): cached, M_f unchecked
     newform: bool = False
     # the largest n a file gives, to which M_f checks that it is an eigenform
     data_bound: int | None = None
 
 
-def _eta_product_form(level: int) -> ResolvedForm:
+def _source_form(spec: FormSpec, source: Callable[[int], vanish.ScanSource],
+                 **kwargs) -> ResolvedForm:
+    """A form read through the ScanSource of each bound, and scanned index by index."""
+    return ResolvedForm(
+        spec, lambda bound: source(bound).series(), lambda bound: source(bound).lane,
+        lambda bound, coprime_to: vanish.first_vanishing(
+            source(bound), coprime_to=coprime_to, level=spec.level),
+        **kwargs,
+    )
+
+
+def _eta_source(level: int) -> Callable[[int], vanish.ScanSource]:
     """Delta (level 1) or an eta quotient: residue lanes, lifted for exact values.
 
     The source's lane cache builds each lane once, to the source's bound, when
@@ -67,40 +83,49 @@ def _eta_product_form(level: int) -> ResolvedForm:
     scan stops building lanes once those it has fix every open index, and
     then calls the exact callback, which reads only those lanes.
     """
-    spec = forms.eta_product_spec(level)
+    reach = partial(forms.lift_reach, forms.eta_product_spec(level).weight)
 
     def source(bound: int) -> vanish.ScanSource:
         lane_of = cache(partial(forms.eta_quotient_mod, level, bound))
         exact = partial(forms.eta_quotient_coefficient, level, lane_of=lane_of)
         series = partial(forms.eta_quotient, level, bound, lane_of)
-        reach = partial(forms.lift_reach, spec.weight)
         return vanish.ScanSource(bound, exact, LANE_PRIMES, lane_of, series=series, reach=reach)
 
-    return ResolvedForm(spec=spec, source=source, newform=True)
+    return source
+
+
+def _eta_product_form(level: int) -> ResolvedForm:
+    """Delta or an eta quotient, read through _eta_source."""
+    return _source_form(forms.eta_product_spec(level), _eta_source(level), newform=True)
 
 
 def _eisenstein_form(name: str, half: int) -> ResolvedForm:
     """E4 (half = 2) or E6 (half = 3): the exact series, with a constant term."""
-    return ResolvedForm(
-        spec=FormSpec(weight=2 * half, level=1, label=name, source=f"eisenstein:{name}"),
-        source=lambda b: vanish.ScanSource.from_series(forms.eisenstein_coeffs(half, b)),
+    return _source_form(
+        FormSpec(weight=2 * half, level=1, label=name, source=f"eisenstein:{name}"),
+        lambda b: vanish.ScanSource.from_series(forms.eisenstein_coeffs(half, b)),
     )
 
 
 def _curve_form(curve: ec.WeierstrassCurve) -> ResolvedForm:
-    """The weight-2 newform of a curve: a(n) from the prime table of point counts."""
-    label = curve.label or "curve"
+    """The weight-2 newform of a curve, from its primes.
 
-    def source(bound: int) -> vanish.ScanSource:
-        primes = ec.prime_table(curve, bound)
-        return vanish.ScanSource(
-            bound, primes.coeff, lane=lambda m: reduce_mod(primes.series, m),
-            series=lambda: primes.series,
-        )
+    coeffs and mf read the exact prime table's series.  A scan reads
+    ec.scan_table, exact only where a_p may be 0, through vanish.prime_sieve,
+    which reads each zero it prints again through the table's coeff.
+    """
+    label = curve.label or "curve"
+    table = cache(partial(ec.prime_table, curve))
+
+    def scan(bound: int, coprime_to: int | None) -> vanish.ScanReport:
+        return vanish.prime_sieve(ec.scan_table(curve, bound), coprime_to=coprime_to,
+                                  checked=ZEROS_CAP)
 
     return ResolvedForm(
-        spec=FormSpec(weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"),
-        source=source,
+        FormSpec(weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"),
+        lambda bound: table(bound).series,
+        lambda bound: partial(reduce_mod, table(bound).series),
+        scan,
         newform=True,
     )
 
@@ -114,7 +139,7 @@ def _file_form(path) -> ResolvedForm:
             raise ValueError(f"{path} covers n <= {qs.trunc_bound}, below requested {bound}")
         return vanish.ScanSource.from_series(QSeries(qs.coeffs[: bound + 1]))
 
-    return ResolvedForm(spec=spec, source=source, data_bound=qs.trunc_bound)
+    return _source_form(spec, source, data_bound=qs.trunc_bound)
 
 
 # every --form name and the constructor it resolves to, called once per request
@@ -196,12 +221,12 @@ def _cached_series(rf: ResolvedForm, bound: int) -> tuple[QSeries, str | None]:
     that cannot be written costs a warning on stderr, not the answer.
     """
     if not rf.newform:
-        return rf.source(bound).series(), None
+        return rf.series(bound), None
     path = os.path.join(_cache_dir(), _cache_key(rf.spec, bound) + ".qexp")
     hit = _cache_hit(path, rf.spec, bound)
     if hit is not None:
         return hit
-    qs = rf.source(bound).series()
+    qs = rf.series(bound)
     text = forms.export_qexp(rf.spec, qs)
     body = text.encode()
     tmp = None
@@ -250,7 +275,7 @@ def cmd_coeffs(args, parser) -> int:
             parser.error(f"--mod {m}: modulus must be an odd prime below 2^31")
     rf = _resolve_form(args, parser)
     if moduli:
-        lane = rf.source(limit).lane
+        lane = rf.lanes(limit)
         blocks = {m: lane(m).coeffs[1:].tolist() for m in moduli}
         if args.json:
             _emit_json(
@@ -299,7 +324,7 @@ def cmd_classify(args, parser) -> int:
 
 def _eigenform_series(rf: ResolvedForm, bound: int) -> QSeries:
     """rf's series to bound, refused unless it is a normalized eigenform, as M_f needs."""
-    qs = rf.source(bound).series()
+    qs = rf.series(bound)
     if rf.newform:
         return qs
     k, level = rf.spec.weight, rf.spec.level
@@ -354,7 +379,7 @@ def cmd_scan(args, parser) -> int:
     # with M_f the form must be an eigenform, so that exit 3 stays a bug signal;
     # _mf checks a file to its last index, and so to any limit it serves
     mf_value = _mf(rf).value if args.coprime_mf else None
-    report = vanish.first_vanishing(rf.source(limit), coprime_to=mf_value, level=rf.spec.level)
+    report = rf.scan(limit, mf_value)
     # vars, not asdict: asdict would deep-copy every zero before the cap
     payload = {
         **vars(report),

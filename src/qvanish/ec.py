@@ -4,7 +4,7 @@ For a model minimal at p, one count gives a_p at every prime: a_p = p -
 #{affine points of the model mod p}.  At a good prime that is p + 1 -
 #E(F_p); at a bad prime the reduction has one singular point, so it is
 p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
-(additive).  Two exact counts serve the primes:
+(additive).  The exact a_p of a list of primes comes from one router, _aps:
 
 - Good primes above BSGS_CROSSOVER, all in one call (_lane_aps): Shanks'
   baby-step giant-step in int64 numpy lanes, one lane per prime.  For a few
@@ -16,6 +16,8 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   round of primes (LANES_PER_ROUND or more where the table has them), not
   once per prime: about 15-25 us per prime from 2^9 to 2^18, against about
   2-4 ms for a lane on its own (ap_good above the crossover).
+- Bad primes from 5 on, by reduction type: 0 where p | c4, else the
+  Legendre symbol (-c6 / p).
 - Every other odd prime, and any good prime whose lane leaves more than one
   N: the character sum, O(p), all of them in one _char_sums call.  The
   substitution u = 2y + a1*x + a3 turns the model into u^2 = 4x^3 + b2*x^2
@@ -24,12 +26,17 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   costs about 25 us plus 20-45 ns per x: the 96 odd primes up to
   BSGS_CROSSOVER (22546 x) take about 1.0-1.2 ms together, against about
   2 ms one pass each.
+- p = 2: the four pairs (x, y) are tried.
 
-At p = 2 the four pairs (x, y) are tried.  _aps alone routes primes.
-Primes from 2^31 on are refused: the lanes hold residues below p in int64,
-which keeps a product of two below 2^62 only while p < 2^31, and the
-character sum there would take O(p) time and memory.  Models that may not
-be minimal are refused (see WeierstrassCurve.level).
+prime_table holds the exact a_p of every prime, for coeffs and mf, which
+print a(n).  A scan needs a_p exactly only where it may be 0, so scan_table
+first runs one x-only ladder per good prime p >= 5 (_open_primes): a point
+with x([p + 1]P) != O proves a_p != 0, and only the primes it leaves open
+go to _aps, beside 2, 3 and the bad primes.  Primes from 2^31 on are
+refused: the lanes hold residues below p in int64, which keeps a product of
+two below 2^62 only while p < 2^31, and the character sum there would take
+O(p) time and memory.  Models that may not be minimal are refused (see
+WeierstrassCurve.level).
 """
 
 from __future__ import annotations
@@ -347,6 +354,14 @@ def _baby_steps(p: int) -> int:
     return isqrt(isqrt(4 * p)) + 1
 
 
+def _short_model(curve: WeierstrassCurve, primes: list[int]):
+    """Lanes p, a, b of y^2 = x^3 + a*x + b, a = -27*c4 and b = -54*c6 mod p."""
+    c4, c6 = curve.c_invariants
+    return (np.array(primes, dtype=np.int64),
+            np.array([-27 * c4 % q for q in primes], dtype=np.int64),
+            np.array([-54 * c6 % q for q in primes], dtype=np.int64))
+
+
 class _Lanes(NamedTuple):
     """Open lanes, one column per prime p.
 
@@ -370,10 +385,7 @@ class _Lanes(NamedTuple):
     @classmethod
     def new(cls, curve: WeierstrassCurve, primes: list[int]) -> _Lanes:
         """Free lanes for primes, none of whose points is used yet."""
-        c4, c6 = curve.c_invariants
-        p = np.array(primes, dtype=np.int64)
-        a = np.array([-27 * c4 % q for q in primes], dtype=np.int64)
-        b = np.array([-54 * c6 % q for q in primes], dtype=np.int64)
+        p, a, b = _short_model(curve, primes)
         span = np.array([2 * isqrt(4 * q) for q in primes], dtype=np.int64)
         # f has at most three roots, and where a = 0 the point at x = 0 is a
         # flex, of order 3, and is dropped; so these x give BSGS_POINTS points
@@ -439,6 +451,23 @@ class _Lanes(NamedTuple):
         return _Lanes(*(f[..., more] for f in self._replace(t=t, free=free, cand=cand)))
 
 
+def _rounds(primes: list[int]) -> list[list[int]]:
+    """primes in chunks of one bit length, joined until a round holds LANES_PER_ROUND.
+
+    A last round with fewer joins the one before it, so a table to 20000 is
+    one round; from 2^14 on a chunk is wider than that and is a round of its own.
+    """
+    rounds = []
+    for _, chunk in groupby(primes, key=int.bit_length):
+        if not rounds or len(rounds[-1]) >= LANES_PER_ROUND:
+            rounds.append([])
+        rounds[-1] += chunk
+    if len(rounds) > 1 and len(rounds[-1]) < LANES_PER_ROUND:
+        last = rounds.pop()
+        rounds[-1] += last
+    return rounds
+
+
 def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     """a_p at good primes BSGS_POINTS + 4 <= p < 2^31 by baby-step giant-step, one lane each.
 
@@ -453,10 +482,7 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     a lane with more than one N after BSGS_POINTS points is left out of the
     result.
 
-    Primes enter in chunks of one bit length.  Consecutive chunks join one
-    round until it holds LANES_PER_ROUND lanes, and a last round with fewer
-    joins the one before it, so a table to 20000 is one round of chunks;
-    from 2^14 on a chunk is wider than that and has a round of its own.
+    Primes enter in the rounds of _rounds.
     Every lane of a round takes the same group operations, with the m of the
     round's largest prime: any m works for a lane, as long as the giant
     steps cover the Hasse interval.  A round costs about 1.7 ms plus 8 us per
@@ -471,14 +497,7 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     found: dict[int, int] = {}
     if not (primes and BSGS_POINTS):
         return found
-    rounds = [[]]
-    for _, chunk in groupby(primes, key=int.bit_length):
-        if len(rounds[-1]) >= LANES_PER_ROUND:
-            rounds.append([])
-        rounds[-1] += chunk
-    if len(rounds) > 1 and len(rounds[-1]) < LANES_PER_ROUND:
-        last = rounds.pop()
-        rounds[-1] += last
+    rounds = _rounds(primes)
     lanes = _Lanes.new(curve, rounds[0])
     for chunk in rounds[1:]:
         lanes = lanes.step(found).join(_Lanes.new(curve, chunk))
@@ -487,18 +506,82 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     return found
 
 
+def _ladder(x: int, a, b, p):
+    """Z of x([p + 1]P) in (X : Z), lane by lane, for the P with x(P) = x on y^2 = x^3 + a*x + b.
+
+    The x-only Montgomery ladder of Brier and Joye (2002): R0 = O = (1 : 0)
+    and R1 = P, whose difference stays P, take one step per bit of p + 1
+    from the round's top bit, so a lane's leading zero bits keep (O, P).
+    Each step adds R0 + R1, with x(P) = x != 0 as the difference, and
+    doubles the one the bit keeps; neither formula asks for y, so P may lie
+    on E or on its quadratic twist.  Residues are below p < 2^31, and every
+    value stays below 2^63: a product of two residues, or a small constant
+    times one (4*Z, 8*b), is reduced before it is multiplied again, and at
+    most two products are added or subtracted before a reduction.
+    """
+    X0, Z0, X1, Z1 = np.ones_like(p), np.zeros_like(p), np.full_like(p, x), np.ones_like(p)
+    b4 = 4 * b % p
+    b8 = 2 * b4 % p
+    n = p + 1
+    for i in reversed(range(int(n.max(initial=0)).bit_length())):
+        bit = (n >> i) & 1 == 1
+        # R0 + R1 = ((X0X1 - aZ0Z1)^2 - 4bZ0Z1(X0Z1 + X1Z0) : x(X0Z1 - X1Z0)^2)
+        u = Z0 * Z1 % p
+        s = (X0 * X1 - a * u % p) % p
+        v, w = X0 * Z1 % p, X1 * Z0 % p
+        XS = (s * s - b4 * u % p * ((v + w) % p)) % p
+        ZS = x * ((v - w) ** 2 % p) % p
+        # 2R = ((X^2 - aZ^2)^2 - 8bXZ^3 : 4Z(X^3 + aXZ^2 + bZ^3))
+        X, Z = np.where(bit, X1, X0), np.where(bit, Z1, Z0)
+        xx, zz = X * X % p, Z * Z % p
+        zzz = zz * Z % p
+        s = (xx - a * zz % p) % p
+        XD = (s * s - b8 * (X * zzz % p)) % p
+        ZD = 4 * Z % p * ((xx * X + (a * (X * zz % p) + b * zzz) % p) % p) % p
+        X0, Z0 = np.where(bit, XS, XD), np.where(bit, ZS, ZD)
+        X1, Z1 = np.where(bit, XD, XS), np.where(bit, ZD, ZS)
+    return Z0
+
+
+def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> list[int]:
+    """The good primes 5 <= p < 2^31 of primes where the ladder leaves a_p = 0 possible.
+
+    a_p = 0 exactly when #E(F_p) = p + 1, and the quadratic twist then has
+    p + 1 points too (Mestre's argument; Cohen, GTM 138).  Any x in F_p is
+    the x of a point P of E or of the twist, so x([p + 1]P) != O proves
+    a_p != 0.  The short model's x = 1 goes first, then x = 2 on the lanes
+    still open, in the rounds of _rounds; a prime where both reach O is
+    returned, every a_p = 0 among them.
+    """
+    left = []
+    for chunk in _rounds(primes):
+        p, a, b = _short_model(curve, chunk)
+        for x in (1, 2):
+            lanes = _ladder(x, a, b, p) == 0
+            p, a, b = p[lanes], a[lanes], b[lanes]
+        left += p.tolist()
+    return left
+
+
 def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     """p - #{affine points of the model mod p}: a_p at primes p < 2^31 of a minimal model.
 
     The one router, by whether p divides the discriminant: p = 2 tries its
     four pairs, the good primes above BSGS_CROSSOVER take one _lane_aps call,
-    and every other prime and open lane one _char_sums call.  Each a_p is
-    checked: a_p^2 <= 4p (Hasse), and a_p in {-1, 0, 1} at a bad prime.
+    a bad prime p >= 5 its reduction type, and every other prime and open
+    lane one _char_sums call.  At a bad p >= 5 the reduction of the model is
+    y^2 = x^3 - 27*c4*x - 54*c6 with a cusp where p | c4 (additive, a_p = 0),
+    else a node, split exactly when -c6 is a square mod p (a_p = +1, else
+    -1), so no character sum runs there.  Each a_p is checked: a_p^2 <= 4p
+    (Hasse), and a_p in {-1, 0, 1} at a bad prime.
     """
     if max(primes, default=0) >= 2**31:
         raise ValueError(f"p={max(primes)} is not below 2^31, the bound of the int64 lanes")
     bad = {p for p in primes if curve.discriminant % p == 0}
     found = _lane_aps(curve, [p for p in primes if p > BSGS_CROSSOVER and p not in bad])
+    c4, c6 = curve.c_invariants
+    found.update({p: 0 if c4 % p == 0 else 1 if pow(-c6, (p - 1) // 2, p) == 1 else -1
+                  for p in bad if p >= 5})
     summed = [p for p in primes if p != 2 and p not in found]
     sums = dict(zip(summed, _char_sums(curve, summed)))
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
@@ -551,11 +634,28 @@ def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
 
     The level comes first, so a model that may not be minimal is refused
     before any count.  The table keeps the one sieve of its primes, which
-    its series reads too.
+    its series and coeff read too.
     """
+    return _table(curve, bound, ladder=False)
+
+
+def scan_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
+    """The prime data of a scan to bound: a_p exactly wherever it may be 0.
+
+    The good primes p >= 5 go to the ladder (_open_primes), and those where
+    it proves a_p != 0 are the table's nonzero primes, with no value.  The
+    open ones, 2, 3 and the bad primes get their a_p from one _aps call.
+    """
+    return _table(curve, bound, ladder=True)
+
+
+def _table(curve: WeierstrassCurve, bound: int, ladder: bool) -> PrimeEigenvalues:
     if not 1 <= bound < 2**31:
         raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
     primes = sieve_primes(bound)
-    return PrimeEigenvalues(weight=2, level=level, table=_aps(curve, primes), bound=bound,
-                            primes=primes)
+    good = [p for p in primes if p >= 5 and level % p] if ladder else []
+    nonzero = frozenset(good).difference(_open_primes(curve, good))
+    aps = _aps(curve, [p for p in primes if p not in nonzero])
+    return PrimeEigenvalues(weight=2, level=level, table=aps, bound=bound, primes=primes,
+                            nonzero=nonzero)

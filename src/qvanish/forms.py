@@ -91,11 +91,6 @@ def sigma(n: int, m: int) -> int:
     return out
 
 
-def _sigma_table(bound: int, m: int) -> list[int]:
-    """[0, sigma_m(1), ..., sigma_m(bound)]."""
-    return multiplicative(bound, lambda p, e: _sigma_prime_power(p, e, m))
-
-
 def bernoulli(idx: int) -> Fraction:
     """Bernoulli number B_idx for even idx >= 2, via sum_j C(n+1, j) B_j = 0."""
     if idx < 2 or idx % 2:
@@ -129,9 +124,11 @@ def eisenstein_coeffs(half_weight: int, bound: int) -> QSeries:
             f"E_{2 * half_weight} coefficient at n=1 is not an integer "
             f"(normalization {c})"
         )
-    sig = _sigma_table(bound, 2 * half_weight - 1)
-    norm = c.numerator
-    return QSeries((1, *(norm * s for s in sig[1:])))
+    m = 2 * half_weight - 1
+    # c * sigma_m(n) from the first pass, and a(0) = 1
+    a = multiplicative(bound, lambda p, e: _sigma_prime_power(p, e, m), scale=c.numerator)
+    a[0] = 1
+    return QSeries(tuple(a))
 
 
 def delta_eisenstein(bound: int) -> QSeries:

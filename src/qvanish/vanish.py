@@ -31,12 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, multiples
 from .series import LANE_PRIMES, QSeries, ResidueSeries, reduce_mod
+
+if TYPE_CHECKING:
+    from .hecke import PrimeEigenvalues
 
 AP_ZERO = "ap_zero"
 PERIODIC = "periodic"
@@ -144,8 +147,9 @@ class ScanReport:
     """Result of a first-vanishing scan over 1 <= n <= bound.
 
     certification counts the indices certified nonzero by a residue lane
-    ("residue") or by exact arithmetic ("exact"), and the exact zeros
-    ("zero"); every index is in exactly one of the three.
+    ("residue") or by exact arithmetic ("exact": for a curve, its primes'
+    exact values and ladder points), and the exact zeros ("zero"); every
+    index is in exactly one of the three.
     lane_moduli are the certifying moduli; the extra ones that an exact eta
     product is lifted from never certify and never appear here.
     """
@@ -174,10 +178,10 @@ class ScanSource:
     lane must cover bound.  reach(i) is how far the first i lanes fix a(n):
     the residues of a(n) modulo moduli[:i] determine it for every
     n <= reach(i), as Deligne's bound makes them for an eta product; the
-    default reach is 0, lanes that fix nothing.  A source may carry a lane
-    with no certifying moduli, as a curve's does: its scan reads every a(n)
-    exactly.  coeffs --mod prints lane(m), and coeffs and mf read series(),
-    the exact a(0..bound); a scan never does.
+    default reach is 0, lanes that fix nothing.  coeffs --mod prints
+    lane(m), and coeffs and mf read series(), the exact a(0..bound); a scan
+    never does.  The product forms, E4, E6 and files are read through a
+    source; a curve is scanned from its primes by prime_sieve instead.
     """
 
     bound: int
@@ -197,12 +201,13 @@ class ScanSource:
 def first_vanishing(
     source: ScanSource, *, coprime_to: int | None = None, level: int | None = None
 ) -> ScanReport:
-    """Scan for vanishing coefficients over 1 <= n <= source.bound.
+    """Scan for vanishing coefficients over 1 <= n <= source.bound, index by index.
 
     Every nonzero is certified -- by a nonzero residue in some lane of the
     source or by its exact value -- and every reported zero is verified in
-    exact arithmetic.  With level set, each reported zero also says whether
-    it shares a factor with the level.
+    exact arithmetic.  This pass serves Delta, the eta quotients, E4, E6 and
+    files; curves take prime_sieve.  With level set, each reported zero also
+    says whether it shares a factor with the level.
 
     The lanes are built on demand, in the order of source.moduli: lane i is
     built only while some index is zero in lanes 0..i-1 and the largest
@@ -231,6 +236,53 @@ def first_vanishing(
             raise ValueError(f"residue lanes mod {[m]} do not cover {bound}")
         pending = pending[lane.coeffs[pending] == 0]
     zeros = [n for n in pending.tolist() if source.exact(n) == 0]
+    return _report(bound, zeros, bound - len(pending), source.moduli, coprime_to, level)
+
+
+def prime_sieve(
+    pe: PrimeEigenvalues, *, coprime_to: int | None = None, checked: int = 0
+) -> ScanReport:
+    """Scan a normalized eigenform over 1 <= n <= pe.bound from its primes alone.
+
+    a(n) is the product of a(p^e) over p^e || n, and classify gives every e
+    with a(p^e) = 0, so a(n) = 0 exactly when one p^e || n has such an e.
+    Only a prime with an exact a_p in pe.table can have one: pe.nonzero
+    holds good primes p >= 5 with a_p != 0, where no a(p^e) vanishes.  One
+    boolean per index marks the zeros: a strided pass for each such p^e with
+    p^2 <= bound, one scatter for the primes above.  There are no lanes, so
+    every nonzero counts as "exact", certified by the table's values and its
+    nonzero certificates.  The first `checked` zeros are read again through
+    pe.coeff, the product over n's factorization, and one that is not 0
+    raises GuaranteeViolationError.  level and coprime_to are as in
+    first_vanishing, with pe.level as the level.
+    """
+    bound, k = pe.bound, pe.weight
+    zero = np.zeros(bound + 1, dtype=bool)
+    large = []
+    for p, a_p in pe.table.items():
+        top = 1
+        while p ** (top + 1) <= bound:
+            top += 1
+        exponents = zeros_up_to(classify(a_p, p, k, not pe.level % p), top)
+        if exponents and top == 1:
+            large.append(p)
+            continue
+        for e in exponents:
+            q = p**e
+            hit = np.ones(bound // q, dtype=bool)
+            hit[p - 1 :: p] = False  # q*m with p | m has p^(e+1) | q*m
+            zero[q::q] |= hit
+    zero[multiples(np.array(large, dtype=np.int64), bound)] = True
+    zeros = np.flatnonzero(zero).tolist()
+    for n in zeros[:checked]:
+        value = pe.coeff(n)
+        if value != 0:
+            raise GuaranteeViolationError(f"the sieve marks a({n}) zero; its factors give {value}")
+    return _report(bound, zeros, 0, (), coprime_to, pe.level)
+
+
+def _report(bound, zeros, residue, moduli, coprime_to, level) -> ScanReport:
+    """The report of a scan to bound with these zeros and residue-certified indices."""
 
     def _flags(n):
         if n is None:
@@ -261,9 +313,9 @@ def first_vanishing(
         first_zero_coprime_divides_level=fc_bad,
         zeros=zeros,
         certification={
-            "exact": len(pending) - len(zeros),
-            "residue": bound - len(pending),
+            "exact": bound - residue - len(zeros),
+            "residue": residue,
             "zero": len(zeros),
         },
-        lane_moduli=source.moduli,
+        lane_moduli=moduli,
     )

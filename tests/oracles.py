@@ -151,6 +151,27 @@ def curve_mul(n, P, a, p):
     return result
 
 
+def x_ladder(x, n, a, b, p, bits=None):
+    """(X, Z) of x([n]P), x(P) = x, on y^2 = x^3 + a*x + b mod p: the x-only ladder in Python ints.
+
+    The same projective formulas as the package's lanes (Brier-Joye 2002),
+    from R0 = O = (1, 0) and R1 = P = (x, 1), over the low `bits` bits of n
+    (all of them by default), with no reduction until each value is done.
+    """
+    R0, R1 = (1, 0), (x % p, 1)
+    for i in reversed(range(bits or n.bit_length())):
+        (X0, Z0), (X1, Z1) = R0, R1
+        S = (
+            ((X0 * X1 - a * Z0 * Z1) ** 2 - 4 * b * Z0 * Z1 * (X0 * Z1 + X1 * Z0)) % p,
+            x * (X0 * Z1 - X1 * Z0) ** 2 % p,
+        )
+        X, Z = R1 if n >> i & 1 else R0
+        D = (((X * X - a * Z * Z) ** 2 - 8 * b * X * Z**3) % p,
+             4 * Z * (X**3 + a * X * Z * Z + b * Z**3) % p)
+        R0, R1 = (S, D) if n >> i & 1 else (D, S)
+    return R0
+
+
 def point_order(P, a, p):
     """The least n >= 1 with n*P = O, by repeated addition."""
     n, Q = 1, P

@@ -591,35 +591,49 @@ class TestMinimality:
 
 
 class TestOneBuildPerRequest:
-    """A curve request sieves once and builds one prime table and one series, cold or by --mod."""
+    """A curve request sieves its primes once; coeffs and mf build one table and one series."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("scan", "--fixture", "37a1", "--limit", "5000"),
-            ("coeffs", "--fixture", "53a1", "--limit", "5000"),
-            ("coeffs", "--fixture", "37a1", "--limit", "50", "--mod", "7"),
-            ("mf", "--fixture", "37a1"),
-        ],
-        ids=["scan", "coeffs-cold", "coeffs-mod", "mf"],
-    )
-    def test_one_prime_table_and_one_series(self, capsys, monkeypatch, argv):
-        built = []
-        for owner, name in ((ec, "prime_table"), (hecke, "qexp_from_primes")):
+    @staticmethod
+    def record(monkeypatch):
+        built, sieved = [], []
+        for owner, name in ((ec, "prime_table"), (ec, "scan_table"), (hecke, "qexp_from_primes")):
             real = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
             )
-        sieved = []
         for owner in (ec, hecke, arith):
             real = owner.sieve_primes
             monkeypatch.setattr(
                 owner, "sieve_primes", lambda b, real=real: sieved.append(b) or real(b)
             )
+        return built, sieved
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--fixture", "53a1", "--limit", "5000"),
+            ("coeffs", "--fixture", "37a1", "--limit", "50", "--mod", "7"),
+            ("mf", "--fixture", "37a1"),
+        ],
+        ids=["coeffs-cold", "coeffs-mod", "mf"],
+    )
+    def test_one_prime_table_and_one_series(self, capsys, monkeypatch, argv):
+        built, sieved = self.record(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert built == ["prime_table", "qexp_from_primes"]
         assert len(sieved) == 1
+
+    def test_scan_builds_no_prime_table_and_no_series(self, capsys, monkeypatch):
+        # the ladder's table to the limit, and the exact table of a(2), a(3) for M_f
+        built, sieved = self.record(monkeypatch)
+        code, out, err = run(capsys, "scan", "--fixture", "37a1", "--limit", "5000")
+        assert code == 0, err
+        assert (built, sieved) == (["scan_table"], [5000])
+        built.clear(), sieved.clear()
+        code, out, err = run(capsys, "scan", "--fixture", "37a1", "--limit", "5000", "--coprime-mf")
+        assert code == 0, err
+        assert (built, sieved) == (["prime_table", "qexp_from_primes", "scan_table"], [3, 5000])
 
 
 class TestLevelOnce:
@@ -741,7 +755,7 @@ class TestLaneCascade:
         reports, builds = [], []
         for reach in (None, lambda count: 0):
             built = self.count_lane_builds(monkeypatch)
-            source = cli._eta_product_form(level).source(bound)
+            source = cli._eta_source(level)(bound)
             if reach is not None:
                 source = dataclasses.replace(source, reach=reach)
             reports.append(vanish.first_vanishing(source, level=level))
@@ -1033,6 +1047,25 @@ def run_quietly(*argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+class TestTwoRoutesToLevel11:
+    """The level-11 newform as an eta quotient (lanes) and as 11a1 (the prime sieve)."""
+
+    @pytest.mark.parametrize("coprime", [(), ("--coprime-mf",)], ids=["plain", "coprime-mf"])
+    def test_same_zeros_to_200000(self, capsys, coprime):
+        lanes = run_json(capsys, "scan", "--form", "eta-quotient:11", "--limit", "200000",
+                         *coprime)
+        sieve = run_json(capsys, "scan", "--curve", "0,-1,1,-10,-20", "--limit", "200000",
+                         *coprime)
+        # only the form, the lanes and the residue/exact split may differ
+        differ = {"form", "lane_moduli", "certification"}
+        assert {k: v for k, v in lanes.items() if k not in differ} == {
+            k: v for k, v in sieve.items() if k not in differ
+        }
+        assert lanes["certification"]["zero"] == sieve["certification"]["zero"] > 0
+        assert lanes["zeros_omitted"] > 0 and lanes["first_zero"] == 8
+        assert (lanes["mf"], lanes["first_zero_coprime"]) == ((2, 19) if coprime else (None, None))
 
 
 class TestRandomCurves:

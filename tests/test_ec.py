@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qvanish
 from qvanish import ec
-from qvanish.arith import sieve_primes
+from qvanish.arith import factorize, sieve_primes
 from qvanish.ec import (
     FIXTURES,
     WeierstrassCurve,
@@ -26,7 +26,7 @@ from qvanish.cli import main
 from qvanish.forms import eta_quotient
 from qvanish.hecke import qexp_from_primes
 
-from .oracles import count_affine_points, count_nonsingular, curve_mul, point_order
+from .oracles import count_affine_points, count_nonsingular, curve_mul, point_order, x_ladder
 
 C37 = FIXTURES["37a1"]
 C53 = FIXTURES["53a1"]
@@ -195,6 +195,35 @@ class TestBadPrimes:
     def test_rejects_good_prime(self):
         with pytest.raises(ValueError, match="does not divide"):
             ap_bad(C37, 5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.tuples(*[st.integers(-12, 12)] * 5))
+    def test_reduction_type_equals_the_character_sum(self, a):
+        # additive (0) where p | c4, else (-c6 / p), at every bad p >= 5
+        try:
+            curve = WeierstrassCurve(*a)
+            level = curve.level
+        except ValueError:
+            assume(False)
+        bad = [p for p, _ in factorize(level) if p >= 5]
+        assume(bad)
+        assert ec._aps(curve, bad) == {p: -s for p, s in zip(bad, ec._char_sums(curve, bad))}
+
+    @pytest.mark.parametrize("table", [prime_table, ec.scan_table], ids=["prime", "scan"])
+    def test_no_bad_prime_from_5_on_reaches_a_character_sum(self, monkeypatch, table):
+        summed = []
+        char_sums = ec._char_sums
+        monkeypatch.setattr(
+            ec, "_char_sums",
+            lambda c, primes: summed.extend((c, p) for p in primes) or char_sums(c, primes),
+        )
+        for curve in CURVES:
+            a = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+            bad = [p for p, _ in factorize(curve.level) if p >= 5]
+            got = table(curve, 2000).table
+            assert {p: got[p] for p in bad} == {p: p - count_affine_points(*a, p) for p in bad}
+        assert summed
+        assert [(c.label, p) for c, p in summed if p >= 5 and c.level % p == 0] == []
 
 
 class TestPrimeTable:
@@ -377,8 +406,11 @@ class TestBSGS:
         monkeypatch.setattr(ec, "_char_sums", counted)
         for c in CURVES:
             assert prime_table(c, bound).table == tables[c.label]
-        # Every odd prime, good or bad, went by the character sum.
-        assert len(calls) == len(CURVES) * (len(sieve_primes(bound)) - 1)
+        # Every odd prime went by the character sum, but the bad ones from 5 on.
+        assert sorted(calls) == sorted(
+            p for c in CURVES for p in sieve_primes(bound)
+            if p > 2 and (p == 3 or c.discriminant % p)
+        )
 
     def test_hasse_guard_above_crossover(self, monkeypatch):
         bound = 2 * ec.BSGS_CROSSOVER
@@ -401,6 +433,61 @@ class TestBSGS:
         with pytest.raises(ValueError, match="below 2\\^31"):
             prime_table(C37, 2**31)
         assert calls == []
+
+
+class TestLadder:
+    """The x-only ladder certifies a_p != 0 only where it is, and leaves every a_p = 0 open."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.tuples(*[st.integers(-30, 30)] * 5))
+    def test_random_minimal_curves_to_2000(self, a):
+        try:
+            curve = WeierstrassCurve(*a)
+            curve.level
+        except ValueError:
+            assume(False)
+        exact = prime_table(curve, 2000).table
+        scan = ec.scan_table(curve, 2000)
+        good = good_primes(curve, 5, 2000)
+        assert scan.nonzero <= set(good)
+        assert [p for p in scan.nonzero if exact[p] == 0] == []
+        assert [p for p in good if exact[p] == 0 and p not in scan.table] == []
+        assert scan.table == {p: exact[p] for p in scan.table}
+        assert set(scan.table) | scan.nonzero == set(exact)
+
+    @pytest.mark.parametrize("curve", [C37, C_ADD], ids=["37a1", "25x"])
+    def test_largest_primes_below_2_31(self, curve):
+        # residues near 2^31 bring products near 2^62: each lane's Z equals the
+        # ladder in Python ints, so no int64 product overflowed, and its
+        # verdict agrees with ap_good (y^2 = x^3 + 25x has a_p = 0 at p = 3 mod 4)
+        primes = [2147483647, 2147483629, 2147483587, 2147483579, 2147483549]
+        c4, c6 = curve.c_invariants
+        p = np.array(primes, dtype=np.int64)
+        a, b = (np.array([c % q for q in primes], dtype=np.int64) for c in (-27 * c4, -54 * c6))
+        aps = {q: ap_good(curve, q) for q in primes}
+        assert 0 in aps.values() or curve is C37
+        for x in (1, 2):
+            Z = ec._ladder(x, a, b, p)
+            want = [x_ladder(x, q + 1, int(aq), int(bq), q, bits=32)[1]
+                    for q, aq, bq in zip(primes, a, b)]
+            assert Z.tolist() == want
+            assert [q for q, z in zip(primes, want) if z and aps[q] == 0] == []
+        assert ec._open_primes(curve, primes) == [q for q in primes if aps[q] == 0]
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
+    def test_oracle_is_the_group_law(self, p):
+        # x(nP) of the x-only formulas equals the affine group law's, O as Z = 0,
+        # on nonsingular curves, 2-torsion points and j = 0, 1728 included
+        for a, b in [(1, 1), (2, 3), (0, 1), (1, 0), (p - 1, 0)]:
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            for x in range(1, p):
+                y = next((y for y in range(p) if (y * y - x**3 - a * x - b) % p == 0), None)
+                for n in range(1, 2 * p + 4) if y is not None else ():
+                    X, Z = x_ladder(x, n, a, b, p)
+                    R = curve_mul(n, (x, y), a, p)
+                    assert (Z == 0) == (R is None), (a, b, x, n)
+                    assert X % p != 0 if R is None else X == R[0] * Z % p, (a, b, x, n)
 
 
 class TestRoute:
@@ -435,10 +522,10 @@ class TestRoute:
         bad = [p for p in primes if curve.discriminant % p == 0]
         ((sent, found),) = lane_calls
         assert sent == [p for p in primes if p > ec.BSGS_CROSSOVER and p not in bad]
-        # one call for every prime the lanes leave
+        # one call for every prime the lanes leave, but the bad primes from 5 on
         assert summed == [[
             p for p in primes
-            if p > 2 and (p <= ec.BSGS_CROSSOVER or p in bad or p not in found)
+            if p > 2 and (p <= ec.BSGS_CROSSOVER or p not in found) and (p == 3 or p not in bad)
         ]]
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
@@ -489,9 +576,10 @@ class TestResultChecks:
             ap_good(C37, 5)
 
     def test_bad_prime_value_out_of_range_raises(self, monkeypatch):
+        # a bad prime from 5 on takes its reduction type, so 3 is the one a sum counts
         monkeypatch.setattr(ec, "_char_sums", lambda curve, primes: [-2 for p in primes])
         with pytest.raises(ValueError, match="outside"):
-            ap_bad(C37, 37)
+            ap_bad(C27, 3)
 
     def test_hasse_check_survives_python_O(self):
         script = (

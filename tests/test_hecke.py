@@ -132,6 +132,33 @@ class TestOracle:
     def test_table_completeness_enforced(self):
         with pytest.raises(ValueError, match="missing primes"):
             PrimeEigenvalues(weight=2, level=37, table={2: -2}, bound=10)
+        with pytest.raises(ValueError, match="missing primes <= bound: \\[7\\]"):
+            PrimeEigenvalues(weight=2, level=37, table={2: -2, 3: -3}, bound=10,
+                             nonzero=frozenset({5}))
+
+    def test_certified_primes_give_zeros_and_refuse_products(self):
+        # 37a1 with a(5) and a(7) only certified nonzero: a(8) = 0 needs neither
+        pe = PrimeEigenvalues(weight=2, level=37, table={2: -2, 3: -3}, bound=60,
+                              nonzero=frozenset({5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                                                 47, 53, 59}))
+        assert [pe.coeff(n) for n in (1, 2, 3, 4, 6, 8, 9, 24, 40, 56)] == [
+            1, -2, -3, 2, 6, 0, 6, 0, 0, 0
+        ]
+        for n in (5, 10, 35, 59):
+            with pytest.raises(ValueError, match="certifies nonzero only"):
+                pe.coeff(n)
+        with pytest.raises(ValueError, match="without their values"):
+            qexp_from_primes(pe, 10)
+
+    def test_factorization_equals_the_series(self):
+        # coeff no longer reads the series: every index by its factorization
+        for curve in FIXTURES.values():
+            pe = prime_table(curve, 5000)
+            assert [pe.coeff(n) for n in range(1, 5001)] == list(pe.series.coeffs[1:])
+            assert "series" in vars(pe)
+        pe = prime_table(FIXTURES["37a1"], 5000)
+        pe.coeff(4999)
+        assert "series" not in vars(pe)
 
 
 class TestQexpFromPrimes:

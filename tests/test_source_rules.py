@@ -45,7 +45,7 @@ from qvanish import cli, ec, vanish
 if sys.flags.optimize < 1:
     sys.exit("asserts are not stripped")
 try:
-    vanish.first_vanishing(cli._curve_form(ec.FIXTURES["37a1"]).source(100), coprime_to=5)
+    cli._curve_form(ec.FIXTURES["37a1"]).scan(100, 5)
 except vanish.GuaranteeViolationError:
     sys.exit(0)
 sys.exit("a composite zero coprime to coprime_to was reported quietly")

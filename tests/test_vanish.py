@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvanish import forms
-from qvanish.ec import FIXTURES, prime_table
+from qvanish import forms, hecke
+from qvanish.arith import multiplicative, sieve_primes
+from qvanish.ec import FIXTURES, WeierstrassCurve, prime_table, scan_table
 from qvanish.forms import delta_coefficient, delta_eta, delta_eta_mod
-from qvanish.hecke import qexp_from_primes
+from qvanish.hecke import PrimeEigenvalues, coeff_prime_power, qexp_from_primes
 from qvanish.series import LANE_PRIMES, QSeries, reduce_mod
 from qvanish.vanish import (
     AP_ZERO,
@@ -21,6 +22,7 @@ from qvanish.vanish import (
     first_vanishing,
     NEVER_ZERO,
     PERIODIC,
+    prime_sieve,
     zeros_up_to,
 )
 
@@ -472,3 +474,76 @@ class TestReach:
         assert built == [7, 11, 13]
         assert report.zeros == [2]
         assert report.certification == {"exact": 1, "residue": 1, "zero": 1}
+
+
+# the five test curves: 37a1, 53a1, 11a1, and the CM curves 27a1 and y^2 = x^3 + 25x
+CURVES = [
+    FIXTURES["37a1"],
+    FIXTURES["53a1"],
+    WeierstrassCurve(0, -1, 1, -10, -20, label="11a1"),
+    WeierstrassCurve(0, 0, 1, 0, -7, label="27a1"),
+    WeierstrassCurve(0, 0, 0, 25, 0, label="25x"),
+]
+
+
+@st.composite
+def prime_tables(draw):
+    """A random table of a(p) for p <= bound: a_p = 0 at good and at bad primes, and the
+    periodic a_2 = +-2^(k/2), a_3 = +-3^(k/2), beside small and large values."""
+    k = draw(st.sampled_from([2, 4, 12]))
+    bound = draw(st.integers(1, 400))
+    primes = sieve_primes(bound)
+    level = math.prod(draw(st.lists(st.sampled_from(primes or [1]), max_size=3, unique=True)))
+    table = {}
+    for p in primes:
+        options = [0, 1, -1, p ** (k // 2), -(p ** (k // 2)), 2 * p ** (k // 2) + 1]
+        table[p] = draw(st.sampled_from(options) | st.integers(-(p**k), p**k))
+    return PrimeEigenvalues(weight=k, level=level, table=table, bound=bound)
+
+
+class TestPrimeSieve:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pe=prime_tables())
+    def test_sieve_equals_the_multiplicative_series(self, pe):
+        k, level = pe.weight, pe.level
+        a = multiplicative(
+            pe.bound,
+            lambda p, e: coeff_prime_power(pe.table[p], p, e, k, not level % p),
+            pe.primes,
+        )
+        coprime_to = None
+        if pe.bound >= 3:
+            coprime_to = compute_mf(level, pe.table[2], pe.table[3], k).value
+        want = first_vanishing(ScanSource(pe.bound, a.__getitem__), coprime_to=coprime_to,
+                               level=level)
+        assert prime_sieve(pe, coprime_to=coprime_to, checked=pe.bound) == want
+        assert want.zeros == [n for n in range(1, pe.bound + 1) if a[n] == 0]
+
+    @pytest.mark.parametrize("bound", range(1, 61))
+    def test_curve_scans_equal_the_exact_series(self, bound):
+        # every small bound, where a round of the ladder may end with no lane open
+        for curve in CURVES:
+            series = prime_table(curve, bound).series
+            want = first_vanishing(ScanSource(bound, series.__getitem__), coprime_to=6,
+                                   level=curve.level)
+            assert prime_sieve(scan_table(curve, bound), coprime_to=6, checked=bound) == want
+
+    def test_printed_zeros_are_read_again(self, monkeypatch):
+        pe = scan_table(FIXTURES["37a1"], 3000)
+        read = []
+        coeff = hecke.PrimeEigenvalues.coeff
+        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
+                            lambda self, n: read.append(n) or coeff(self, n))
+        report = prime_sieve(pe, checked=100)
+        assert read == report.zeros[:100] and len(report.zeros) > 100
+        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
+                            lambda self, n: coeff(self, n) or (n == report.zeros[50]))
+        with pytest.raises(GuaranteeViolationError, match=f"a\\({report.zeros[50]}\\)"):
+            prime_sieve(pe, checked=100)
+        assert prime_sieve(pe, checked=50) == report
+
+    def test_composite_coprime_zero_raises(self):
+        # 37a1 has a(8) = 0; coprime_to = 5 is not a multiple of M_f = 6
+        with pytest.raises(GuaranteeViolationError, match="composite n = 8"):
+            prime_sieve(scan_table(FIXTURES["37a1"], 100), coprime_to=5)
+

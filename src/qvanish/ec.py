@@ -30,12 +30,13 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
 
 prime_table holds the exact a_p of every prime, for coeffs and mf, which
 print a(n).  A scan needs a_p exactly only where it may be 0, so scan_table
-first runs one x-only ladder per good prime p >= 5 (_open_primes): a point
-with x([p + 1]P) != O proves a_p != 0, and only the primes it leaves open
-go to _aps, beside 2, 3 and the bad primes.  Primes from 2^31 on are
-refused: the lanes hold residues below p in int64, which keeps a product of
-two below 2^62 only while p < 2^31, and the character sum there would take
-O(p) time and memory.  Models that may not be minimal are refused (see
+first runs one x-only ladder per good prime p >= 5 (_open_primes): the
+point P with x(P) = 1, of E or of its twist, proves a_p != 0 where
+x([p + 1]P) != O, and only the primes it leaves open go to _aps, beside 2,
+3 and the bad primes.  Primes from 2^31 on are refused: the lanes hold
+residues below p in int64, which keeps a product of two below 2^62 only
+while p < 2^31, and the character sum there would take O(p) time and
+memory.  Models that may not be minimal are refused (see
 WeierstrassCurve.level).
 """
 
@@ -495,7 +496,7 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     with two points each and 2.2 ms with one (best of 15).
     """
     found: dict[int, int] = {}
-    if not (primes and BSGS_POINTS):
+    if not primes:
         return found
     rounds = _rounds(primes)
     lanes = _Lanes.new(curve, rounds[0])
@@ -506,31 +507,31 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     return found
 
 
-def _ladder(x: int, a, b, p):
-    """Z of x([p + 1]P) in (X : Z), lane by lane, for the P with x(P) = x on y^2 = x^3 + a*x + b.
+def _ladder(a, b, p):
+    """Z of x([p + 1]P) in (X : Z), lane by lane, for the P with x(P) = 1 on y^2 = x^3 + a*x + b.
 
     The x-only Montgomery ladder of Brier and Joye (2002): R0 = O = (1 : 0)
     and R1 = P, whose difference stays P, take one step per bit of p + 1
     from the round's top bit, so a lane's leading zero bits keep (O, P).
-    Each step adds R0 + R1, with x(P) = x != 0 as the difference, and
-    doubles the one the bit keeps; neither formula asks for y, so P may lie
-    on E or on its quadratic twist.  Residues are below p < 2^31, and every
-    value stays below 2^63: a product of two residues, or a small constant
-    times one (4*Z, 8*b), is reduced before it is multiplied again, and at
-    most two products are added or subtracted before a reduction.
+    Each step adds R0 + R1, with x(P) = 1 as the difference, and doubles
+    the one the bit keeps; neither formula asks for y, so P may lie on E or
+    on its quadratic twist.  Residues are below p < 2^31, and every value
+    stays below 2^63: a product of two residues, or a small constant times
+    one (4*Z, 8*b), is reduced before it is multiplied again, and at most
+    two products are added or subtracted before a reduction.
     """
-    X0, Z0, X1, Z1 = np.ones_like(p), np.zeros_like(p), np.full_like(p, x), np.ones_like(p)
+    X0, Z0, X1, Z1 = np.ones_like(p), np.zeros_like(p), np.ones_like(p), np.ones_like(p)
     b4 = 4 * b % p
     b8 = 2 * b4 % p
     n = p + 1
     for i in reversed(range(int(n.max(initial=0)).bit_length())):
         bit = (n >> i) & 1 == 1
-        # R0 + R1 = ((X0X1 - aZ0Z1)^2 - 4bZ0Z1(X0Z1 + X1Z0) : x(X0Z1 - X1Z0)^2)
+        # R0 + R1 = ((X0X1 - aZ0Z1)^2 - 4bZ0Z1(X0Z1 + X1Z0) : (X0Z1 - X1Z0)^2)
         u = Z0 * Z1 % p
         s = (X0 * X1 - a * u % p) % p
         v, w = X0 * Z1 % p, X1 * Z0 % p
         XS = (s * s - b4 * u % p * ((v + w) % p)) % p
-        ZS = x * ((v - w) ** 2 % p) % p
+        ZS = (v - w) ** 2 % p
         # 2R = ((X^2 - aZ^2)^2 - 8bXZ^3 : 4Z(X^3 + aXZ^2 + bZ^3))
         X, Z = np.where(bit, X1, X0), np.where(bit, Z1, Z0)
         xx, zz = X * X % p, Z * Z % p
@@ -547,19 +548,16 @@ def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> list[int]:
     """The good primes 5 <= p < 2^31 of primes where the ladder leaves a_p = 0 possible.
 
     a_p = 0 exactly when #E(F_p) = p + 1, and the quadratic twist then has
-    p + 1 points too (Mestre's argument; Cohen, GTM 138).  Any x in F_p is
-    the x of a point P of E or of the twist, so x([p + 1]P) != O proves
-    a_p != 0.  The short model's x = 1 goes first, then x = 2 on the lanes
-    still open, in the rounds of _rounds; a prime where both reach O is
-    returned, every a_p = 0 among them.
+    p + 1 points too (Mestre's argument; Cohen, GTM 138).  The short model's
+    x = 1 is the x of a point P of E or of the twist, so x([p + 1]P) != O
+    proves a_p != 0.  One ladder runs per round of _rounds, and a prime where
+    it reaches O is returned: every a_p = 0 among them, and a few a_p != 0
+    whose P has order dividing p + 1, which _aps then counts exactly.
     """
     left = []
     for chunk in _rounds(primes):
         p, a, b = _short_model(curve, chunk)
-        for x in (1, 2):
-            lanes = _ladder(x, a, b, p) == 0
-            p, a, b = p[lanes], a[lanes], b[lanes]
-        left += p.tolist()
+        left += p[_ladder(a, b, p) == 0].tolist()
     return left
 
 
@@ -642,9 +640,10 @@ def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
 def scan_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     """The prime data of a scan to bound: a_p exactly wherever it may be 0.
 
-    The good primes p >= 5 go to the ladder (_open_primes), and those where
-    it proves a_p != 0 are the table's nonzero primes, with no value.  The
-    open ones, 2, 3 and the bad primes get their a_p from one _aps call.
+    The good primes p >= 5 go to the ladder from x(P) = 1 (_open_primes),
+    and those where it proves a_p != 0 are the table's nonzero primes, with
+    no value.  The open ones, 2, 3 and the bad primes get their a_p from one
+    _aps call, so an open prime with a_p != 0 gets its exact value.
     """
     return _table(curve, bound, ladder=True)
 

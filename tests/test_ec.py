@@ -25,6 +25,7 @@ from qvanish.ec import (
 from qvanish.cli import main
 from qvanish.forms import eta_quotient
 from qvanish.hecke import qexp_from_primes
+from qvanish.vanish import prime_sieve
 
 from .oracles import count_affine_points, count_nonsingular, curve_mul, point_order, x_ladder
 
@@ -306,6 +307,24 @@ class TestBSGS:
         primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 20000)
         assert len(ec._lane_aps(curve, primes)) >= len(primes) - open_lanes
 
+    @pytest.mark.parametrize("curve", [C_ADD, C27], ids=["25x", "27a1"])
+    def test_later_rounds_equal_char_sums(self, curve, monkeypatch):
+        # From 2^14 on each bit length is a round of its own, and lanes still
+        # open ride along into the next (_Lanes.join): the CM curves keep
+        # many open.  About 40 good primes above 2^16, over the last two
+        # rounds, each answered by a lane, against the character sum.
+        found = {}
+        lane_aps = ec._lane_aps
+        monkeypatch.setattr(
+            ec, "_lane_aps", lambda c, primes: found.update(lane_aps(c, primes)) or found
+        )
+        table = prime_table(curve, 200000).table
+        primes = good_primes(curve, 2**16, 200000)[::280]
+        assert len(primes) >= 40 and set(primes) <= set(found)
+        assert {p: table[p] for p in primes} == {
+            p: -s for p, s in zip(primes, ec._char_sums(curve, primes))
+        }
+
     def test_lanes_skip_the_flex_at_x0_when_j_is_0(self):
         # 27a1 has a = 0 on the short model, where (0, r^2) is a flex of
         # order 3: no lane takes x = 0, and each still has BSGS_POINTS points
@@ -402,7 +421,7 @@ class TestBSGS:
             calls.extend(primes)
             return char_sums(curve, primes)
 
-        monkeypatch.setattr(ec, "BSGS_POINTS", 0)
+        monkeypatch.setattr(ec, "_lane_aps", lambda curve, primes: {})
         monkeypatch.setattr(ec, "_char_sums", counted)
         for c in CURVES:
             assert prime_table(c, bound).table == tables[c.label]
@@ -466,13 +485,34 @@ class TestLadder:
         a, b = (np.array([c % q for q in primes], dtype=np.int64) for c in (-27 * c4, -54 * c6))
         aps = {q: ap_good(curve, q) for q in primes}
         assert 0 in aps.values() or curve is C37
-        for x in (1, 2):
-            Z = ec._ladder(x, a, b, p)
-            want = [x_ladder(x, q + 1, int(aq), int(bq), q, bits=32)[1]
-                    for q, aq, bq in zip(primes, a, b)]
-            assert Z.tolist() == want
-            assert [q for q, z in zip(primes, want) if z and aps[q] == 0] == []
+        Z = ec._ladder(a, b, p)
+        want = [x_ladder(1, q + 1, int(aq), int(bq), q, bits=32)[1]
+                for q, aq, bq in zip(primes, a, b)]
+        assert Z.tolist() == want
+        assert [q for q, z in zip(primes, want) if z and aps[q] == 0] == []
         assert ec._open_primes(curve, primes) == [q for q in primes if aps[q] == 0]
+
+    def test_open_primes_with_nonzero_a_p_take_their_exact_value(self, monkeypatch):
+        # x(P) = 1 leaves open four primes of 37a1 to 14000 whose a_p is not
+        # 0 (P has order dividing p + 1 there); the router counts each, and
+        # the scan reports the exact series' zeros
+        pt = prime_table(C37, 14000)
+        exact = pt.table
+        good = good_primes(C37, 5, 14000)
+        opened = ec._open_primes(C37, good)
+        assert [(p, exact[p]) for p in opened if exact[p]] == [
+            (101, 3), (1283, -36), (1301, 30), (10369, 38)
+        ]
+        assert sorted(p for p in good if exact[p] == 0) == [p for p in opened if not exact[p]]
+        sent = []
+        aps = ec._aps
+        monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
+        scan = ec.scan_table(C37, 14000)
+        assert set(opened) <= set(sent) and set(sent) == set(scan.table)
+        assert {p: scan.table[p] for p in opened} == {p: exact[p] for p in opened}
+        report = prime_sieve(scan)
+        assert report == prime_sieve(pt)
+        assert report.zeros == [n for n in range(1, 14001) if pt.series[n] == 0]
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
     def test_oracle_is_the_group_law(self, p):

@@ -7,25 +7,26 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
 (additive).  The exact a_p of a list of primes comes from one router, _aps:
 
 - Good primes above BSGS_CROSSOVER, all in one call (_lane_aps): Shanks'
-  baby-step giant-step in int64 numpy lanes, one lane per prime.  For a few
-  points P, each of E or of its quadratic twist (Mestre's method; Cohen,
-  GTM 138), it keeps the orders N in the Hasse interval
-  [p+1-2*sqrt(p), p+1+2*sqrt(p)] with N*P = O; when one N is left,
-  #E(F_p) = N.  That is O(p^(1/4)) group operations per point, and every
-  lane takes the same ones, so the interpreter is paid once per step of a
-  round of primes (LANES_PER_ROUND or more where the table has them), not
-  once per prime: about 15-25 us per prime from 2^9 to 2^18, against about
-  2-4 ms for a lane on its own (ap_good above the crossover).
+  baby-step giant-step in int64 numpy lanes, one lane per prime.  A lane
+  tries a few points P, each of E or of its quadratic twist, for the orders
+  N in the Hasse interval [p+1-2*sqrt(p), p+1+2*sqrt(p)] with N*P = O; a
+  point that allows one N fixes #E(F_p) by itself (Mestre's method; Cohen,
+  GTM 138; Schoof 1995, section 3).  That is O(p^(1/4)) group operations
+  per point, and every lane takes the same ones, so the interpreter is paid
+  once per step of a round of primes (LANES_PER_ROUND or more where the
+  table has them), not once per prime: about 15-25 us per prime from 2^9
+  to 2^18, against about 2-4 ms for a lane on its own (ap_good above the
+  crossover).
 - Bad primes from 5 on, by reduction type: 0 where p | c4, else the
   Legendre symbol (-c6 / p).
-- Every other odd prime, and any good prime whose lane leaves more than one
-  N: the character sum, O(p), all of them in one _char_sums call.  The
-  substitution u = 2y + a1*x + a3 turns the model into u^2 = 4x^3 + b2*x^2
-  + 2*b4*x + b6, so each x contributes 1 + chi(g(x)) points with chi the
-  quadratic character.  A pass lays the x of many primes end to end, so it
-  costs about 25 us plus 20-45 ns per x: the 96 odd primes up to
-  BSGS_CROSSOVER (22546 x) take about 1.0-1.2 ms together, against about
-  2 ms one pass each.
+- Every other odd prime, and any good prime none of whose lane's points
+  allows one N: the character sum, O(p), all of them in one _char_sums
+  call.  The substitution u = 2y + a1*x + a3 turns the model into u^2 =
+  4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes 1 + chi(g(x)) points
+  with chi the quadratic character.  A pass lays the x of many primes end
+  to end, so it costs about 25 us plus 20-45 ns per x: the 96 odd primes up
+  to BSGS_CROSSOVER (22546 x) take about 1.0-1.2 ms together, against
+  about 2 ms one pass each.
 - p = 2: the four pairs (x, y) are tried.
 
 prime_table holds the exact a_p of every prime, for coeffs and mf, which
@@ -308,11 +309,11 @@ def _affine(points, k, p):
 
 
 def _annihilators(P, a, p, lo, span, m):
-    """(small, N): the orders N in [lo, lo + span] that the point P allows, lane by lane.
+    """N: the orders N in [lo, lo + span] that the point P allows, lane by lane.
 
-    small[l] says that P has order at most 2m on lane l, and then it is not
-    used.  Otherwise N[:, l] holds every N in the interval with N*P = O, one
-    row per giant step, with 0 in a row without one.
+    N[:, l] holds every N in the interval with N*P = O, one row per giant
+    step, with 0 in a row without one.  Where P has order at most 2m, the
+    column is all 0: such a point is not used.
 
     The baby steps jP, j = 1..m, are taken in projective coordinates and then
     made affine, one inverse per lane (Montgomery's trick).  The order of P is
@@ -330,7 +331,7 @@ def _annihilators(P, a, p, lo, span, m):
     N = np.zeros((int((span // step).max()) + 1, len(p)), dtype=np.int64)
     big = (~small).nonzero()[0]
     if not len(big):
-        return small, N
+        return N
     bx, by, P, a, p, lo, span = (v[..., big] for v in (bx, by, np.stack(P), a, p, lo, span))
     ones = np.broadcast_to(np.int64(1), bx.shape)
     giant_step = _add(_double((bx[-1], by[-1], ones[-1]), a, p), tuple(P), a, p)
@@ -347,7 +348,7 @@ def _annihilators(P, a, p, lo, span, m):
     found += k
     found[((k == 0) & ~ginf) | (found > lo + span)] = 0
     N[:, big] = found
-    return small, N
+    return N
 
 
 def _baby_steps(p: int) -> int:
@@ -368,9 +369,7 @@ class _Lanes(NamedTuple):
 
     a is the short model's coefficient and [lo, lo + span] the Hasse
     interval.  x and r give the lane's points, one row each, and t counts
-    the points it has used.  A lane is free until one of them has an
-    order above 2m; from then on cand holds the orders N that every such
-    point allows, with 0 in the unused rows.
+    the points it has used.
     """
 
     p: np.ndarray
@@ -380,12 +379,10 @@ class _Lanes(NamedTuple):
     x: np.ndarray
     r: np.ndarray
     t: np.ndarray
-    free: np.ndarray
-    cand: np.ndarray
 
     @classmethod
     def new(cls, curve: WeierstrassCurve, primes: list[int]) -> _Lanes:
-        """Free lanes for primes, none of whose points is used yet."""
+        """Lanes for primes, none of whose points is used yet."""
         p, a, b = _short_model(curve, primes)
         span = np.array([2 * isqrt(4 * q) for q in primes], dtype=np.int64)
         # f has at most three roots, and where a = 0 the point at x = 0 is a
@@ -397,24 +394,14 @@ class _Lanes(NamedTuple):
         first = nonzero & (nonzero.cumsum(0) <= BSGS_POINTS)
         x = first.T.nonzero()[1].reshape(len(p), BSGS_POINTS).T
         r = np.take_along_axis(f, x, 0)
-        return cls(
-            p, a, p + 1 - span // 2, span, x, r, np.zeros_like(p),
-            np.ones(len(p), dtype=bool), np.zeros((0, len(p)), dtype=np.int64),
-        )
-
-    def join(self, other: _Lanes) -> _Lanes:
-        """Both sets of lanes, side by side."""
-        rows = max(len(self.cand), len(other.cand))
-        cand = [np.pad(c, ((0, rows - len(c)), (0, 0))) for c in (self.cand, other.cand)]
-        return _Lanes(*(np.concatenate(f, -1) for f in zip(self[:-1], other[:-1])),
-                      np.concatenate(cand, 1))
+        return cls(p, a, p + 1 - span // 2, span, x, r, np.zeros_like(p))
 
     def step(self, found: dict[int, int]) -> _Lanes:
-        """Each lane takes one point in its first round, two in its second, the rest in its third.
+        """Each lane takes one point in its first step, two in its second, the rest in its third.
 
-        Every point is a column of one _annihilators call, and a lane's
-        points then keep in turn the orders that each allows.  found gets the
-        lanes left with one N; the rest return while they have points left.
+        Every point is a column of one _annihilators call.  found gets the
+        lanes with a point that allows one N; the rest return while they
+        have points left.
         """
         uses = np.minimum(np.where(self.t < 2, self.t + 1, BSGS_POINTS), BSGS_POINTS - self.t)
         lane = np.repeat(np.arange(len(self.p)), uses)  # the lane of each column
@@ -424,32 +411,19 @@ class _Lanes(NamedTuple):
         r = self.r[row, lane]
         r2 = r * r % p
         point = (self.x[row, lane] * r % p, r2, np.ones_like(p))
-        small, N = _annihilators(
+        N = _annihilators(
             point, self.a[lane] * r2 % p, p, lo, span, _baby_steps(int(p.max()))
         )
-        twist = _pow(r, (p - 1) // 2, p) != 1
+        one = (N > 0).sum(0) == 1
+        order = N.max(0)
         # a twist point of order N' allows N = 2p + 2 - N' = 2*lo + span - N'
-        N = np.where(twist & (N > 0), 2 * lo + span - N, N)
-        free = self.free.copy()
-        rows = max(len(self.cand), len(N))
-        cand = np.pad(self.cand, ((0, rows - len(self.cand)), (0, 0)))
-        # a lane's points in turn: each keeps the orders it allows among the
-        # lane's candidates, or gives a free lane its first candidates
-        for j in range(int(uses.max())):
-            col = ((nth == j) & ~small).nonzero()[0]
-            held = ~free[lane[col]]
-            c, l = col[held], lane[col[held]]
-            kept = (cand[:, None, l] == N[:, c]).any(1)
-            cand[:, l] = np.where(kept, cand[:, l], 0)
-            c, l = col[~held], lane[col[~held]]
-            cand[: len(N), l] = N[:, c]
-            free[l] = False
-        one = ~free & ((cand > 0).sum(0) == 1)
-        orders = cand[:, one].max(0)
-        found.update(zip(self.p[one].tolist(), (self.p[one] + 1 - orders).tolist()))
+        order = np.where(_pow(r, (p - 1) // 2, p) != 1, 2 * lo + span - order, order)
+        found.update(zip(p[one].tolist(), (p + 1 - order)[one].tolist()))
+        settled = np.zeros(len(self.p), dtype=bool)
+        settled[lane[one]] = True
         t = self.t + uses
-        more = ~one & (t < BSGS_POINTS)
-        return _Lanes(*(f[..., more] for f in self._replace(t=t, free=free, cand=cand)))
+        more = ~settled & (t < BSGS_POINTS)
+        return _Lanes(*(f[..., more] for f in self._replace(t=t)))
 
 
 def _rounds(primes: list[int]) -> list[list[int]]:
@@ -476,34 +450,29 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     lane takes x = 0, 1, 2, ... with r = x^3 + a*x + b nonzero, and (x*r, r^2)
     is a point of y^2 = X^3 + a*r^2*X + b*r^3: the curve itself when r is a
     square, its quadratic twist when not, and no square root is taken.  Where
-    a = 0 (j = 0) the point at x = 0 is a flex, of order 3, and is skipped.  Each
-    point keeps the orders N in the Hasse interval that it allows (a twist
-    point of order N' allows 2p + 2 - N'); #E(F_p) is always kept, so once one
-    N is left, #E(F_p) = N.  A point of order at most 2m is passed over, and
-    a lane with more than one N after BSGS_POINTS points is left out of the
-    result.
+    a = 0 (j = 0) the point at x = 0 is a flex, of order 3, and is skipped.
+    #E(F_p) is among the orders N in the Hasse interval that a point allows
+    (a twist point of order N' allows 2p + 2 - N'), so a point that allows
+    one N alone gives #E(F_p) = N.  A point of order at most 2m is passed
+    over, and a lane none of whose BSGS_POINTS points allows one N is left
+    out of the result.
 
     Primes enter in the rounds of _rounds.
     Every lane of a round takes the same group operations, with the m of the
     round's largest prime: any m works for a lane, as long as the giant
-    steps cover the Hasse interval.  A round costs about 1.7 ms plus 8 us per
-    point, and most lanes are settled by their first point; so a lane takes
-    one point in its first round, two in its second and all it has left in
-    its third.  Lanes still open ride along with the next chunk, and after
-    the last chunk take at most two rounds of their own.  Every point in the
-    second round would cost 7 points a lane where most need one: the 67
-    lanes of 37a1 that one point leaves open to 14000 took 5.6 ms so, 3.3 ms
-    with two points each and 2.2 ms with one (best of 15).
+    steps cover the Hasse interval.  A step costs about 1.7 ms plus 8 us per
+    point, and most lanes are settled by their first point; so a round takes
+    at most three steps: a lane takes one point in its first step, two in
+    its second and all it has left in its third.  Every point in the second
+    step would cost 7 points a lane where most need one: the 67 lanes of
+    37a1 that one point leaves open to 14000 took 5.6 ms so, 3.3 ms with two
+    points each and 2.2 ms with one (best of 15).
     """
     found: dict[int, int] = {}
-    if not primes:
-        return found
-    rounds = _rounds(primes)
-    lanes = _Lanes.new(curve, rounds[0])
-    for chunk in rounds[1:]:
-        lanes = lanes.step(found).join(_Lanes.new(curve, chunk))
-    while len(lanes.p):
-        lanes = lanes.step(found)
+    for chunk in _rounds(primes):
+        lanes = _Lanes.new(curve, chunk)
+        while len(lanes.p):
+            lanes = lanes.step(found)
     return found
 
 

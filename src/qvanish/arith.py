@@ -7,6 +7,7 @@ no index of such a table is factorized.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain, compress, cycle
 from math import isqrt
 from typing import Callable
@@ -31,6 +32,19 @@ def sieve_primes(bound: int) -> list[int]:
             start = p * p
             flags[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
     return list(compress(range(bound + 1), flags))
+
+
+def smallest_prime_factors(bound: int, primes: list[int]) -> np.ndarray:
+    """spf[n], the smallest prime factor of n <= bound (spf[1] = 1), from primes.
+
+    primes is a caller's sieve, which holds every prime up to sqrt(bound):
+    one strided pass per such prime, the largest first, so a smaller prime
+    overwrites the multiples it shares with it.
+    """
+    spf = np.arange(bound + 1, dtype=np.min_scalar_type(bound))
+    for p in reversed(primes[: bisect_right(primes, isqrt(bound))]):
+        spf[p * p :: p] = p
+    return spf
 
 
 def multiples(primes: np.ndarray, bound: int) -> np.ndarray:

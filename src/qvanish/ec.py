@@ -30,13 +30,23 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
 - p = 2: the four pairs (x, y) are tried.
 
 prime_table holds the exact a_p of every prime, for coeffs and mf, which
-print a(n).  A scan needs a_p exactly only where it may be 0, so scan_table
-first runs one x-only ladder per good prime p >= 5 (_open_primes): the
-point P with x(P) = 1, of E or of its twist, proves a_p != 0 where
-x([p + 1]P) != O, and only the primes it leaves open go to _aps, beside 2,
-3 and the bad primes.  Primes from 2^31 on are refused: the lanes hold
-residues below p in int64, which keeps a product of two below 2^62 only
-while p < 2^31, and the character sum there would take O(p) time and
+print a(n).  A scan needs to know only where a_p = 0, and scan_table
+decides that by theorem at every good prime p >= 5, with no point count:
+
+- A CM curve (WeierstrassCurve.cm_discriminant, D): at p not dividing D,
+  a_p = 0 exactly when the Legendre symbol (D / p) is -1 (Deuring), all of
+  them by one batched power (_deuring).
+- Any other curve: one x-only ladder per prime (_open_primes).  The point
+  P1 with x(P1) = 1, of E or of its quadratic twist, proves a_p != 0 where
+  [p + 1]P1 != O.  The few primes it leaves open take one more ladder call
+  (_settle), for a second point P2 and the orders of both, which divide
+  p + 1: a_p != 0 where [p + 1]P2 != O, and a_p = 0 where the lcm of the
+  two orders exceeds 2*sqrt(p) (Mestre's argument).
+
+2, 3, the bad primes, the primes dividing D and any prime left undecided
+get their exact a_p from _aps.  Primes from 2^31 on are refused: the lanes
+hold residues below p in int64, which keeps a product of two below 2^62
+only while p < 2^31, and the character sum there would take O(p) time and
 memory.  Models that may not be minimal are refused (see
 WeierstrassCurve.level).
 """
@@ -51,8 +61,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, sieve_primes
+from .arith import factorize, is_prime, sieve_primes, smallest_prime_factors
 from .hecke import PrimeEigenvalues
+
+
+# The 13 rational j-invariants of curves with complex multiplication, each
+# with the discriminant D of its CM order (Silverman, Advanced Topics in the
+# Arithmetic of Elliptic Curves, Appendix A, section 3).
+CM_J_INVARIANTS = {
+    0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12, 287496: -16,
+    -884736: -19, -12288000: -27, 16581375: -28, -884736000: -43,
+    -147197952000: -67, -262537412640768000: -163,
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,16 @@ class WeierstrassCurve:
     def discriminant(self) -> int:
         c4, c6 = self.c_invariants
         return (c4**3 - c6**2) // 1728
+
+    @cached_property
+    def cm_discriminant(self) -> int | None:
+        """D of the order by which the curve has complex multiplication, else None.
+
+        The j-invariant c4^3 / disc is one of CM_J_INVARIANTS exactly when the
+        curve has CM; each is compared as c4^3 = j * disc, in integers.
+        """
+        c4 = self.c_invariants[0]
+        return next((d for j, d in CM_J_INVARIANTS.items() if c4**3 == j * self.discriminant), None)
 
     @cached_property
     def level(self) -> int:
@@ -196,6 +226,18 @@ LANES_PER_ROUND = 1024
 # The lanes: int64 arrays with one entry per prime p < 2^31.  Every operand is
 # reduced into [0, p), so a product is below 2^62 and a sum or difference of
 # two products stays inside int64; each product is reduced before it is used.
+
+
+def _residues(c: int, p):
+    """c mod p, lane by lane, for an integer c of any size and sign.
+
+    Horner over the 31-bit limbs of |c| from the top: each partial value is
+    below p * 2^31 <= 2^62 before it is reduced.
+    """
+    r = np.zeros_like(p)
+    for shift in reversed(range(0, abs(c).bit_length(), 31)):
+        r = ((r << 31) + ((abs(c) >> shift) & (2**31 - 1))) % p
+    return -r % p if c < 0 else r
 
 
 def _pow(base, exp, p):
@@ -359,9 +401,8 @@ def _baby_steps(p: int) -> int:
 def _short_model(curve: WeierstrassCurve, primes: list[int]):
     """Lanes p, a, b of y^2 = x^3 + a*x + b, a = -27*c4 and b = -54*c6 mod p."""
     c4, c6 = curve.c_invariants
-    return (np.array(primes, dtype=np.int64),
-            np.array([-27 * c4 % q for q in primes], dtype=np.int64),
-            np.array([-54 * c6 % q for q in primes], dtype=np.int64))
+    p = np.array(primes, dtype=np.int64)
+    return p, _residues(-27 * c4, p), _residues(-54 * c6, p)
 
 
 class _Lanes(NamedTuple):
@@ -476,23 +517,24 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     return found
 
 
-def _ladder(a, b, p):
-    """Z of x([p + 1]P) in (X : Z), lane by lane, for the P with x(P) = 1 on y^2 = x^3 + a*x + b.
+def _ladder(a, b, p, n):
+    """(X : Z) of x([n]P), lane by lane, for the P with x(P) = 1 on y^2 = x^3 + a*x + b.
 
-    The x-only Montgomery ladder of Brier and Joye (2002): R0 = O = (1 : 0)
-    and R1 = P, whose difference stays P, take one step per bit of p + 1
-    from the round's top bit, so a lane's leading zero bits keep (O, P).
-    Each step adds R0 + R1, with x(P) = 1 as the difference, and doubles
-    the one the bit keeps; neither formula asks for y, so P may lie on E or
-    on its quadratic twist.  Residues are below p < 2^31, and every value
-    stays below 2^63: a product of two residues, or a small constant times
-    one (4*Z, 8*b), is reduced before it is multiplied again, and at most
-    two products are added or subtracted before a reduction.
+    [n]P = O exactly where Z = 0 and X != 0; a lane at (0 : 0) is no
+    evidence either way.  The x-only Montgomery ladder of Brier and Joye
+    (2002): R0 = O = (1 : 0) and R1 = P, whose difference stays P, take one
+    step per bit of n from the top bit of the largest n, so a lane's
+    leading zero bits keep (O, P).  Each step adds R0 + R1, with x(P) = 1
+    as the difference, and doubles the one the bit keeps; neither formula
+    asks for y, so P may lie on E or on its quadratic twist.  Residues are
+    below p < 2^31, and every value stays below 2^63: a product of two
+    residues, or a small constant times one (4*Z, 8*b), is reduced before
+    it is multiplied again, and at most two products are added or
+    subtracted before a reduction.
     """
     X0, Z0, X1, Z1 = np.ones_like(p), np.zeros_like(p), np.ones_like(p), np.ones_like(p)
     b4 = 4 * b % p
     b8 = 2 * b4 % p
-    n = p + 1
     for i in reversed(range(int(n.max(initial=0)).bit_length())):
         bit = (n >> i) & 1 == 1
         # R0 + R1 = ((X0X1 - aZ0Z1)^2 - 4bZ0Z1(X0Z1 + X1Z0) : (X0Z1 - X1Z0)^2)
@@ -510,24 +552,113 @@ def _ladder(a, b, p):
         ZD = 4 * Z % p * ((xx * X + (a * (X * zz % p) + b * zzz) % p) % p) % p
         X0, Z0 = np.where(bit, XS, XD), np.where(bit, ZS, ZD)
         X1, Z1 = np.where(bit, XD, XS), np.where(bit, ZD, ZS)
-    return Z0
+    return X0, Z0
 
 
-def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> list[int]:
-    """The good primes 5 <= p < 2^31 of primes where the ladder leaves a_p = 0 possible.
+def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], list[int]]:
+    """(nonzero, open): the ladder's verdicts at the good primes 5 <= p < 2^31 of primes.
 
     a_p = 0 exactly when #E(F_p) = p + 1, and the quadratic twist then has
     p + 1 points too (Mestre's argument; Cohen, GTM 138).  The short model's
-    x = 1 is the x of a point P of E or of the twist, so x([p + 1]P) != O
-    proves a_p != 0.  One ladder runs per round of _rounds, and a prime where
-    it reaches O is returned: every a_p = 0 among them, and a few a_p != 0
-    whose P has order dividing p + 1, which _aps then counts exactly.
+    x = 1 is the x of a point P1 of E or of the twist, so [p + 1]P1 != O
+    proves a_p != 0.  One ladder runs per round of _rounds.  A prime where
+    it reaches O is open: every a_p = 0 is among them, and a few a_p != 0
+    whose P1 has order dividing p + 1.  A prime whose lane is (0 : 0) is in
+    neither list.
     """
-    left = []
+    nonzero, left = [], []
     for chunk in _rounds(primes):
         p, a, b = _short_model(curve, chunk)
-        left += p[_ladder(a, b, p) == 0].tolist()
-    return left
+        X, Z = _ladder(a, b, p, p + 1)
+        nonzero += p[Z != 0].tolist()
+        left += p[(Z == 0) & (X != 0)].tolist()
+    return nonzero, left
+
+
+def _order_lanes(p, spf) -> tuple[list[int], list[int], list[int]]:
+    """(lane, q, d): one entry for each prime power d = q^i dividing p[lane] + 1.
+
+    p + 1 = 2m with m <= bound, so spf, the smallest prime factors to the
+    largest m, factors it.
+    """
+    lane, qs, ds = [], [], []
+    for i, m in enumerate(((p + 1) // 2).tolist()):
+        factors = [2]  # ascending, so the powers of one q are consecutive
+        while m > 1:
+            factors.append(spf.item(m))
+            m //= factors[-1]
+        d = 1
+        for j, q in enumerate(factors):
+            d = d * q if j and factors[j - 1] == q else q
+            lane.append(i)
+            qs.append(q)
+            ds.append(d)
+    return lane, qs, ds
+
+
+def _orders(a, b, p, spf):
+    """ord(P1) and ord(P2) at the lanes where [p + 1]P1 = O, as a (2, lanes) array.
+
+    P1 has x(P1) = 1 on y^2 = x^3 + a*x + b, and P2 has x(P2) = 1 on the
+    model scaled by u = 2, y^2 = x^3 + 16a*x + 64b (x(P2) = 1/4 on this
+    one); each lies on E or on its quadratic twist.  One _ladder call takes
+    [p + 1]P2 and, for P1 and P2 alike, [(p + 1)/q^i]P for every prime
+    power q^i dividing p + 1 (_order_lanes).  Where [p + 1]P = O, v_q of
+    ord(P) is the number of i with [(p + 1)/q^i]P != O, so ord(P) is the
+    product of q over those lanes.  P2's entry is 0 where [p + 1]P2 != O,
+    and both entries are -1 where one of the prime's lanes is (0 : 0).
+    """
+    lane, q, d = (np.array(v, dtype=np.int64) for v in _order_lanes(p, spf))
+    k, m = len(p), len(lane)
+    A, B = np.stack([a, 16 * a % p]), np.stack([b, 64 * b % p])
+    point = np.repeat([1, 0, 1], [k, m, m])  # P2 at p + 1, then P1's and P2's order lanes
+    at = np.concatenate([np.arange(k), lane, lane])  # the prime of each ladder lane
+    n = np.concatenate([p + 1, np.tile((p + 1)[lane] // d, 2)])
+    X, Z = _ladder(A[point, at], B[point, at], p[at], n)
+    at_O = (Z == 0) & (X != 0)
+    orders = np.ones((2, k), dtype=np.int64)
+    np.multiply.at(orders, (point[k:], at[k:]), np.where(at_O[k:], 1, np.tile(q, 2)))
+    orders[1, ~at_O[:k]] = 0
+    orders[:, at[(Z == 0) & (X == 0)]] = -1
+    return orders
+
+
+def _settle(
+    curve: WeierstrassCurve, primes: list[int], sieve: list[int]
+) -> tuple[list[int], list[int]]:
+    """(zero, nonzero) among the primes _open_primes leaves open; sieve holds the primes to bound.
+
+    At such a prime [p + 1]P1 = O.  If [p + 1]P2 != O too, a_p != 0.
+    Otherwise each point's order divides p + 1 and the number of points of
+    E or of its twist, p + 1 - a_p or p + 1 + a_p, so it divides a_p, and so
+    does the lcm L of the two orders (_orders).  A nonzero a_p has a_p^2 <=
+    4p (Hasse), so L^2 > 4p proves a_p = 0.  A prime in neither list goes to
+    _aps.
+    """
+    if not primes:
+        return [], []
+    p, a, b = _short_model(curve, primes)
+    orders = _orders(a, b, p, smallest_prime_factors((max(primes) + 1) // 2, sieve))
+    lcm = np.lcm(orders[0], orders[1])
+    zero = (orders > 0).all(0) & (lcm * lcm > 4 * p)
+    return p[zero].tolist(), p[orders[1] == 0].tolist()
+
+
+def _deuring(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], list[int]]:
+    """(zero, nonzero) at the good primes p >= 5 of primes that do not divide D, for a CM curve.
+
+    D is the curve's cm_discriminant.  At a good p not dividing D, E is
+    supersingular exactly when p does not split in Q(sqrt(D)), that is when
+    (D / p) = -1 (Deuring 1941; Cox, Primes of the Form x^2 + ny^2, section
+    14), and for p >= 5 supersingular means a_p = 0, since p | a_p and
+    |a_p| <= 2*sqrt(p) < p.  One _pow gives every Legendre symbol.  A prime
+    dividing D is in neither list.
+    """
+    p = np.array(primes, dtype=np.int64)
+    d = _residues(curve.cm_discriminant, p)
+    p, d = p[d != 0], d[d != 0]
+    inert = _pow(d, (p - 1) // 2, p) == p - 1
+    return p[inert].tolist(), p[~inert].tolist()
 
 
 def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
@@ -545,7 +676,8 @@ def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     if max(primes, default=0) >= 2**31:
         raise ValueError(f"p={max(primes)} is not below 2^31, the bound of the int64 lanes")
     bad = {p for p in primes if curve.discriminant % p == 0}
-    found = _lane_aps(curve, [p for p in primes if p > BSGS_CROSSOVER and p not in bad])
+    lanes = [p for p in primes if p > BSGS_CROSSOVER and p not in bad]
+    found = _lane_aps(curve, lanes) if lanes else {}
     c4, c6 = curve.c_invariants
     found.update({p: 0 if c4 % p == 0 else 1 if pow(-c6, (p - 1) // 2, p) == 1 else -1
                   for p in bad if p >= 5})
@@ -603,27 +735,39 @@ def prime_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     before any count.  The table keeps the one sieve of its primes, which
     its series and coeff read too.
     """
-    return _table(curve, bound, ladder=False)
+    return _table(curve, bound, scan=False)
 
 
 def scan_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     """The prime data of a scan to bound: a_p exactly wherever it may be 0.
 
-    The good primes p >= 5 go to the ladder from x(P) = 1 (_open_primes),
-    and those where it proves a_p != 0 are the table's nonzero primes, with
-    no value.  The open ones, 2, 3 and the bad primes get their a_p from one
-    _aps call, so an open prime with a_p != 0 gets its exact value.
+    Each good prime p >= 5 is decided by theorem: by Deuring's criterion on
+    a CM curve (_deuring), else by the ladder from x(P1) = 1 (_open_primes)
+    and, where that leaves it open, by the orders of two points (_settle).
+    A prime proven a_p = 0 enters the table as an exact 0, and one proven
+    a_p != 0 is among the table's nonzero primes, with no value.  2, 3, the
+    bad primes, the primes dividing D and any prime left undecided get
+    their exact a_p from one _aps call.
     """
-    return _table(curve, bound, ladder=True)
+    return _table(curve, bound, scan=True)
 
 
-def _table(curve: WeierstrassCurve, bound: int, ladder: bool) -> PrimeEigenvalues:
+def _table(curve: WeierstrassCurve, bound: int, scan: bool) -> PrimeEigenvalues:
     if not 1 <= bound < 2**31:
         raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
     primes = sieve_primes(bound)
-    good = [p for p in primes if p >= 5 and level % p] if ladder else []
-    nonzero = frozenset(good).difference(_open_primes(curve, good))
-    aps = _aps(curve, [p for p in primes if p not in nonzero])
+    zero, nonzero = [], []
+    if scan:
+        good = [p for p in primes if p >= 5 and level % p]
+        if curve.cm_discriminant is not None:
+            zero, nonzero = _deuring(curve, good)
+        else:
+            nonzero, left = _open_primes(curve, good)
+            zero, settled = _settle(curve, left, primes)
+            nonzero += settled
+    decided = frozenset(zero).union(nonzero)
+    aps = _aps(curve, [p for p in primes if p not in decided])
+    aps.update(dict.fromkeys(zero, 0))
     return PrimeEigenvalues(weight=2, level=level, table=aps, bound=bound, primes=primes,
-                            nonzero=nonzero)
+                            nonzero=frozenset(nonzero))

@@ -14,16 +14,14 @@ table over the same sieve.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
 # factorize is not called here; the name stays importable from hecke because
 # the benchmark's tracing wraps hecke.factorize.
-from .arith import factorize, multiplicative, sieve_primes  # noqa: F401
+from .arith import factorize, multiplicative, sieve_primes, smallest_prime_factors  # noqa: F401
 from .series import QSeries
 
 
@@ -56,7 +54,9 @@ class PrimeEigenvalues:
     the table passes the ones it sieved for it.  Each of them is in table,
     with its exact a(p), or in nonzero: a good prime where a(p) != 0 is
     proven but not computed, so that a(p^e) != 0 for every e (the
-    classification in vanish, at a prime p >= 5).  Only a table without
+    classification in vanish, at a prime p >= 5).  In a curve scan's table
+    (ec.scan_table) a 0 may be certified by theorem, Deuring's criterion or
+    the orders of two points, rather than counted.  Only a table without
     nonzero primes has a series.
     """
 
@@ -83,10 +83,7 @@ class PrimeEigenvalues:
     @cached_property
     def _spf(self) -> np.ndarray:
         """spf[n], the smallest prime factor of n <= bound (spf[1] = 1), from the table's sieve."""
-        spf = np.arange(self.bound + 1, dtype=np.min_scalar_type(self.bound))
-        for p in reversed(self.primes[: bisect_right(self.primes, isqrt(self.bound))]):
-            spf[p * p :: p] = p
-        return spf
+        return smallest_prime_factors(self.bound, self.primes)
 
     def coeff(self, n: int) -> int:
         """a(n) = prod a(p^e) over the prime powers p^e || n; a(1) = 1.

@@ -147,9 +147,11 @@ class ScanReport:
     """Result of a first-vanishing scan over 1 <= n <= bound.
 
     certification counts the indices certified nonzero by a residue lane
-    ("residue") or by exact arithmetic ("exact": for a curve, its primes'
-    exact values and ladder points), and the exact zeros ("zero"); every
-    index is in exactly one of the three.
+    ("residue") or by exact arithmetic ("exact": for a curve, an index none
+    of whose prime powers vanishes, by its primes' exact values and the
+    certificates of ec.scan_table, a ladder point, two points' orders or
+    Deuring's criterion), and the exact zeros ("zero"); every index is in
+    exactly one of the three.
     lane_moduli are the certifying moduli; the extra ones that an exact eta
     product is lifted from never certify and never appear here.
     """

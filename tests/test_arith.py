@@ -11,6 +11,7 @@ from qvanish.arith import (
     is_prime,
     multiplicative,
     sieve_primes,
+    smallest_prime_factors,
 )
 
 from .oracles import multiplicative_by_trial_division, sigma_by_divisors
@@ -31,6 +32,15 @@ def test_sieve_matches_trial_division_every_bound_to_2000():
     primes = [n for n in range(2, 2001) if all(n % d for d in range(2, isqrt(n) + 1))]
     for bound in range(2001):
         assert sieve_primes(bound) == [p for p in primes if p <= bound]
+
+
+def test_smallest_prime_factors_match_trial_division():
+    # from a sieve past the bound too, as a scan's sieve is past sqrt(bound)
+    for bound in (1, 2, 3, 4, 97, 1000):
+        spf = smallest_prime_factors(bound, sieve_primes(2000))
+        assert spf.tolist() == [0, 1] + [
+            next(d for d in range(2, n + 1) if n % d == 0) for n in range(2, bound + 1)
+        ]
 
 
 class TestMultiplicative:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qvanish
 from qvanish import ec
-from qvanish.arith import factorize, sieve_primes
+from qvanish.arith import factorize, sieve_primes, smallest_prime_factors
 from qvanish.ec import (
     FIXTURES,
     WeierstrassCurve,
@@ -488,30 +488,39 @@ class TestLadder:
 
     @pytest.mark.parametrize("curve", [C37, C_ADD], ids=["37a1", "25x"])
     def test_largest_primes_below_2_31(self, curve):
-        # residues near 2^31 bring products near 2^62: each lane's Z equals the
-        # ladder in Python ints, so no int64 product overflowed, and its
-        # verdict agrees with ap_good (y^2 = x^3 + 25x has a_p = 0 at p = 3 mod 4)
+        # residues near 2^31 bring products near 2^62: each lane's (X : Z)
+        # equals the ladder in Python ints, so no int64 product overflowed,
+        # at n = p + 1 and at the order lanes' n = (p + 1)/q^i, for P1 and
+        # for P2 (the model scaled by u = 2), all in one call; the verdicts
+        # agree with ap_good (y^2 = x^3 + 25x has a_p = 0 at p = 3 mod 4)
         primes = [2147483647, 2147483629, 2147483587, 2147483579, 2147483549]
+        lanes = [(q, (q + 1) // d, u) for q in primes for u in (1, 2)
+                 for d in [1] + [r**i for r, e in factorize(q + 1) for i in range(1, e + 1)]]
         c4, c6 = curve.c_invariants
-        p = np.array(primes, dtype=np.int64)
-        a, b = (np.array([c % q for q in primes], dtype=np.int64) for c in (-27 * c4, -54 * c6))
+        p, n, _ = (np.array(c, dtype=np.int64) for c in zip(*lanes))
+        a, b = (np.array([c * u**k % q for q, _, u in lanes], dtype=np.int64)
+                for c, k in ((-27 * c4, 4), (-54 * c6, 6)))
+        X, Z = ec._ladder(a, b, p, n)
+        want = [x_ladder(1, int(k), int(aq), int(bq), int(q), bits=32)
+                for q, k, aq, bq in zip(p, n, a, b)]
+        assert list(zip(X.tolist(), Z.tolist())) == want
+        assert len(lanes) > 10 * len(primes)
         aps = {q: ap_good(curve, q) for q in primes}
         assert 0 in aps.values() or curve is C37
-        Z = ec._ladder(a, b, p)
-        want = [x_ladder(1, q + 1, int(aq), int(bq), q, bits=32)[1]
-                for q, aq, bq in zip(primes, a, b)]
-        assert Z.tolist() == want
-        assert [q for q, z in zip(primes, want) if z and aps[q] == 0] == []
-        assert ec._open_primes(curve, primes) == [q for q in primes if aps[q] == 0]
+        assert ec._open_primes(curve, primes) == (
+            [q for q in primes if aps[q]], [q for q in primes if aps[q] == 0]
+        )
 
-    def test_open_primes_with_nonzero_a_p_take_their_exact_value(self, monkeypatch):
-        # x(P) = 1 leaves open four primes of 37a1 to 14000 whose a_p is not
-        # 0 (P has order dividing p + 1 there); the router counts each, and
-        # the scan reports the exact series' zeros
+    def test_open_primes_with_nonzero_a_p_land_in_nonzero(self, monkeypatch):
+        # x(P1) = 1 leaves open four primes of 37a1 to 14000 whose a_p is not
+        # 0 (P1 has order dividing p + 1 there); the second point proves each
+        # nonzero, the two orders prove every other open prime zero, and the
+        # router gets only 2, 3 and the bad prime 37
         pt = prime_table(C37, 14000)
         exact = pt.table
         good = good_primes(C37, 5, 14000)
-        opened = ec._open_primes(C37, good)
+        nonzero, opened = ec._open_primes(C37, good)
+        assert sorted(nonzero + opened) == good
         assert [(p, exact[p]) for p in opened if exact[p]] == [
             (101, 3), (1283, -36), (1301, 30), (10369, 38)
         ]
@@ -520,8 +529,10 @@ class TestLadder:
         aps = ec._aps
         monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
         scan = ec.scan_table(C37, 14000)
-        assert set(opened) <= set(sent) and set(sent) == set(scan.table)
-        assert {p: scan.table[p] for p in opened} == {p: exact[p] for p in opened}
+        assert sent == [2, 3, 37]
+        assert {101, 1283, 1301, 10369} <= scan.nonzero
+        assert scan.table == {p: exact[p] for p in scan.table}
+        assert sorted(scan.table) == sorted([2, 3, 37] + [p for p in opened if not exact[p]])
         report = prime_sieve(scan)
         assert report == prime_sieve(pt)
         assert report.zeros == [n for n in range(1, 14001) if pt.series[n] == 0]
@@ -540,6 +551,160 @@ class TestLadder:
                     R = curve_mul(n, (x, y), a, p)
                     assert (Z == 0) == (R is None), (a, b, x, n)
                     assert X % p != 0 if R is None else X == R[0] * Z % p, (a, b, x, n)
+
+
+class TestSettle:
+    """Two points' orders decide a_p at the primes the ladder leaves open."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.tuples(*[st.integers(-50, 50)] * 5))
+    def test_random_minimal_curves_to_20000(self, a):
+        try:
+            curve = WeierstrassCurve(*a)
+            curve.level
+        except ValueError:
+            assume(False)
+        assume(curve.cm_discriminant is None)
+        sieve = sieve_primes(20000)
+        _, opened = ec._open_primes(curve, good_primes(curve, 5, 20000))
+        zero, nonzero = ec._settle(curve, opened, sieve)
+        assert set(zero).isdisjoint(nonzero) and set(zero) | set(nonzero) <= set(opened)
+        exact = ec._aps(curve, opened)
+        assert [p for p in zero if exact[p] != 0] == []
+        assert [p for p in nonzero if exact[p] == 0] == []
+
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(31) if p >= 5])
+    def test_orders_equal_the_group_law(self, p):
+        # Every nonsingular y^2 = x^3 + a*x + b mod p where [p + 1]P1 = O.
+        # P1 has x = 1, P2 has x = 1 on the model scaled by u = 2; the point
+        # (r, r^2) of y^2 = X^3 + a*r^2*X + b*r^3, r = f(1), has P's order
+        # (a 2-torsion point where r = 0).
+        def order(a, b):
+            r = (1 + a + b) % p
+            return point_order((r, r * r % p), a * r * r % p, p) if r else 2
+
+        lanes, want = [], []
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0 or (p + 1) % order(a, b):
+                    continue
+                second = order(16 * a % p, 64 * b % p)
+                lanes.append((a, b))
+                want.append((order(a, b), second if (p + 1) % second == 0 else 0))
+        a, b = (np.array(c, dtype=np.int64) for c in zip(*lanes))
+        spf = smallest_prime_factors((p + 1) // 2, sieve_primes(p))
+        orders = ec._orders(a, b, np.full_like(a, p), spf)
+        assert list(zip(*orders.tolist())) == want
+        # both points of order at least 2, and P2 sometimes not dividing p + 1
+        assert min(min(w) for w in want) == 0 < min(w[0] for w in want)
+
+    @pytest.mark.parametrize("curve", [C37, C53, C11], ids=["37a1", "53a1", "11a1"])
+    def test_scan_to_14000_makes_no_lane_call(self, curve, monkeypatch):
+        # every good prime p >= 5 is decided, so the router gets 2, 3 and
+        # the bad prime, all by the character sum or the reduction type
+        exact = prime_table(curve, 14000).table
+        sent = []
+        aps = ec._aps
+        monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
+        monkeypatch.setattr(ec, "_lane_aps", None)
+        scan = ec.scan_table(curve, 14000)
+        assert sent == [2, 3, curve.level]
+        assert scan.table == {p: exact[p] for p in scan.table}
+        assert [p for p in scan.nonzero if exact[p] == 0] == []
+
+    @pytest.mark.parametrize("stage", ["ladder", "orders"])
+    def test_a_lane_at_0_0_sends_its_prime_to_the_router(self, stage, monkeypatch):
+        # (0 : 0) never comes from x(P) = 1 on a nonsingular model, so it is
+        # forced: on 37a1's lane at p + 1 for a prime the ladder proves
+        # nonzero, or on one order lane of a prime the orders prove zero
+        good = good_primes(C37, 5, 14000)
+        nonzero, opened = ec._open_primes(C37, good)
+        target = nonzero[10] if stage == "ladder" else opened[-1]
+        ladder = ec._ladder
+
+        def forced(a, b, p, n):
+            X, Z = ladder(a, b, p, n)
+            hit = (p == target) & ((n == target + 1) if stage == "ladder" else (n < target + 1))
+            first = hit.nonzero()[0][:1]
+            X[first] = Z[first] = 0
+            return X, Z
+
+        sent = []
+        aps = ec._aps
+        monkeypatch.setattr(ec, "_ladder", forced)
+        monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
+        if stage == "ladder":
+            assert target not in sum(ec._open_primes(C37, good), [])
+        scan = ec.scan_table(C37, 14000)
+        assert sent == [2, 3, 37, target]
+        assert target not in scan.nonzero
+        assert scan.table[target] == prime_table(C37, 14000).table[target]
+
+
+class TestDeuring:
+    """CM curves: a_p = 0 exactly when (D / p) = -1, with no point counted."""
+
+    @staticmethod
+    def curve_with_j(j):
+        return WeierstrassCurve(0, 0, 0, 3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
+
+    def test_discriminant_of_each_rational_cm_j_invariant(self):
+        curves = {
+            d: self.curve_with_j(j) for j, d in ec.CM_J_INVARIANTS.items() if j not in (0, 1728)
+        }
+        curves[-3] = WeierstrassCurve(0, 0, 0, 0, 1)  # y^2 = x^3 + 1
+        curves[-4] = WeierstrassCurve(0, 0, 0, -1, 0)  # y^2 = x^3 - x
+        assert len(curves) == 13
+        for d, curve in curves.items():
+            assert curve.cm_discriminant == d
+            # the criterion holds for each table entry at its good primes to 1000
+            primes = good_primes(curve, 5, 1000)
+            zero, nonzero = ec._deuring(curve, primes)
+            exact = ec._aps(curve, primes)
+            assert sorted(zero + nonzero) == [p for p in primes if d % p]
+            assert [p for p in zero if exact[p]] == [p for p in nonzero if not exact[p]] == []
+        assert [c.cm_discriminant for c in CURVES] == [None, None, None, -3, -4]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.integers(-10**6, 10**6).filter(bool), form=st.sampled_from(["x^3+d", "x^3+dx"]))
+    def test_twists_equal_ap_good(self, d, form):
+        curve = WeierstrassCurve(0, 0, 0, d if form == "x^3+dx" else 0, d if form == "x^3+d" else 0)
+        assert curve.cm_discriminant == (-3 if form == "x^3+d" else -4)
+        primes = good_primes(curve, 5, 2000)
+        zero, nonzero = ec._deuring(curve, primes)
+        assert sorted(zero + nonzero) == primes
+        # ap_good(curve, p) is _aps(curve, [p])[p]; one call takes them all
+        exact = ec._aps(curve, primes)
+        assert sorted(zero) == [p for p in primes if exact[p] == 0]
+
+    @pytest.mark.parametrize("curve", [C27, C_ADD], ids=["27a1", "25x"])
+    def test_cm_scan_runs_no_ladder(self, curve, monkeypatch):
+        monkeypatch.setattr(ec, "_ladder", None)
+        sent = []
+        aps = ec._aps
+        monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
+        scan = ec.scan_table(curve, 20000)
+        # 2, 3 (which divide D) and the bad prime 5 of y^2 = x^3 + 25x
+        assert sent == [2, 3] + ([5] if curve is C_ADD else [])
+        exact = prime_table(curve, 20000)
+        assert scan.table == {p: a for p, a in exact.table.items() if p not in scan.nonzero}
+        assert all(exact.table[p] for p in scan.nonzero)
+        assert prime_sieve(scan) == prime_sieve(exact)
+
+
+class TestResidues:
+    PRIMES = [5, 7, 11, 1009, 65537, 2147483587, 2147483629, 2147483647]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(c=st.one_of(st.integers(-2**64, 2**64), st.integers(-2**400, 2**400)))
+    def test_equal_python_mod(self, c):
+        p = np.array(self.PRIMES, dtype=np.int64)
+        assert ec._residues(c, p).tolist() == [c % q for q in self.PRIMES]
+
+    def test_edges(self):
+        p = np.array(self.PRIMES, dtype=np.int64)
+        for c in (0, 1, -1, 2**31 - 1, 2**31, 2**62, -(2**62), 2**63 - 1, -(2**63), 2**93 + 5):
+            assert ec._residues(c, p).tolist() == [c % q for q in self.PRIMES], c
 
 
 class TestRoute:

@@ -7,16 +7,16 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
 (additive).  The exact a_p of a list of primes comes from one router, _aps:
 
 - Good primes above BSGS_CROSSOVER, all in one call (_lane_aps): Shanks'
-  baby-step giant-step in int64 numpy lanes, one lane per prime.  A lane
-  tries a few points P, each of E or of its quadratic twist, for the orders
-  N in the Hasse interval [p+1-2*sqrt(p), p+1+2*sqrt(p)] with N*P = O; a
-  point that allows one N fixes #E(F_p) by itself (Mestre's method; Cohen,
-  GTM 138; Schoof 1995, section 3).  That is O(p^(1/4)) group operations
-  per point, and every lane takes the same ones, so the interpreter is paid
-  once per step of a round of primes (LANES_PER_ROUND or more where the
-  table has them), not once per prime: about 15-25 us per prime from 2^9
-  to 2^18, against about 2-4 ms for a lane on its own (ap_good above the
-  crossover).
+  baby-step giant-step in int64 numpy lanes, one lane per prime, on
+  x-coordinates only.  A lane tries a few points P, each of E or of its
+  quadratic twist, for the orders N in the Hasse interval [p+1-2*sqrt(p),
+  p+1+2*sqrt(p)] with N*P = O; a point that allows one N fixes #E(F_p) by
+  itself (Mestre's method; Cohen, GTM 138; Schoof 1995, section 3).  That
+  is O(p^(1/4)) steps per point, and every lane takes the same ones, so the
+  interpreter is paid once per step of a round of primes (LANES_PER_ROUND
+  or more where the table has them), not once per prime: about 15-25 us
+  per prime from 2^9 to 2^18, against about 2.5-7 ms for a lane on its own
+  (ap_good above the crossover).
 - Bad primes from 5 on, by reduction type: 0 where p | c4, else the
   Legendre symbol (-c6 / p).
 - Every other odd prime, and any good prime none of whose lane's points
@@ -34,8 +34,8 @@ print a(n).  A scan needs to know only where a_p = 0, and scan_table
 decides that by theorem at every good prime p >= 5, with no point count:
 
 - A CM curve (WeierstrassCurve.cm_discriminant, D): at p not dividing D,
-  a_p = 0 exactly when the Legendre symbol (D / p) is -1 (Deuring), all of
-  them by one batched power (_deuring).
+  a_p = 0 exactly when the Legendre symbol (D / p) is -1 (Deuring), read
+  from the residue class of p mod |d_K| (_deuring).
 - Any other curve: one x-only ladder per prime (_open_primes).  The point
   P1 with x(P1) = 1, of E or of its quadratic twist, proves a_p != 0 where
   [p + 1]P1 != O.  The few primes it leaves open take one more ladder call
@@ -44,11 +44,12 @@ decides that by theorem at every good prime p >= 5, with no point count:
   two orders exceeds 2*sqrt(p) (Mestre's argument).
 
 2, 3, the bad primes, the primes dividing D and any prime left undecided
-get their exact a_p from _aps.  Primes from 2^31 on are refused: the lanes
-hold residues below p in int64, which keeps a product of two below 2^62
-only while p < 2^31, and the character sum there would take O(p) time and
-memory.  Models that may not be minimal are refused (see
-WeierstrassCurve.level).
+get their exact a_p from _aps.  The ladder and the lanes run one
+arithmetic, the x-only steps _xadd and _xdbl (Brier and Joye 2002).
+Primes from 2^31 on are refused: the lanes hold residues below p in int64,
+which keeps a product of two below 2^62 only while p < 2^31, and the
+character sum there would take O(p) time and memory.  Models that may not
+be minimal are refused (see WeierstrassCurve.level).
 """
 
 from __future__ import annotations
@@ -204,28 +205,27 @@ def _char_sums(curve: WeierstrassCurve, primes: list[int]) -> list[int]:
 
 
 # Above this prime a good prime's a_p goes by the lanes; at and below it, by
-# the character sum.  prime_table to 14000 for 37a1 and 53a1 (CPU time, 80
-# runs of each crossover alternating in one process; Python 3.11, numpy
-# 2.4.6, shared 2-core x86-64 host) had medians of 30.7 and 30.9 ms at 255,
-# 30.5 and 31.1 at 383, 31.1 and 31.5 at 511, and 32.1 and 32.6 at 1023:
-# above 512 a lane is cheaper than a character sum, and below it they cost
-# about the same.  511 is kept over the tied 255 and 383 because there the
-# round's m, taken from primes near 14000, leaves the lane of p = 277 open
-# for the CM curve 27a1.
+# the character sum.  prime_table to 14000 for 37a1 and 53a1 on the x-only
+# lanes (CPU time, medians of 60 runs of each crossover alternating in one
+# process; Python 3.11, numpy 2.4.6, shared 2-core x86-64 host) took 22.4
+# and 22.7 ms at 255, 22.4 and 22.6 at 383, 22.6 and 23.3 at 511, and 24.8
+# and 25.2 at 1023: above 512 a lane is cheaper than a character sum, and
+# below it they cost about the same, so 511 is kept.
 BSGS_CROSSOVER = 511
 # Points tried on a lane before its prime falls back to the character sum.
 BSGS_POINTS = 8
 # Chunks of primes of one bit length join a round until it has this many
 # lanes (see _lane_aps).  prime_table to 14000 for 37a1 and 53a1 (medians of
-# 100 alternating runs, as above, on a busier host) took 37.3 and 37.6 ms at
-# 512 lanes, 34.3 and 34.8 at 1024, and 34.4 and 34.6 at 2048, which makes
-# the same rounds as 1024 to 20000; to 2*10^5, 1024, 2048 and 4096 tied
-# within the noise (10 runs).
+# 60 alternating runs, as above) took 26.4 and 26.6 ms at 512 lanes, 23.0
+# and 23.4 at 1024, and 23.4 and 23.6 at 2048, which makes the same rounds
+# as 1024 to 20000; to 2*10^5, 1024, 2048 and 4096 tied within the noise
+# (6 runs).
 LANES_PER_ROUND = 1024
 
 # The lanes: int64 arrays with one entry per prime p < 2^31.  Every operand is
 # reduced into [0, p), so a product is below 2^62 and a sum or difference of
-# two products stays inside int64; each product is reduced before it is used.
+# two products stays inside int64; each product, or a small constant times a
+# residue (4*Z, 8*b in _xdbl), is reduced before it is used.
 
 
 def _residues(c: int, p):
@@ -264,132 +264,146 @@ def _inverses(z, p):
     z[0] = inv
 
 
-def _double(P, a, p):
-    """2P in projective (X : Y : Z) on y^2 = x^3 + a*x + b; O is (0 : Y : 0)."""
-    X, Y, Z = P
-    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
-    s = Y * Z % p
-    B = X * Y % p * s % p
-    h = (w * w - 8 * B) % p
-    ss = s * s % p
-    R = (
-        2 * (h * s % p) % p,
-        (w * ((4 * B - h) % p) - 8 * (Y * Y % p * ss % p)) % p,
-        8 * (s * ss % p) % p,
-    )
-    if Z.all():
-        return R
-    return tuple(np.where(Z == 0, c, d) for c, d in zip(P, R))
+def _xadd(P, Q, D, a, b4, p):
+    """x(P + Q) as (X : Z) from x(P), x(Q) and x(P - Q) = D, each as (X : Z); D None means 1.
 
-
-def _add(P, Q, a, p):
-    """P + Q in projective coordinates, every case: O, P = Q and P = -Q included."""
-    X1, Y1, Z1 = P
-    X2, Y2, Z2 = Q
-    y1z2 = Y1 * Z2 % p
-    x1z2 = X1 * Z2 % p
-    z1z2 = Z1 * Z2 % p
-    u = (Y2 * Z1 - y1z2) % p
-    v = (X2 * Z1 - x1z2) % p
-    vv = v * v % p
-    vvv = v * vv % p
-    r = vv * x1z2 % p
-    A = (u * u % p * z1z2 - vvv - 2 * r) % p
-    R = (v * A % p, (u * ((r - A) % p) - vvv * y1z2) % p, vvv * z1z2 % p)
-    # Every exception has equal x, so v = 0; the formula itself gives P + (-P) = O.
-    if v.all():
-        return R
-    o1, o2 = Z1 == 0, Z2 == 0
-    R = tuple(np.where(o1, q, np.where(o2, c, e)) for c, q, e in zip(P, Q, R))
-    # P = Q is rare, so only those lanes are doubled
-    same = ((v == 0) & (u == 0) & ~o1 & ~o2).nonzero()[0]
-    if len(same):
-        for c, d in zip(R, _double(tuple(c[same] for c in P), a[same], p[same])):
-            c[same] = d
-    return R
-
-
-def _mul(n, table, a, p):
-    """n*P for n >= 0 lane by lane, from the rows table[c][j - 1] of jP, j = 1..k.
-
-    Horner in base 2^w, with w the largest that has 2^w - 1 <= k: w
-    doublings and one addition per digit.
+    Brier and Joye (2002), on y^2 = x^3 + a*x + b with b4 = 4b mod p:
+    ((X0X1 - aZ0Z1)^2 - 4bZ0Z1(X0Z1 + X1Z0)) * Z_D : (X0Z1 - X1Z0)^2 * X_D.
+    It holds where P or Q is O, but not where D is O (P = Q, a doubling) or
+    x(D) = 0, where every sum comes out with Z = 0.
     """
-    w = (len(table[0]) + 1).bit_length() - 1
-    lanes = np.arange(len(n))
-    R = (np.zeros_like(n), np.ones_like(n), np.zeros_like(n))
-    top = (int(n.max()).bit_length() - 1) // w * w
-    for shift in range(top, -1, -w):
-        for _ in range(w if shift < top else 0):  # R is O until the top digit
-            R = _double(R, a, p)
-        d = (n >> shift) & (2**w - 1)
-        S = _add(R, tuple(c[np.maximum(d, 1) - 1, lanes] for c in table), a, p)
-        R = tuple(np.where(d > 0, s, c) for s, c in zip(S, R))
-    return R
+    (X0, Z0), (X1, Z1) = P, Q
+    u = Z0 * Z1 % p
+    s = (X0 * X1 - a * u % p) % p
+    v, w = X0 * Z1 % p, X1 * Z0 % p
+    X = (s * s - b4 * u % p * ((v + w) % p)) % p
+    Z = (v - w) ** 2 % p
+    if D is None:
+        return X, Z
+    return D[1] * X % p, D[0] * Z % p
 
 
-def _walk(P, step, a, p):
-    """P, P + step, P + 2*step, ..."""
-    while True:
-        yield P
-        P = _add(P, step, a, p)
+def _xdbl(P, a, b, b8, p):
+    """x(2P) as (X : Z), b8 = 8b mod p: ((X^2 - aZ^2)^2 - 8bXZ^3 : 4Z(X^3 + aXZ^2 + bZ^3))."""
+    X, Z = P
+    xx, zz = X * X % p, Z * Z % p
+    zzz = zz * Z % p
+    s = (xx - a * zz % p) % p
+    XD = (s * s - b8 * (X * zzz % p)) % p
+    return XD, 4 * Z % p * ((xx * X + (a * (X * zz % p) + b * zzz) % p) % p) % p
 
 
-def _affine(points, k, p):
-    """(x, y, at_infinity) of the first k points, as (k, lanes) arrays."""
-    X, Y, Z = (np.empty((k, len(p)), dtype=np.int64) for _ in range(3))
-    for i, P in zip(range(k), points):
-        X[i], Y[i], Z[i] = P
-    inf = Z == 0
-    Z[inf] = 1
-    _inverses(Z, p)
-    X *= Z
-    X %= p
-    Y *= Z
-    Y %= p
-    return X, Y, inf
+def _ladder(a, b, p, n):
+    """(x([n]P), x([n + 1]P)), each as (X : Z), lane by lane, for x(P) = 1 on y^2 = x^3 + a*x + b.
 
-
-def _annihilators(P, a, p, lo, span, m):
-    """N: the orders N in [lo, lo + span] that the point P allows, lane by lane.
-
-    N[:, l] holds every N in the interval with N*P = O, one row per giant
-    step, with 0 in a row without one.  Where P has order at most 2m, the
-    column is all 0: such a point is not used.
-
-    The baby steps jP, j = 1..m, are taken in projective coordinates and then
-    made affine, one inverse per lane (Montgomery's trick).  The order of P is
-    at most 2m exactly when jP = O, y(jP) = 0 or x(jP) = x(j'P) for some
-    j' < j <= m.  Otherwise each window [c-m, c+m] holds at most one N with
-    N*P = O, and it shows as cP = O or cP = -kP for k = N - c in [-m, m]: a
-    match of x(cP) among the baby steps, with the sign of y picking k.  Only
-    these lanes take giant steps, made affine in the same way.
+    [n]P = O exactly where Z = 0 and X != 0; a lane at (0 : 0) is no
+    evidence either way.  The x-only Montgomery ladder: R0 = O = (1 : 0)
+    and R1 = P, whose difference stays P, take one step per bit of n from
+    the top bit of the largest n, so a lane's leading zero bits keep (O, P).
+    Each step adds R0 + R1 (_xadd, x(P) = 1 the difference) and doubles the
+    one the bit keeps (_xdbl); neither formula asks for y, so P may lie on E
+    or on its quadratic twist.
     """
-    bx, by, binf = _affine(_walk(P, P, a, p), m, p)
-    small = (binf | (by == 0)).any(0)
-    for j in range(1, m):
-        small |= (bx[:j] == bx[j]).any(0)
+    X0, Z0, X1, Z1 = np.ones_like(p), np.zeros_like(p), np.ones_like(p), np.ones_like(p)
+    b4 = 4 * b % p
+    b8 = 2 * b4 % p
+    for i in reversed(range(int(n.max(initial=0)).bit_length())):
+        bit = (n >> i) & 1 == 1
+        XS, ZS = _xadd((X0, Z0), (X1, Z1), None, a, b4, p)
+        XD, ZD = _xdbl((np.where(bit, X1, X0), np.where(bit, Z1, Z0)), a, b, b8, p)
+        X0, Z0 = np.where(bit, XS, XD), np.where(bit, ZS, ZD)
+        X1, Z1 = np.where(bit, XD, XS), np.where(bit, ZD, ZS)
+    return (X0, Z0), (X1, Z1)
+
+
+def _annihilators(a, b, p, lo, span, m):
+    """N, lane by lane: the one order in [lo, lo + span] that P allows, else 0.
+
+    P is x = 1 on y^2 = x^3 + a*x + b, a point of E or of its twist, and it
+    allows N where N*P = O.  0 is no verdict: P has order at most 2m, the
+    interval holds more than one such N, or a chain meets a difference at
+    x = 0 or a ladder lane at (0 : 0).
+
+    The baby steps x(jP), j = 1..m+1, come from the chain (j+1)P = jP + P,
+    difference (j-1)P, and S = (2m+1)P from (m+1)P + mP; one _inverses call
+    makes them affine and gives 1/x(S).  P has order at most 2m exactly when
+    jP = O for some j <= m, x(mP) = x(jP) for some j < m, or x((m+1)P) =
+    x((m-1)P).  Otherwise each window [c-m, c+m] holds at most one N, shown
+    as cP = O (N = c) or as x(cP) = x(kP) for one k in 1..m (N = c + k or
+    c - k).  The giant steps are c = (t+i)(2m+1), t = (lo+m) // (2m+1): one
+    _ladder call on the model where S has x = 1, (a/x(S)^2, b/x(S)^3),
+    gives [t]S and [t+1]S, and each later one adds S with the step before
+    last as the difference, or doubles where that is O.  One more _ladder
+    call, at c + k over the matches of the lanes that may still hold one N,
+    picks the sign: N = c + k where [c+k]P = O, else c - k.
+    """
+    b4 = 4 * b % p
+    b8 = 2 * b4 % p
     step = 2 * m + 1
-    N = np.zeros((int((span // step).max()) + 1, len(p)), dtype=np.int64)
-    big = (~small).nonzero()[0]
+    # row j - 1 holds x(jP); the last row takes X of S, to be inverted with them
+    X, Z = (np.ones((m + 2, len(p)), dtype=np.int64) for _ in range(2))
+    X[1], Z[1] = _xdbl((X[0], Z[0]), a, b, b8, p)
+    for j in range(2, m + 1):
+        X[j], Z[j] = _xadd((X[j - 1], Z[j - 1]), (X[0], Z[0]), (X[j - 2], Z[j - 2]), a, b4, p)
+    XS, ZS = _xadd((X[m], Z[m]), (X[m - 1], Z[m - 1]), None, a, b4, p)
+    none = (Z[:m] == 0).any(0) | (X[1:m - 1] == 0).any(0) | (XS == 0)
+    Z[m + 1] = XS
+    Z[Z == 0] = 1
+    _inverses(Z, p)
+    x = X[:m + 1] * Z[:m + 1] % p
+    none |= (x[:m - 1] == x[m - 1]).any(0) | (x[m] == x[m - 2])
+    N = np.zeros_like(p)
+    big = (~none).nonzero()[0]
     if not len(big):
         return N
-    bx, by, P, a, p, lo, span = (v[..., big] for v in (bx, by, np.stack(P), a, p, lo, span))
-    ones = np.broadcast_to(np.int64(1), bx.shape)
-    giant_step = _add(_double((bx[-1], by[-1], ones[-1]), a, p), tuple(P), a, p)
-    giants = _walk(_mul(lo + m, (bx, by, ones), a, p), giant_step, a, p)
-    gx, gy, ginf = _affine(giants, len(N), p)
-    # k: cP = -kP (N = c + k) or, with y equal, cP = kP (N = c - k)
-    k = np.zeros_like(gx)
-    for i in range(m):
-        k[gx == bx[i]] = i + 1
-    del gx
-    k[ginf] = 0
-    k[(k > 0) & (gy == by[np.maximum(k, 1) - 1, np.arange(len(big))])] *= -1
-    found = lo + m + step * np.arange(len(N))[:, None]
-    found += k
-    found[((k == 0) & ~ginf) | (found > lo + span)] = 0
-    N[:, big] = found
+    a, b, b4, b8, p, lo, span, XS, ZS = (v[big] for v in (a, b, b4, b8, p, lo, span, XS, ZS))
+    x, w = x[:m, big], ZS * Z[m + 1, big] % p  # w = 1/x(S)
+    t = (lo + m) // step
+    rows = int((-(-span // step)).max()) + 1  # the windows cover [lo, lo + span]
+    GX, GZ = (np.empty((rows, len(p)), dtype=np.int64) for _ in range(2))
+    ww = w * w % p
+    for i, (gx, gz) in enumerate(_ladder(a * ww % p, b * (ww * w % p) % p, p, t)):
+        GX[i], GZ[i] = XS * gx % p, ZS * gz % p  # x = x(S) times x on that model
+    none = ((GX[:2] == 0) & (GZ[:2] == 0)).any(0)
+    for i in range(1, rows - 1):
+        GX[i + 1], GZ[i + 1] = _xadd((GX[i], GZ[i]), (XS, ZS), (GX[i - 1], GZ[i - 1]), a, b4, p)
+        d = (GZ[i - 1] == 0).nonzero()[0]  # G_{i-1} = O, so G_i = S
+        if len(d):
+            GX[i + 1, d], GZ[i + 1, d] = _xdbl((GX[i, d], GZ[i, d]), a[d], b[d], b8[d], p[d])
+    none |= (GX[:rows - 2] == 0).any(0)
+    at_O = GZ == 0  # in a lane with a verdict, X != 0 there
+    GZ[at_O] = 1
+    _inverses(GZ, p)
+    GX *= GZ
+    GX %= p
+    del GZ
+    k = np.zeros((rows, len(p)), dtype=np.int16)
+    for j in range(m):
+        k[GX == x[j]] = j + 1
+    del GX
+    k[at_O] = 0
+    c = (t + np.arange(rows)[:, None]) * step
+
+    def inside(n, lane=slice(None)):
+        return (lo[lane] <= n) & (n <= lo[lane] + span[lane])
+
+    at_O &= inside(c)
+    minus, plus = inside(c - k), inside(c + k)
+    hit = (k > 0) & (minus | plus)
+    # the rows sure to hold an N in the interval; where two are, no verdict
+    sure = at_O.sum(0) + (hit & minus & plus).sum(0)
+    row, lane = (hit & (sure <= 1)).nonzero()
+    kk = k[row, lane]
+    n = c[row, lane] + kk
+    (XN, ZN), _ = _ladder(a[lane], b[lane], p[lane], n)
+    none[lane[(XN == 0) & (ZN == 0)]] = True
+    n = np.where((ZN == 0) & (XN != 0), n, n - 2 * kk)
+    keep = inside(n, lane)
+    lane, n = lane[keep], n[keep]
+    count = at_O.sum(0) + np.bincount(lane, minlength=len(p))
+    value = np.where(at_O, c, 0).sum(0)
+    np.add.at(value, lane, n)
+    N[big] = np.where((count == 1) & (sure <= 1) & ~none, value, 0)
     return N
 
 
@@ -408,17 +422,18 @@ def _short_model(curve: WeierstrassCurve, primes: list[int]):
 class _Lanes(NamedTuple):
     """Open lanes, one column per prime p.
 
-    a is the short model's coefficient and [lo, lo + span] the Hasse
-    interval.  x and r give the lane's points, one row each, and t counts
-    the points it has used.
+    a and b are the short model's coefficients and [lo, lo + span] the
+    Hasse interval.  u gives the lane's points, one row each: x = 1 on the
+    model scaled by u, y^2 = x^3 + a*u^2*x + b*u^3.  t counts the points the
+    lane has used.
     """
 
     p: np.ndarray
     a: np.ndarray
+    b: np.ndarray
     lo: np.ndarray
     span: np.ndarray
-    x: np.ndarray
-    r: np.ndarray
+    u: np.ndarray
     t: np.ndarray
 
     @classmethod
@@ -426,16 +441,14 @@ class _Lanes(NamedTuple):
         """Lanes for primes, none of whose points is used yet."""
         p, a, b = _short_model(curve, primes)
         span = np.array([2 * isqrt(4 * q) for q in primes], dtype=np.int64)
-        # f has at most three roots, and where a = 0 the point at x = 0 is a
-        # flex, of order 3, and is dropped; so these x give BSGS_POINTS points
-        xs = np.arange(BSGS_POINTS + 4)[:, None]
-        f = (xs**3 + a * xs + b) % p
-        nonzero = f != 0
-        nonzero[0] &= a != 0
-        first = nonzero & (nonzero.cumsum(0) <= BSGS_POINTS)
-        x = first.T.nonzero()[1].reshape(len(p), BSGS_POINTS).T
-        r = np.take_along_axis(f, x, 0)
-        return cls(p, a, p + 1 - span // 2, span, x, r, np.zeros_like(p))
+        # u is dropped where u*(1 + a*u^2 + b*u^3) = 0: u = 0 mod p, or x = 1
+        # a root of the scaled model's cubic, which holds for at most three
+        # u; so from p = BSGS_POINTS + 4 on these u give BSGS_POINTS points
+        us = np.arange(1, BSGS_POINTS + 4)[:, None]
+        usable = us * (1 + a * us**2 + b * us**3) % p != 0
+        first = usable & (usable.cumsum(0) <= BSGS_POINTS)
+        u = first.T.nonzero()[1].reshape(len(p), BSGS_POINTS).T + 1
+        return cls(p, a, b, p + 1 - span // 2, span, u, np.zeros_like(p))
 
     def step(self, found: dict[int, int]) -> _Lanes:
         """Each lane takes one point in its first step, two in its second, the rest in its third.
@@ -447,19 +460,17 @@ class _Lanes(NamedTuple):
         uses = np.minimum(np.where(self.t < 2, self.t + 1, BSGS_POINTS), BSGS_POINTS - self.t)
         lane = np.repeat(np.arange(len(self.p)), uses)  # the lane of each column
         nth = np.arange(len(lane)) - (np.cumsum(uses) - uses)[lane]
-        row = self.t[lane] + nth
+        u = self.u[self.t[lane] + nth, lane]
         p, lo, span = self.p[lane], self.lo[lane], self.span[lane]
-        r = self.r[row, lane]
-        r2 = r * r % p
-        point = (self.x[row, lane] * r % p, r2, np.ones_like(p))
-        N = _annihilators(
-            point, self.a[lane] * r2 % p, p, lo, span, _baby_steps(int(p.max()))
-        )
-        one = (N > 0).sum(0) == 1
-        order = N.max(0)
-        # a twist point of order N' allows N = 2p + 2 - N' = 2*lo + span - N'
-        order = np.where(_pow(r, (p - 1) // 2, p) != 1, 2 * lo + span - order, order)
-        found.update(zip(p[one].tolist(), (p + 1 - order)[one].tolist()))
+        a, b = self.a[lane] * u**2 % p, self.b[lane] * u**3 % p
+        N = _annihilators(a, b, p, lo, span, _baby_steps(int(p.max())))
+        one = N > 0
+        # The point is x = 1/u on the short model, of E where u*(1 + a + b)
+        # is a square and of its twist where not; a twist point of order N'
+        # allows N = 2p + 2 - N' = 2*lo + span - N'.
+        r, p, lo, span, N = (v[one] for v in (u * (1 + a + b) % p, p, lo, span, N))
+        N = np.where(_pow(r, (p - 1) // 2, p) != 1, 2 * lo + span - N, N)
+        found.update(zip(p.tolist(), (p + 1 - N).tolist()))
         settled = np.zeros(len(self.p), dtype=bool)
         settled[lane[one]] = True
         t = self.t + uses
@@ -487,27 +498,27 @@ def _rounds(primes: list[int]) -> list[list[int]]:
 def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     """a_p at good primes BSGS_POINTS + 4 <= p < 2^31 by baby-step giant-step, one lane each.
 
-    Works on the short model y^2 = x^3 + a*x + b, a = -27*c4, b = -54*c6.  A
-    lane takes x = 0, 1, 2, ... with r = x^3 + a*x + b nonzero, and (x*r, r^2)
-    is a point of y^2 = X^3 + a*r^2*X + b*r^3: the curve itself when r is a
-    square, its quadratic twist when not, and no square root is taken.  Where
-    a = 0 (j = 0) the point at x = 0 is a flex, of order 3, and is skipped.
-    #E(F_p) is among the orders N in the Hasse interval that a point allows
-    (a twist point of order N' allows 2p + 2 - N'), so a point that allows
-    one N alone gives #E(F_p) = N.  A point of order at most 2m is passed
-    over, and a lane none of whose BSGS_POINTS points allows one N is left
-    out of the result.
+    Works on the short model y^2 = x^3 + a*x + b, a = -27*c4, b = -54*c6,
+    with x-coordinates only (_annihilators).  A lane's points are x = 1/u
+    for u = 1, 2, ..., each taken as x = 1 on y^2 = x^3 + a*u^2*x + b*u^3,
+    the model scaled by u, so no inverse and no square root is taken and no
+    point has x = 0: the point lies on E where u*(1 + a*u^2 + b*u^3) is a
+    square, on its quadratic twist where not.  #E(F_p) is among the orders N
+    in the Hasse interval that a point allows (a twist point of order N'
+    allows 2p + 2 - N'), so a point that allows one N alone gives #E(F_p) =
+    N.  A lane none of whose BSGS_POINTS points allows one N is left out of
+    the result.
 
     Primes enter in the rounds of _rounds.
-    Every lane of a round takes the same group operations, with the m of the
-    round's largest prime: any m works for a lane, as long as the giant
-    steps cover the Hasse interval.  A step costs about 1.7 ms plus 8 us per
-    point, and most lanes are settled by their first point; so a round takes
-    at most three steps: a lane takes one point in its first step, two in
-    its second and all it has left in its third.  Every point in the second
-    step would cost 7 points a lane where most need one: the 67 lanes of
-    37a1 that one point leaves open to 14000 took 5.6 ms so, 3.3 ms with two
-    points each and 2.2 ms with one (best of 15).
+    Every lane of a round takes the same steps, with the m of the round's
+    largest prime: any m works for a lane, as long as the giant steps cover
+    the Hasse interval.  A step costs about 1.7 ms plus 8 us per point, and
+    most lanes are settled by their first point; so a round takes at most
+    three steps: a lane takes one point in its first step, two in its second
+    and all it has left in its third.  Every point in the second step would
+    cost 7 points a lane where most need one: the 67 lanes of 37a1 that one
+    point leaves open to 14000 took 5.6 ms so, 3.3 ms with two points each
+    and 2.2 ms with one (best of 15).
     """
     found: dict[int, int] = {}
     for chunk in _rounds(primes):
@@ -515,44 +526,6 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
         while len(lanes.p):
             lanes = lanes.step(found)
     return found
-
-
-def _ladder(a, b, p, n):
-    """(X : Z) of x([n]P), lane by lane, for the P with x(P) = 1 on y^2 = x^3 + a*x + b.
-
-    [n]P = O exactly where Z = 0 and X != 0; a lane at (0 : 0) is no
-    evidence either way.  The x-only Montgomery ladder of Brier and Joye
-    (2002): R0 = O = (1 : 0) and R1 = P, whose difference stays P, take one
-    step per bit of n from the top bit of the largest n, so a lane's
-    leading zero bits keep (O, P).  Each step adds R0 + R1, with x(P) = 1
-    as the difference, and doubles the one the bit keeps; neither formula
-    asks for y, so P may lie on E or on its quadratic twist.  Residues are
-    below p < 2^31, and every value stays below 2^63: a product of two
-    residues, or a small constant times one (4*Z, 8*b), is reduced before
-    it is multiplied again, and at most two products are added or
-    subtracted before a reduction.
-    """
-    X0, Z0, X1, Z1 = np.ones_like(p), np.zeros_like(p), np.ones_like(p), np.ones_like(p)
-    b4 = 4 * b % p
-    b8 = 2 * b4 % p
-    for i in reversed(range(int(n.max(initial=0)).bit_length())):
-        bit = (n >> i) & 1 == 1
-        # R0 + R1 = ((X0X1 - aZ0Z1)^2 - 4bZ0Z1(X0Z1 + X1Z0) : (X0Z1 - X1Z0)^2)
-        u = Z0 * Z1 % p
-        s = (X0 * X1 - a * u % p) % p
-        v, w = X0 * Z1 % p, X1 * Z0 % p
-        XS = (s * s - b4 * u % p * ((v + w) % p)) % p
-        ZS = (v - w) ** 2 % p
-        # 2R = ((X^2 - aZ^2)^2 - 8bXZ^3 : 4Z(X^3 + aXZ^2 + bZ^3))
-        X, Z = np.where(bit, X1, X0), np.where(bit, Z1, Z0)
-        xx, zz = X * X % p, Z * Z % p
-        zzz = zz * Z % p
-        s = (xx - a * zz % p) % p
-        XD = (s * s - b8 * (X * zzz % p)) % p
-        ZD = 4 * Z % p * ((xx * X + (a * (X * zz % p) + b * zzz) % p) % p) % p
-        X0, Z0 = np.where(bit, XS, XD), np.where(bit, ZS, ZD)
-        X1, Z1 = np.where(bit, XD, XS), np.where(bit, ZD, ZS)
-    return X0, Z0
 
 
 def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], list[int]]:
@@ -569,7 +542,7 @@ def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int],
     nonzero, left = [], []
     for chunk in _rounds(primes):
         p, a, b = _short_model(curve, chunk)
-        X, Z = _ladder(a, b, p, p + 1)
+        (X, Z), _ = _ladder(a, b, p, p + 1)
         nonzero += p[Z != 0].tolist()
         left += p[(Z == 0) & (X != 0)].tolist()
     return nonzero, left
@@ -614,7 +587,7 @@ def _orders(a, b, p, spf):
     point = np.repeat([1, 0, 1], [k, m, m])  # P2 at p + 1, then P1's and P2's order lanes
     at = np.concatenate([np.arange(k), lane, lane])  # the prime of each ladder lane
     n = np.concatenate([p + 1, np.tile((p + 1)[lane] // d, 2)])
-    X, Z = _ladder(A[point, at], B[point, at], p[at], n)
+    (X, Z), _ = _ladder(A[point, at], B[point, at], p[at], n)
     at_O = (Z == 0) & (X != 0)
     orders = np.ones((2, k), dtype=np.int64)
     np.multiply.at(orders, (point[k:], at[k:]), np.where(at_O[k:], 1, np.tile(q, 2)))
@@ -644,6 +617,28 @@ def _settle(
     return p[zero].tolist(), p[orders[1] == 0].tolist()
 
 
+def _inert_classes(d: int):
+    """inert[p % |d_K|]: whether a prime p >= 5 not dividing d is inert in Q(sqrt(d)).
+
+    d = f^2 * d_K, with d_K the discriminant of the field.  At such a p,
+    (d / p) = (d_K / p), a character mod |d_K| by quadratic reciprocity
+    (Cox, Primes of the Form x^2 + ny^2, sections 1 and 5): p is inert
+    exactly when p = 3 mod 4 for d_K = -4, p = 5 or 7 mod 8 for d_K = -8,
+    and p is a non-residue mod q for d_K = -q, q an odd prime (q = 3 mod 4,
+    as for each of the nine fields of CM_J_INVARIANTS).
+    """
+    n = -next(d // f**2 for f in range(isqrt(-d), 0, -1) if d % f**2 == 0 and d // f**2 % 4 < 2)
+    inert = np.zeros(n, dtype=bool)
+    if n == 4:
+        inert[3] = True
+    elif n == 8:
+        inert[[5, 7]] = True
+    else:
+        inert[1:] = True
+        inert[np.arange(1, n) ** 2 % n] = False
+    return inert
+
+
 def _deuring(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], list[int]]:
     """(zero, nonzero) at the good primes p >= 5 of primes that do not divide D, for a CM curve.
 
@@ -651,13 +646,14 @@ def _deuring(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], lis
     supersingular exactly when p does not split in Q(sqrt(D)), that is when
     (D / p) = -1 (Deuring 1941; Cox, Primes of the Form x^2 + ny^2, section
     14), and for p >= 5 supersingular means a_p = 0, since p | a_p and
-    |a_p| <= 2*sqrt(p) < p.  One _pow gives every Legendre symbol.  A prime
-    dividing D is in neither list.
+    |a_p| <= 2*sqrt(p) < p.  The residue class of p mod |d_K| gives each
+    verdict (_inert_classes).  A prime dividing D is in neither list.
     """
+    d = curve.cm_discriminant
+    classes = _inert_classes(d)
     p = np.array(primes, dtype=np.int64)
-    d = _residues(curve.cm_discriminant, p)
-    p, d = p[d != 0], d[d != 0]
-    inert = _pow(d, (p - 1) // 2, p) == p - 1
+    p = p[d % p != 0]
+    inert = classes[p % len(classes)]
     return p[inert].tolist(), p[~inert].tolist()
 
 

@@ -151,23 +151,37 @@ def curve_mul(n, P, a, p):
     return result
 
 
+def x_add(P, Q, D, a, b, p):
+    """(X, Z) of x(P + Q) from the (X, Z) of x(P), x(Q) and x(P - Q), in Python ints.
+
+    The general-difference formula of Brier and Joye (2002) on
+    y^2 = x^3 + a*x + b mod p, each value reduced only when it is done.
+    """
+    (X0, Z0), (X1, Z1), (XD, ZD) = P, Q, D
+    return (
+        ZD * ((X0 * X1 - a * Z0 * Z1) ** 2 - 4 * b * Z0 * Z1 * (X0 * Z1 + X1 * Z0)) % p,
+        XD * (X0 * Z1 - X1 * Z0) ** 2 % p,
+    )
+
+
+def x_double(P, a, b, p):
+    """(X, Z) of x(2P) from the (X, Z) of x(P), in Python ints."""
+    X, Z = P
+    return (((X * X - a * Z * Z) ** 2 - 8 * b * X * Z**3) % p,
+            4 * Z * (X**3 + a * X * Z * Z + b * Z**3) % p)
+
+
 def x_ladder(x, n, a, b, p, bits=None):
     """(X, Z) of x([n]P), x(P) = x, on y^2 = x^3 + a*x + b mod p: the x-only ladder in Python ints.
 
-    The same projective formulas as the package's lanes (Brier-Joye 2002),
-    from R0 = O = (1, 0) and R1 = P = (x, 1), over the low `bits` bits of n
-    (all of them by default), with no reduction until each value is done.
+    From R0 = O = (1, 0) and R1 = P = (x, 1), over the low `bits` bits of n
+    (all of them by default): each bit adds R0 + R1, whose difference stays
+    P, and doubles the register the bit keeps.
     """
     R0, R1 = (1, 0), (x % p, 1)
     for i in reversed(range(bits or n.bit_length())):
-        (X0, Z0), (X1, Z1) = R0, R1
-        S = (
-            ((X0 * X1 - a * Z0 * Z1) ** 2 - 4 * b * Z0 * Z1 * (X0 * Z1 + X1 * Z0)) % p,
-            x * (X0 * Z1 - X1 * Z0) ** 2 % p,
-        )
-        X, Z = R1 if n >> i & 1 else R0
-        D = (((X * X - a * Z * Z) ** 2 - 8 * b * X * Z**3) % p,
-             4 * Z * (X**3 + a * X * Z * Z + b * Z**3) % p)
+        S = x_add(R0, R1, (x % p, 1), a, b, p)
+        D = x_double(R1 if n >> i & 1 else R0, a, b, p)
         R0, R1 = (S, D) if n >> i & 1 else (D, S)
     return R0
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import os
 import subprocess
@@ -27,7 +28,9 @@ from qvanish.forms import eta_quotient
 from qvanish.hecke import qexp_from_primes
 from qvanish.vanish import prime_sieve
 
-from .oracles import count_affine_points, count_nonsingular, curve_mul, point_order, x_ladder
+from .oracles import (
+    count_affine_points, count_nonsingular, curve_mul, point_order, x_add, x_double, x_ladder,
+)
 
 C37 = FIXTURES["37a1"]
 C53 = FIXTURES["53a1"]
@@ -277,8 +280,8 @@ class TestBSGS:
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_equals_char_sum_to_20000(self, curve):
-        # from 11 on: the x a lane tries are distinct mod p from 12 on, and
-        # a repeated x only repeats a point
+        # from 11 on: the u a lane tries, 1 to 11, are distinct mod p, and
+        # at p = 11 the lane drops u = 11 = 0 and still has BSGS_POINTS
         primes = good_primes(curve, 11, 20000)
         found = ec._lane_aps(curve, primes)
         assert dict(zip(found, (-s for s in ec._char_sums(curve, list(found))))) == found
@@ -289,9 +292,10 @@ class TestBSGS:
     # 20000) for the good primes above BSGS_CROSSOVER.  The table to 14000 is
     # one round of chunks, and a lane takes one point in its first step, two
     # in its second and the rest in its third.  Each point stands alone, so
-    # one lane of 37a1 and one of 11a1 that two points leave open take the
-    # third step; the CM curves 27a1 and y^2 = x^3 + 25x need it too.
-    LANE_ROUNDS = {"37a1": (3, 0), "53a1": (2, 0), "11a1": (3, 0), "27a1": (3, 1),
+    # one lane of 37a1 and of 53a1 and three of 11a1 that two points leave
+    # open take the third step; the CM curves 27a1 and y^2 = x^3 + 25x need
+    # it too.
+    LANE_ROUNDS = {"37a1": (3, 0), "53a1": (3, 0), "11a1": (3, 0), "27a1": (3, 0),
                    "additive-5": (3, 1)}
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
@@ -310,8 +314,8 @@ class TestBSGS:
 
     # the good primes above BSGS_CROSSOVER to 60000, three rounds, that no
     # point of their lane settles, so the character sum counts them
-    UNSETTLED = {"37a1": set(), "53a1": set(), "11a1": set(), "27a1": {11719},
-                 "additive-5": {16633, 31249}}
+    UNSETTLED = {"37a1": set(), "53a1": set(), "11a1": set(), "27a1": set(),
+                 "additive-5": {659}}
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_fallbacks_do_not_grow(self, curve):
@@ -338,15 +342,18 @@ class TestBSGS:
         }
 
     def test_lanes_skip_the_flex_at_x0_when_j_is_0(self):
-        # 27a1 has a = 0 on the short model, where (0, r^2) is a flex of
-        # order 3: no lane takes x = 0, and each still has BSGS_POINTS points
-        primes = good_primes(C27, ec.BSGS_CROSSOVER + 1, 3000)
-        lanes = ec._Lanes.new(C27, primes)
-        assert (lanes.a == 0).all()
-        assert lanes.x.shape == (ec.BSGS_POINTS, len(primes)) and (lanes.x != 0).all()
-        # 37a1 (a != 0, b != 0 mod these p) starts every lane at x = 0
-        lanes = ec._Lanes.new(C37, good_primes(C37, ec.BSGS_CROSSOVER + 1, 3000))
-        assert (lanes.x[0] == 0).all()
+        # 27a1 has a = 0 on the short model, where the points at x = 0 are
+        # flexes, of order 3.  A lane's points are x = 1/u, u = 1, 2, ...,
+        # so none has x = 0, and each lane of 27a1 and of 37a1 still has
+        # BSGS_POINTS distinct points, none a root of its scaled model
+        for curve in (C27, C37):
+            primes = good_primes(curve, ec.BSGS_CROSSOVER + 1, 3000)
+            lanes = ec._Lanes.new(curve, primes)
+            assert (lanes.a == 0).all() == (curve is C27)
+            u = lanes.u
+            assert u.shape == (ec.BSGS_POINTS, len(primes))
+            assert (u % lanes.p != 0).all() and (np.diff(u, axis=0) > 0).all()
+            assert ((1 + lanes.a * u**2 + lanes.b * u**3) % lanes.p != 0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.tuples(*[st.integers(-30, 30)] * 5))
@@ -367,7 +374,11 @@ class TestBSGS:
     def test_annihilators_are_the_multiples_of_the_order(self, p):
         # Every affine point of y^2 = x^3 + a*x + b and of its twist by a
         # non-square d, for a few (a, b) at small p, where small orders and
-        # non-cyclic groups are common: one lane per point.
+        # non-cyclic groups are common: one x-only lane per point, x = 1 on
+        # the model scaled by x, (a/x^2, b/x^3).  The points at x = 0 have
+        # no such lane, and no lane takes them; but at these p the chains
+        # often meet them as differences (jP, j = 2..m-1, S = (2m+1)P or a
+        # giant step but the last two), and such a lane has no verdict.
         d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
         points = []
         for a, b in [(0, 1), (1, 0), (2, 3), (p - 1, 0), (3, 5)]:
@@ -375,53 +386,142 @@ class TestBSGS:
                 continue
             for ca, cb in ((a, b), (a * d * d % p, b * d**3 % p)):
                 points += [
-                    (x, y, ca) for x in range(p) for y in range(p)
+                    (x, y, ca, cb) for x in range(1, p) for y in range(p)
                     if (y * y - x**3 - ca * x - cb) % p == 0
                 ]
-        x, y, a = (np.array(c, dtype=np.int64) for c in zip(*points))
-        lanes = np.full_like(x, p)
+        a = np.array([ca * pow(x, -2, p) % p for x, _, ca, _ in points], dtype=np.int64)
+        b = np.array([cb * pow(x, -3, p) % p for x, _, _, cb in points], dtype=np.int64)
+        lanes = np.full_like(a, p)
         width = isqrt(4 * p)
         lo, span = p + 1 - width, 2 * width
         m = ec._baby_steps(p)
-        P = (x, y, np.ones_like(x))
-        N = ec._annihilators(P, a, lanes, lanes * 0 + lo, lanes * 0 + span, m)
-        for i, (px, py, ca) in enumerate(points):
+        step = 2 * m + 1
+        t, rows = (lo + m) // step, -(-span // step) + 1
+        differences = [*range(2, m), step] + [(t + i) * step for i in range(rows - 2)]
+        N = ec._annihilators(a, b, lanes, lanes * 0 + lo, lanes * 0 + span, m)
+        for i, (px, py, ca, _) in enumerate(points):
             order = point_order((px, py), ca, p)
-            expected = {k for k in range(lo, lo + span + 1) if k % order == 0}
-            if order <= 2 * m:
-                assert not N[:, i].any(), (px, py, ca)
+            multiples = [k for k in range(lo, lo + span + 1) if k % order == 0]
+            at_x0 = any((curve_mul(n, (px, py), ca, p) or (1,))[0] == 0 for n in differences)
+            if order <= 2 * m or len(multiples) > 1 or at_x0:
+                assert N[i] == 0, (px, py, ca)
             else:
-                assert set(N[:, i].tolist()) - {0} == expected, (px, py, ca)
+                assert N[i] == multiples[0], (px, py, ca)
 
     def test_group_law_at_the_largest_primes_below_2_31(self):
-        # Products of residues near 2^31 come close to the int64 bound; each
-        # lane is checked against Python ints, on the points a lane would take.
+        # Products of residues near 2^31 come close to the int64 bound.  On
+        # the points lanes of 37a1 take (x = 1 on the model scaled by u), the
+        # chains of _xdbl and _xadd give each value that the same steps give
+        # in Python ints, and x(nP) of the ladder in Python ints: the baby
+        # steps jP = (j-1)P + P, difference (j-2)P, and the giant steps
+        # G + S, S = 7P, with the step before last as the difference.
         primes = [2147483647, 2147483629, 2147483587]
         c4, c6 = C37.c_invariants
-        for x in (0, 1, 2):
-            lanes, refs = [], []
-            for p in primes:
-                a, b = -27 * c4 % p, -54 * c6 % p
-                r = (x**3 + a * x + b) % p
-                lanes.append((x * r % p, r * r % p, a * r * r % p, p))
-                refs.append(((x * r % p, r * r % p), a * r * r % p))
-            px, py, a, p = (np.array(c, dtype=np.int64) for c in zip(*lanes))
-            P = (px, py, np.ones_like(px))
-            k = 40
-            mx, my, minf = ec._affine(ec._walk(P, P, a, p), k, p)
-            for i, (R, ca) in enumerate(refs):
-                want = [curve_mul(j, R, ca, primes[i]) for j in range(1, k + 1)]
-                assert list(zip(mx[:, i].tolist(), my[:, i].tolist())) == want
-                assert not minf[:, i].any()
-            n = np.array([q + 1 - 2 * isqrt(q) + 3 for q in primes], dtype=np.int64)
-            nx, ny, _ = ec._affine(iter([ec._mul(n, (mx, my, np.ones_like(mx)), a, p)]), 1, p)
-            for i, (R, ca) in enumerate(refs):
-                assert (nx[0, i], ny[0, i]) == curve_mul(int(n[i]), R, ca, primes[i])
-            minus = (px, (p - py) % p, np.ones_like(px))
-            assert (ec._add(P, minus, a, p)[2] == 0).all()
-            O = (0 * px, 0 * px + 1, 0 * px)
-            for S in (ec._add(O, P, a, p), ec._add(P, O, a, p)):
-                assert all((s == c).all() for s, c in zip(S, P))
+        models = [(-27 * c4 * u**2 % q, -54 * c6 * u**3 % q, q) for q in primes for u in (1, 2, 3)]
+        a, b, p = (np.array(c, dtype=np.int64) for c in zip(*models))
+        b4, b8 = 4 * b % p, 8 * b % p
+        one = (np.ones_like(p), np.ones_like(p))
+        chain, steps = {1: one, 2: ec._xdbl(one, a, b, b8, p)}, {}
+        for j in range(3, 41):
+            chain[j] = ec._xadd(chain[j - 1], one, chain[j - 2], a, b4, p)
+            steps[j] = (j - 1, 1, j - 2)
+        for n in range(42, 250, 7):
+            chain[n] = ec._xadd(chain[n - 7], chain[7], chain[n - 14], a, b4, p)
+            steps[n] = (n - 7, 7, n - 14)
+        for i, (aq, bq, q) in enumerate(models):
+            ref = {1: (1, 1), 2: x_double((1, 1), aq, bq, q)}
+            for n, (j, k, d) in steps.items():
+                ref[n] = x_add(ref[j], ref[k], ref[d], aq, bq, q)
+            for n, (X, Z) in chain.items():
+                assert (int(X[i]), int(Z[i])) == ref[n], (q, n)
+                LX, LZ = x_ladder(1, n, aq, bq, q)
+                assert Z[i] != 0 and (LX * int(Z[i]) - int(X[i]) * LZ) % q == 0, (q, n)
+
+    @staticmethod
+    def group_of_x1(a, b, p):
+        """#E(F_p) of whichever of y^2 = x^3 + a*x + b and its twist holds x = 1, by _char_sums."""
+        ap = -ec._char_sums(WeierstrassCurve(0, 0, 0, a, b), [p])[0]
+        return p + 1 - ap if pow(1 + a + b, (p - 1) // 2, p) == 1 else p + 1 + ap
+
+    @staticmethod
+    def verdicts(lanes, m):
+        """_annihilators on the Hasse intervals of lanes of (a, b, p), one call."""
+        a, b, p = (np.array(c, dtype=np.int64) for c in zip(*lanes))
+        width = np.array([isqrt(4 * q) for _, _, q in lanes], dtype=np.int64)
+        return ec._annihilators(a, b, p, p + 1 - width, 2 * width, m).tolist()
+
+    def test_giant_difference_at_O_keeps_the_verdict(self):
+        # m with 2m + 1 dividing the group order N makes N a giant step,
+        # at O, and a difference for the step two later, which is then a
+        # doubling.  The verdict is N wherever the point's order exceeds 2m
+        # and has one multiple in the Hasse interval.
+        cases = []
+        for q in good_primes(C37, 1000, 3000):
+            a, b = -27 * C37.c_invariants[0] % q, -54 * C37.c_invariants[1] % q
+            N = self.group_of_x1(a, b, q)
+            width = isqrt(4 * q)
+            lo = q + 1 - width
+            for m in range(2, 40):
+                s = 2 * m + 1
+                if N % s == 0 and 0 <= N // s - (lo + m) // s <= -(-2 * width // s) - 2:
+                    order = min(d for d in range(1, N + 1)
+                                if N % d == 0 and x_ladder(1, d, a, b, q)[1] == 0)
+                    multiples = [n for n in range(lo, lo + 2 * width + 1) if n % order == 0]
+                    one = order > 2 * m and len(multiples) == 1
+                    cases.append(((a, b, q), m, N if one else 0))
+                    break
+        got = [self.verdicts([lane], m)[0] for lane, m, _ in cases]
+        assert got == [want for _, _, want in cases]
+        assert sum(map(bool, got)) >= 20
+
+    def test_difference_at_x0_gives_no_verdict(self):
+        # b = (1 - a)^2 / 8 puts 2P at x = 0.  With m = 3, 2P is the
+        # difference of the baby step (m+1)P; with m = 2 and a giant step c
+        # = N - 2, cP = -2P is the difference of the step two later.
+        baby, giant = [], []
+        for q in sieve_primes(3000)[100:]:
+            for a in range(1, 4):
+                b = (1 - a) ** 2 * pow(8, -1, q) % q
+                if (4 * a**3 + 27 * b * b) % q == 0:
+                    continue
+                N, width = self.group_of_x1(a, b, q), isqrt(4 * q)
+                lo = q + 1 - width
+                baby.append((a, b, q))
+                if (N - 2) % 5 == 0 and 0 <= (N - 2) // 5 - (lo + 2) // 5 <= -(-2 * width // 5) - 2:
+                    giant.append((a, b, q))
+        assert self.verdicts(baby, 3) == [0] * len(baby)
+        assert self.verdicts(giant, 2) == [0] * len(giant)
+        assert len(giant) >= 20
+
+    @pytest.mark.parametrize("call", [1, 2], ids=["giant", "sign"])
+    def test_ladder_lane_at_0_0_gives_no_verdict(self, call, monkeypatch):
+        # _annihilators calls _ladder twice: for the giant steps [t]S and
+        # [t+1]S, then for the sign of each match.  Forcing one lane of a
+        # call to (0 : 0) leaves that lane with no verdict, and every other
+        # lane with the character sum's.  m = 45 makes three giant steps,
+        # so [t+1]S is no difference and only its own check catches it.
+        c4, c6 = C37.c_invariants
+        lanes = [(-27 * c4 % q, -54 * c6 % q, q) for q in good_primes(C37, 1000, 2000)]
+        want = [self.group_of_x1(*lane) for lane in lanes]
+        m = 45
+        plain = self.verdicts(lanes, m)
+        assert all(v in (0, n) for v, n in zip(plain, want)) and plain.count(0) < len(lanes) // 5
+        target = next(q for v, (_, _, q) in zip(plain, lanes) if v)
+        calls = []
+        ladder = ec._ladder
+
+        def forced(a, b, p, n):
+            R0, R1 = ladder(a, b, p, n)
+            calls.append(int((p == target).sum()))
+            if len(calls) == call:
+                for c in R0 if call == 2 else R1:
+                    c[p == target] = 0
+            return R0, R1
+
+        monkeypatch.setattr(ec, "_ladder", forced)
+        got = self.verdicts(lanes, m)
+        assert len(calls) == 2 and calls[call - 1] > 0
+        assert got == [0 if q == target else v for v, (_, _, q) in zip(plain, lanes)]
 
     def test_forced_fallback_gives_same_answers(self, monkeypatch):
         bound = 2 * ec.BSGS_CROSSOVER
@@ -500,10 +600,14 @@ class TestLadder:
         p, n, _ = (np.array(c, dtype=np.int64) for c in zip(*lanes))
         a, b = (np.array([c * u**k % q for q, _, u in lanes], dtype=np.int64)
                 for c, k in ((-27 * c4, 4), (-54 * c6, 6)))
-        X, Z = ec._ladder(a, b, p, n)
+        (X, Z), (X1, Z1) = ec._ladder(a, b, p, n)
         want = [x_ladder(1, int(k), int(aq), int(bq), int(q), bits=32)
                 for q, k, aq, bq in zip(p, n, a, b)]
         assert list(zip(X.tolist(), Z.tolist())) == want
+        # the other register holds [n + 1]P, in the same ladder's values
+        want = [x_ladder(1, int(k) + 1, int(aq), int(bq), int(q), bits=32)
+                for q, k, aq, bq in zip(p, n, a, b)]
+        assert list(zip(X1.tolist(), Z1.tolist())) == want
         assert len(lanes) > 10 * len(primes)
         aps = {q: ap_good(curve, q) for q in primes}
         assert 0 in aps.values() or curve is C37
@@ -623,11 +727,11 @@ class TestSettle:
         ladder = ec._ladder
 
         def forced(a, b, p, n):
-            X, Z = ladder(a, b, p, n)
+            (X, Z), R1 = ladder(a, b, p, n)
             hit = (p == target) & ((n == target + 1) if stage == "ladder" else (n < target + 1))
             first = hit.nonzero()[0][:1]
             X[first] = Z[first] = 0
-            return X, Z
+            return (X, Z), R1
 
         sent = []
         aps = ec._aps
@@ -665,6 +769,17 @@ class TestDeuring:
             assert [p for p in zero if exact[p]] == [p for p in nonzero if not exact[p]] == []
         assert [c.cm_discriminant for c in CURVES] == [None, None, None, -3, -4]
 
+    def test_residue_classes_equal_euler_criterion(self):
+        # the table of each D's field against (D / p) = D^((p-1)/2) mod p,
+        # at every prime 5 <= p < 10^5 that does not divide D
+        primes = sieve_primes(10**5)[2:]
+        for j, d in ec.CM_J_INVARIANTS.items():
+            curve = self.curve_with_j(j) if j not in (0, 1728) else C27 if j == 0 else C_ADD
+            assert curve.cm_discriminant == d
+            zero, nonzero = ec._deuring(curve, primes)
+            assert zero == [p for p in primes if d % p and pow(d, (p - 1) // 2, p) == p - 1], d
+            assert nonzero == [p for p in primes if d % p and pow(d, (p - 1) // 2, p) == 1], d
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(d=st.integers(-10**6, 10**6).filter(bool), form=st.sampled_from(["x^3+d", "x^3+dx"]))
     def test_twists_equal_ap_good(self, d, form):
@@ -679,6 +794,8 @@ class TestDeuring:
 
     @pytest.mark.parametrize("curve", [C27, C_ADD], ids=["27a1", "25x"])
     def test_cm_scan_runs_no_ladder(self, curve, monkeypatch):
+        # the exact table comes first: its baby-step giant-step lanes run the ladder
+        exact = prime_table(curve, 20000)
         monkeypatch.setattr(ec, "_ladder", None)
         sent = []
         aps = ec._aps
@@ -686,7 +803,6 @@ class TestDeuring:
         scan = ec.scan_table(curve, 20000)
         # 2, 3 (which divide D) and the bad prime 5 of y^2 = x^3 + 25x
         assert sent == [2, 3] + ([5] if curve is C_ADD else [])
-        exact = prime_table(curve, 20000)
         assert scan.table == {p: a for p, a in exact.table.items() if p not in scan.nonzero}
         assert all(exact.table[p] for p in scan.nonzero)
         assert prime_sieve(scan) == prime_sieve(exact)
@@ -782,6 +898,60 @@ class TestIdentities:
         for p in sieve_primes(IDENTITY_BOUND)[3:]:
             legendre = 1 if pow(5, (p - 1) // 2, p) == 1 else -1
             assert twist[p] == legendre * base[p], p
+
+
+def table_digest(table):
+    return hashlib.sha256("".join(f"{p} {a}\n" for p, a in sorted(table.items())).encode()).hexdigest()
+
+
+# sha256 of "p a_p\n" over every prime of prime_table: the five curves to
+# 200000, then 25 random minimal curves (a_i in [-30, 30], the first 25
+# minimal ones that random.Random(31) draws) to 30000.  Recorded from the
+# baby-step giant-step of projective points that came before the x-only
+# lanes; the tests above sample primes, and only whole tables caught a lane
+# that read a giant step at O as a baby-step match.
+WHOLE_TABLES = {
+    "37a1": (200000, "a68e421fa7cc1cf0aa60a4512bd085273d75510d6fbdb15d23de150ca3647637"),
+    "53a1": (200000, "587ef268342b293dc00d0f865920a729e45d5cb55ee450f207bb5ea643635a2d"),
+    "11a1": (200000, "777f75b4eb447914024ff66cbdf321c5c904ab37e48188c94a36d20074b2c4bd"),
+    "27a1": (200000, "904a8f77ef64ffdb4bbbe35942af7cbb1a3e9aa6745944827d69b587a7bd2682"),
+    "additive-5": (200000, "39be807b1b89f054dd186a344d86f89075f9ce964324f5d4b3a4d2ce28490043"),
+    "-30,0,-23,18,-5": (30000, "6c9986f78e6356cd657c766eec62c078634b9976181ccc5e46bb4f73a4b044e6"),
+    "-21,13,-28,-22,30": (30000, "082cb42147e491ee73cc2aa461b7cc79f550b5dd6c26bb67bd575c4d1dbf5392"),
+    "-23,4,-16,15,18": (30000, "787f080a8873698ac7e97860b4b774fef4653158ce3f6a7443eed90ec40f640d"),
+    "-22,-21,17,-28,12": (30000, "77e21eec04f38e08e008ec05b2768ec954096c3e4330bbd6325d6d84a58f8070"),
+    "-27,-22,-16,4,16": (30000, "b60fb444a0d9211050f6df410823e8598969f46d6ebf83fa4218f6fcd6f3b7bd"),
+    "-2,3,-4,-17,7": (30000, "8f20a6571cc0d48d2d5d9727f3d7bda3d97d5c601eb27e079fae0cae31e9394a"),
+    "-25,-23,-29,19,30": (30000, "e90e76c93b4d3ee604ad9b1b72ecf1579999fde85a7f3913098500ecaac66be1"),
+    "26,-5,-9,-18,-17": (30000, "38cb198404bb6fc4ed80f8934bc795a72db7fd11e16cba7658423c26ad04ab23"),
+    "-9,-5,-7,8,-15": (30000, "e1ce259b3d42c7201d87bd08a89dd38706b0aa09b5f1f3ede4a1c66b7cbcae38"),
+    "-17,16,-17,-4,7": (30000, "62dd88deadf334257962412b62792243c0ed42f8ddef1178e6cec8231cdc0722"),
+    "12,5,-27,-27,23": (30000, "1cbdb9043e9a9510f91916eac61eeabdfe702f8bfaa8b00cfbab4aae0a87e0fe"),
+    "-19,-8,-22,-17,-21": (30000, "9734d2707413b80f5cd9846abb805e3ef2086cc257db755ae01e3cbeb96b41e9"),
+    "23,20,-6,-29,-25": (30000, "f3cfeaad1bdd3a1ef63b0745a91e5752863bb52f757d29d13c110cdddf632e19"),
+    "17,3,25,-2,11": (30000, "508dac2c78aadb037178b759121861f22cd522d63566414f7f49905b46f98e60"),
+    "21,-17,-17,20,-3": (30000, "fac852d00d96489d4bbae915cd60eb16bc2be7dee23e88cfb583fb5443089c8e"),
+    "16,-7,-18,-9,11": (30000, "2dcea6991a7af01767771640046821a98fd484967e78137169b3c12a1ced0012"),
+    "22,-16,0,-28,-14": (30000, "c27f08162738d6e0f151036911f33af361e0f9081211a3cdefa362662394f162"),
+    "-9,-12,-9,6,-5": (30000, "6d86d24266e5ce58f96556780ae0e6193f394cc4c2d84be191b14dbd0657682e"),
+    "0,11,11,23,-10": (30000, "2acdb7b4317fc6e51a810909860424fbdc67fb736ffaa2654810b4dff8f4c15e"),
+    "-17,17,-24,20,19": (30000, "efd32df0503a89994b781d89218e8697ff2c1e9b683b95adfe9e6c63b2eeec5b"),
+    "-11,27,-19,5,9": (30000, "c9cc8f199557fc2e7348353692dc44d767b28668e18a737786a6c22717701e1c"),
+    "29,4,23,13,-12": (30000, "207a72b9f06f550a4601292b1254cc8417155d3959456fff15fb8223a1c3de23"),
+    "-25,-19,-18,-29,28": (30000, "ea1d2271680ebae26c89cd4ba5996c53fcb3cd9210dd20ab450c71f4b085eff6"),
+    "20,8,-7,14,-24": (30000, "d95e18ca2aaf8dee6d8af2b0457f0c4bac7c3cb625372bce6f3123a2fda04053"),
+    "12,-5,-12,28,-11": (30000, "56af88d71ef06412f613dcdf991379c565eeb2383e4ab965780f0d4d2a6ebbdd"),
+}
+
+
+class TestWholeTables:
+    def test_tables_equal_their_digests(self):
+        models = {c.label: c for c in CURVES}
+        got = {
+            name: (bound, table_digest(prime_table(models.get(name) or parse_curve(name), bound).table))
+            for name, (bound, _) in WHOLE_TABLES.items()
+        }
+        assert got == WHOLE_TABLES
 
 
 class TestResultChecks:

@@ -40,7 +40,6 @@ DEFAULT_CACHE = os.path.join("~", ".cache", "qvanish")
 FULL_LEHMER_BOUND = 3316799  # smallest n with tau(n) = 0 exceeds this
 # the one compute gate: coeffs and scan refuse a larger limit without --allow-large
 SCAN_GATE = 200000
-ZEROS_CAP = 1000
 # Part of every cache key: bump it when the cached payload or the code that
 # computes it changes, so entries written before are never read again.
 CACHE_FORMAT = 2
@@ -118,8 +117,7 @@ def _curve_form(curve: ec.WeierstrassCurve) -> ResolvedForm:
     table = cache(partial(ec.prime_table, curve))
 
     def scan(bound: int, coprime_to: int | None) -> vanish.ScanReport:
-        return vanish.prime_sieve(ec.scan_table(curve, bound), coprime_to=coprime_to,
-                                  checked=ZEROS_CAP)
+        return vanish.prime_sieve(ec.scan_table(curve, bound), coprime_to=coprime_to)
 
     return ResolvedForm(
         FormSpec(weight=2, level=curve.level, label=label, source=f"elliptic-curve:{label}"),
@@ -380,15 +378,8 @@ def cmd_scan(args, parser) -> int:
     # _mf checks a file to its last index, and so to any limit it serves
     mf_value = _mf(rf).value if args.coprime_mf else None
     report = rf.scan(limit, mf_value)
-    # vars, not asdict: asdict would deep-copy every zero before the cap
-    payload = {
-        **vars(report),
-        "form": asdict(rf.spec),
-        "mf": mf_value,
-        "zeros": report.zeros[:ZEROS_CAP],
-        "zeros_omitted": max(0, len(report.zeros) - ZEROS_CAP),
-    }
-    _emit_json(payload)
+    # vars, not asdict, which would deep-copy each printed zero
+    _emit_json({**vars(report), "form": asdict(rf.spec), "mf": mf_value})
     return 0
 
 

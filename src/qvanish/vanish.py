@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -45,6 +45,8 @@ AP_ZERO = "ap_zero"
 PERIODIC = "periodic"
 NEVER_ZERO = "never_zero"
 BAD_PRIME = "bad_prime"
+# a scan's report keeps the first ZEROS_CAP zeros and counts the rest
+ZEROS_CAP = 1000
 
 
 class GuaranteeViolationError(RuntimeError):
@@ -151,7 +153,8 @@ class ScanReport:
     of whose prime powers vanishes, by its primes' exact values and the
     certificates of ec.scan_table, a ladder point, two points' orders or
     Deuring's criterion), and the exact zeros ("zero"); every index is in
-    exactly one of the three.
+    exactly one of the three.  zeros are the first ZEROS_CAP of them, and
+    zeros_omitted counts the rest, so the report holds what scan prints.
     lane_moduli are the certifying moduli; the extra ones that an exact eta
     product is lifted from never certify and never appear here.
     """
@@ -165,6 +168,7 @@ class ScanReport:
     first_zero_coprime_is_prime: bool | None
     first_zero_coprime_divides_level: bool | None
     zeros: list[int] = field(repr=False)
+    zeros_omitted: int
     certification: dict[str, int]
     lane_moduli: tuple[int, ...]
 
@@ -237,13 +241,12 @@ def first_vanishing(
         if lane.trunc_bound < bound:
             raise ValueError(f"residue lanes mod {[m]} do not cover {bound}")
         pending = pending[lane.coeffs[pending] == 0]
-    zeros = [n for n in pending.tolist() if source.exact(n) == 0]
+    exact_zero = (source.exact(n) == 0 for n in pending.tolist())
+    zeros = pending[np.fromiter(exact_zero, bool, pending.size)]
     return _report(bound, zeros, bound - len(pending), source.moduli, coprime_to, level)
 
 
-def prime_sieve(
-    pe: PrimeEigenvalues, *, coprime_to: int | None = None, checked: int = 0
-) -> ScanReport:
+def prime_sieve(pe: PrimeEigenvalues, *, coprime_to: int | None = None) -> ScanReport:
     """Scan a normalized eigenform over 1 <= n <= pe.bound from its primes alone.
 
     a(n) is the product of a(p^e) over p^e || n, and classify gives every e
@@ -251,40 +254,39 @@ def prime_sieve(
     Only a prime with an exact a_p in pe.table can have one: pe.nonzero
     holds good primes p >= 5 with a_p != 0, where no a(p^e) vanishes.  One
     boolean per index marks the zeros: a strided pass for each such p^e with
-    p^2 <= bound, one scatter for the primes above.  There are no lanes, so
-    every nonzero counts as "exact", certified by the table's values and its
-    nonzero certificates.  The first `checked` zeros are read again through
-    pe.coeff, the product over n's factorization, and one that is not 0
-    raises GuaranteeViolationError.  level and coprime_to are as in
-    first_vanishing, with pe.level as the level.
+    p^2 <= bound, and one scatter for the primes above, where e = 1 and
+    a(p) = a_p, so their zeros are read from the table with no classify.
+    There are no lanes, so every nonzero counts as "exact", certified by the
+    table's values and its nonzero certificates.  The zeros the report keeps
+    are read again through pe.coeff, the product over n's factorization, and
+    one that is not 0 raises GuaranteeViolationError.  level and coprime_to
+    are as in first_vanishing, with pe.level as the level.
     """
-    bound, k = pe.bound, pe.weight
+    bound, k, root = pe.bound, pe.weight, isqrt(pe.bound)
     zero = np.zeros(bound + 1, dtype=bool)
-    large = []
     for p, a_p in pe.table.items():
+        if p > root:
+            continue
         top = 1
         while p ** (top + 1) <= bound:
             top += 1
-        exponents = zeros_up_to(classify(a_p, p, k, not pe.level % p), top)
-        if exponents and top == 1:
-            large.append(p)
-            continue
-        for e in exponents:
+        for e in zeros_up_to(classify(a_p, p, k, not pe.level % p), top):
             q = p**e
             hit = np.ones(bound // q, dtype=bool)
             hit[p - 1 :: p] = False  # q*m with p | m has p^(e+1) | q*m
             zero[q::q] |= hit
+    large = [p for p, a_p in pe.table.items() if p > root and a_p == 0]
     zero[multiples(np.array(large, dtype=np.int64), bound)] = True
-    zeros = np.flatnonzero(zero).tolist()
-    for n in zeros[:checked]:
+    report = _report(bound, np.flatnonzero(zero), 0, (), coprime_to, pe.level)
+    for n in report.zeros:
         value = pe.coeff(n)
         if value != 0:
             raise GuaranteeViolationError(f"the sieve marks a({n}) zero; its factors give {value}")
-    return _report(bound, zeros, 0, (), coprime_to, pe.level)
+    return report
 
 
 def _report(bound, zeros, residue, moduli, coprime_to, level) -> ScanReport:
-    """The report of a scan to bound with these zeros and residue-certified indices."""
+    """The report of a scan to bound: its zeros, one sorted int64 array, and residue count."""
 
     def _flags(n):
         if n is None:
@@ -292,10 +294,14 @@ def _report(bound, zeros, residue, moduli, coprime_to, level) -> ScanReport:
         divides = None if level is None else gcd(n, level) > 1
         return is_prime(n), divides
 
-    first_zero = zeros[0] if zeros else None
+    kept, rest = zeros[:ZEROS_CAP].tolist(), zeros[ZEROS_CAP:]
+    first_zero = int(zeros[0]) if zeros.size else None
     first_coprime = None
     if coprime_to is not None:
-        first_coprime = next((n for n in zeros if gcd(n, coprime_to) == 1), None)
+        # the kept zeros one by one; a mask over the rest only if none of them is coprime
+        first_coprime = next((n for n in kept if gcd(n, coprime_to) == 1), None)
+        if first_coprime is None and (coprime := np.gcd(rest, coprime_to) == 1).any():
+            first_coprime = int(rest[coprime.argmax()])
     fz_prime, fz_bad = _flags(first_zero)
     fc_prime, fc_bad = _flags(first_coprime)
     if first_coprime is not None and not fc_prime:
@@ -313,7 +319,8 @@ def _report(bound, zeros, residue, moduli, coprime_to, level) -> ScanReport:
         first_zero_coprime=first_coprime,
         first_zero_coprime_is_prime=fc_prime,
         first_zero_coprime_divides_level=fc_bad,
-        zeros=zeros,
+        zeros=kept,
+        zeros_omitted=len(rest),
         certification={
             "exact": bound - residue - len(zeros),
             "residue": residue,

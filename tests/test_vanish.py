@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvanish import forms, hecke
+from qvanish import forms, hecke, vanish
 from qvanish.arith import multiplicative, sieve_primes
 from qvanish.ec import FIXTURES, WeierstrassCurve, prime_table, scan_table
 from qvanish.forms import delta_coefficient, delta_eta, delta_eta_mod
@@ -516,7 +516,7 @@ class TestPrimeSieve:
             coprime_to = compute_mf(level, pe.table[2], pe.table[3], k).value
         want = first_vanishing(ScanSource(pe.bound, a.__getitem__), coprime_to=coprime_to,
                                level=level)
-        assert prime_sieve(pe, coprime_to=coprime_to, checked=pe.bound) == want
+        assert prime_sieve(pe, coprime_to=coprime_to) == want
         assert want.zeros == [n for n in range(1, pe.bound + 1) if a[n] == 0]
 
     @pytest.mark.parametrize("bound", range(1, 61))
@@ -526,21 +526,62 @@ class TestPrimeSieve:
             series = prime_table(curve, bound).series
             want = first_vanishing(ScanSource(bound, series.__getitem__), coprime_to=6,
                                    level=curve.level)
-            assert prime_sieve(scan_table(curve, bound), coprime_to=6, checked=bound) == want
+            assert prime_sieve(scan_table(curve, bound), coprime_to=6) == want
 
     def test_printed_zeros_are_read_again(self, monkeypatch):
         pe = scan_table(FIXTURES["37a1"], 3000)
+        monkeypatch.setattr(vanish, "ZEROS_CAP", 101)
+        last, past = prime_sieve(pe).zeros[-2:]
+        monkeypatch.setattr(vanish, "ZEROS_CAP", 100)
         read = []
         coeff = hecke.PrimeEigenvalues.coeff
         monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
                             lambda self, n: read.append(n) or coeff(self, n))
-        report = prime_sieve(pe, checked=100)
-        assert read == report.zeros[:100] and len(report.zeros) > 100
+        report = prime_sieve(pe)
+        assert read == report.zeros and report.zeros[-1] == last and report.zeros_omitted > 0
+        # a wrong value at the last printed zero raises; the first zero past the cap is not read
         monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
-                            lambda self, n: coeff(self, n) or (n == report.zeros[50]))
-        with pytest.raises(GuaranteeViolationError, match=f"a\\({report.zeros[50]}\\)"):
-            prime_sieve(pe, checked=100)
-        assert prime_sieve(pe, checked=50) == report
+                            lambda self, n: coeff(self, n) or (n == last))
+        with pytest.raises(GuaranteeViolationError, match=f"a\\({last}\\)"):
+            prime_sieve(pe)
+        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
+                            lambda self, n: coeff(self, n) or (n == past))
+        assert prime_sieve(pe) == report
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_report_past_the_cap(self, monkeypatch, cap):
+        # 37a1's zeros to 100 begin 8, 17; at cap 1 the first coprime zero lies past the cap
+        curve = FIXTURES["37a1"]
+        scans = (lambda: first_vanishing(curve_source(curve, 100), coprime_to=6, level=37),
+                 lambda: prime_sieve(scan_table(curve, 100), coprime_to=6))
+        full = [scan() for scan in scans]
+        monkeypatch.setattr(vanish, "ZEROS_CAP", cap)
+        for want, scan in zip(full, scans):
+            zero = want.certification["zero"]
+            assert want.zeros_omitted == 0 and len(want.zeros) == zero > cap
+            got = scan()
+            assert (got.first_zero, got.first_zero_coprime) == (8, 17)
+            assert got.zeros == [8, 17][:cap] and got.zeros_omitted == zero - cap
+            capped = {"zeros": want.zeros[:cap], "zeros_omitted": zero - cap}
+            assert vars(got) == {**vars(want), **capped}
+
+    def test_primes_above_the_root_take_no_classify(self, monkeypatch):
+        # a_p = 0 at the bad prime 3 <= sqrt(200), where every e vanishes, and
+        # above it at the bad prime 17 and the good prime 19
+        bound = 200
+        table = {p: 1 for p in sieve_primes(bound)} | {3: 0, 17: 0, 19: 0}
+        pe = PrimeEigenvalues(weight=2, level=3 * 17, table=table, bound=bound)
+        want = first_vanishing(ScanSource(bound, pe.series.__getitem__), level=pe.level)
+        monkeypatch.setattr(vanish, "ZEROS_CAP", bound)
+        seen = []
+        real = vanish.classify
+        monkeypatch.setattr(vanish, "classify",
+                            lambda a_p, p, *args: seen.append(p) or real(a_p, p, *args))
+        report = prime_sieve(pe)
+        assert report == want
+        assert report.zeros == [n for n in range(1, bound + 1) if pe.series[n] == 0]
+        assert {3, 9, 81, 17, 34, 19, 38} <= set(report.zeros)
+        assert seen == [p for p in pe.primes if p <= math.isqrt(bound)]
 
     def test_composite_coprime_zero_raises(self):
         # 37a1 has a(8) = 0; coprime_to = 5 is not a multiple of M_f = 6

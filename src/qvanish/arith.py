@@ -7,8 +7,7 @@ no index of such a table is factorized.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import chain, compress, cycle
+from itertools import chain, cycle
 from math import isqrt
 from typing import Callable
 
@@ -22,27 +21,27 @@ TRIAL_DIVISION_LIMIT = 10**6
 
 
 def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, by Eratosthenes."""
+    """All primes <= bound, by Eratosthenes on a numpy bool array."""
     if bound < 2:
         return []
-    flags = bytearray(b"\x01") * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(bound**0.5) + 1):
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, isqrt(bound) + 1):
         if flags[p]:
-            start = p * p
-            flags[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
-    return list(compress(range(bound + 1), flags))
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
 
 
-def smallest_prime_factors(bound: int, primes: list[int]) -> np.ndarray:
+def smallest_prime_factors(bound: int, primes) -> np.ndarray:
     """spf[n], the smallest prime factor of n <= bound (spf[1] = 1), from primes.
 
-    primes is a caller's sieve, which holds every prime up to sqrt(bound):
-    one strided pass per such prime, the largest first, so a smaller prime
-    overwrites the multiples it shares with it.
+    primes is a caller's ascending sieve, list or array, which holds every
+    prime up to sqrt(bound): one strided pass per such prime, the largest
+    first, so a smaller prime overwrites the multiples it shares with it.
     """
     spf = np.arange(bound + 1, dtype=np.min_scalar_type(bound))
-    for p in reversed(primes[: bisect_right(primes, isqrt(bound))]):
+    primes = np.asarray(primes, dtype=np.int64)
+    for p in reversed(primes[: np.searchsorted(primes, isqrt(bound), side="right")].tolist()):
         spf[p * p :: p] = p
     return spf
 
@@ -77,29 +76,25 @@ def multiplicative(
     Otherwise it holds Python ints in a numpy object array.  Every entry
     starts at c, so the scale costs no pass of its own.  The table is
     allocated before the primes are sieved, so a bound no memory holds fails
-    there at once.  primes holds every prime <= bound when the caller has
-    sieved them already; primes past bound add nothing.
+    there at once.  primes, a list or an ascending array, holds every prime
+    <= bound when the caller has sieved them already; primes past bound add
+    nothing.
     """
     table = np.ones(bound + 1, dtype=np.int64)
     table[0] = 0
-    if primes is None:
-        primes = sieve_primes(bound)
-    root = isqrt(bound)
-    small, large = [], []
-    for p in primes:
-        if p <= root:
-            values, q, e = [], p, 1
-            while q <= bound:
-                values.append(prime_power(p, e))
-                q, e = q * p, e + 1
-            small.append((p, values))
-        elif p <= bound:
-            large.append(p)
-        else:
-            break
-    large_values = [prime_power(p, 1) for p in large]
+    primes = np.asarray(sieve_primes(bound) if primes is None else primes, dtype=np.int64)
+    root, end = np.searchsorted(primes, [isqrt(bound), bound], side="right").tolist()
+    small = []
+    for p in primes[:root].tolist():
+        values, q, e = [], p, 1
+        while q <= bound:
+            values.append(prime_power(p, e))
+            q, e = q * p, e + 1
+        small.append((p, values))
+    large = primes[root:end]
+    large_values = [prime_power(p, 1) for p in large.tolist()]
     omega, product = 0, 1
-    for p in primes:
+    for p in primes[:64].tolist():  # the product of 64 primes passes any bound
         product *= p
         if product > bound:
             break
@@ -116,10 +111,9 @@ def multiplicative(
             factor[step - 1 :: step] = value
             step *= p
         table[p::p] *= factor
-    if large:
-        large_primes = np.array(large, dtype=np.int64)
+    if len(large):
         values = np.array(large_values, dtype=table.dtype)
-        table[multiples(large_primes, bound)] *= np.repeat(values, bound // large_primes)
+        table[multiples(large, bound)] *= np.repeat(values, bound // large)
     return table.tolist()
 
 

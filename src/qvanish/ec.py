@@ -19,15 +19,18 @@ p - #E_ns(F_p), which is +1 (split multiplicative), -1 (nonsplit) or 0
   (ap_good above the crossover).
 - Bad primes from 5 on, by reduction type: 0 where p | c4, else the
   Legendre symbol (-c6 / p).
-- Every other odd prime, and any good prime none of whose lane's points
-  allows one N: the character sum, O(p), all of them in one _char_sums
-  call.  The substitution u = 2y + a1*x + a3 turns the model into u^2 =
+- Every other prime from 5 on, and any good prime none of whose lane's
+  points allows one N: the character sum, O(p), all of them in one
+  _char_sums call.  The substitution u = 2y + a1*x + a3 turns the model into u^2 =
   4x^3 + b2*x^2 + 2*b4*x + b6, so each x contributes 1 + chi(g(x)) points
   with chi the quadratic character.  A pass lays the x of many primes end
   to end, so it costs about 25 us plus 20-45 ns per x: the 96 odd primes up
-  to BSGS_CROSSOVER (22546 x) take about 1.0-1.2 ms together, against
+  to BSGS_CROSSOVER (22546 x) took about 1.0-1.2 ms together, against
   about 2 ms one pass each.
-- p = 2: the four pairs (x, y) are tried.
+- p = 2 and 3: the p^2 pairs (x, y) are tried, in Python ints.  A pass of
+  the character sum for 3 alone, as M_f's table to 3 and a scan's table
+  need, cost about 0.5 ms in a process forked after import, where each
+  numpy routine is paid again on its first call.
 
 prime_table holds the exact a_p of every prime, for coeffs and mf, which
 print a(n).  A scan needs to know only where a_p = 0, and scan_table
@@ -56,14 +59,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, sieve_primes, smallest_prime_factors
-from .hecke import PrimeEigenvalues
+from .arith import factorize, is_prime, sieve_primes
+from .hecke import (
+    EXACT, NONZERO_DEURING, NONZERO_P1, NONZERO_P2, ZERO_DEURING, ZERO_ORDERS, PrimeEigenvalues,
+)
 
 
 # The 13 rational j-invariants of curves with complex multiplication, each
@@ -274,7 +278,7 @@ def _xadd(P, Q, D, a, b4, p):
     """
     (X0, Z0), (X1, Z1) = P, Q
     u = Z0 * Z1 % p
-    s = (X0 * X1 - a * u % p) % p
+    s = (X0 * X1 - a * u) % p
     v, w = X0 * Z1 % p, X1 * Z0 % p
     X = (s * s - b4 * u % p * ((v + w) % p)) % p
     Z = (v - w) ** 2 % p
@@ -288,7 +292,7 @@ def _xdbl(P, a, b, b8, p):
     X, Z = P
     xx, zz = X * X % p, Z * Z % p
     zzz = zz * Z % p
-    s = (xx - a * zz % p) % p
+    s = (xx - a * zz) % p
     XD = (s * s - b8 * (X * zzz % p)) % p
     return XD, 4 * Z % p * ((xx * X + (a * (X * zz % p) + b * zzz) % p) % p) % p
 
@@ -437,10 +441,10 @@ class _Lanes(NamedTuple):
     t: np.ndarray
 
     @classmethod
-    def new(cls, curve: WeierstrassCurve, primes: list[int]) -> _Lanes:
+    def new(cls, curve: WeierstrassCurve, primes) -> _Lanes:
         """Lanes for primes, none of whose points is used yet."""
         p, a, b = _short_model(curve, primes)
-        span = np.array([2 * isqrt(4 * q) for q in primes], dtype=np.int64)
+        span = np.array([2 * isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
         # u is dropped where u*(1 + a*u^2 + b*u^3) = 0: u = 0 mod p, or x = 1
         # a root of the scaled model's cubic, which holds for at most three
         # u; so from p = BSGS_POINTS + 4 on these u give BSGS_POINTS points
@@ -478,21 +482,24 @@ class _Lanes(NamedTuple):
         return _Lanes(*(f[..., more] for f in self._replace(t=t)))
 
 
-def _rounds(primes: list[int]) -> list[list[int]]:
-    """primes in chunks of one bit length, joined until a round holds LANES_PER_ROUND.
+def _rounds(primes) -> list[np.ndarray]:
+    """primes, ascending, in chunks of one bit length, joined until a round holds LANES_PER_ROUND.
 
-    A last round with fewer joins the one before it, so a table to 20000 is
-    one round; from 2^14 on a chunk is wider than that and is a round of its own.
+    Each round is an int64 array.  A last round with fewer joins the one
+    before it, so a table to 20000 is one round; from 2^14 on a chunk is
+    wider than that and is a round of its own.
     """
-    rounds = []
-    for _, chunk in groupby(primes, key=int.bit_length):
-        if not rounds or len(rounds[-1]) >= LANES_PER_ROUND:
-            rounds.append([])
-        rounds[-1] += chunk
-    if len(rounds) > 1 and len(rounds[-1]) < LANES_PER_ROUND:
-        last = rounds.pop()
-        rounds[-1] += last
-    return rounds
+    primes = np.asarray(primes, dtype=np.int64)
+    ends = np.searchsorted(primes, 2 ** np.arange(1, 32)).tolist() + [len(primes)]
+    starts, chunk = [0], 0  # where each round starts, and where the chunk starts
+    for end in ends:  # the end of each bit length's chunk, ascending
+        if end > chunk:
+            if chunk - starts[-1] >= LANES_PER_ROUND:
+                starts.append(chunk)
+            chunk = end
+    if len(starts) > 1 and len(primes) - starts[-1] < LANES_PER_ROUND:
+        starts.pop()
+    return [primes[i:j] for i, j in zip(starts, starts[1:] + [len(primes)])] if len(primes) else []
 
 
 def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
@@ -528,8 +535,8 @@ def _lane_aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     return found
 
 
-def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], list[int]]:
-    """(nonzero, open): the ladder's verdicts at the good primes 5 <= p < 2^31 of primes.
+def _open_primes(curve: WeierstrassCurve, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nonzero, open), two masks over primes: the ladder's verdicts at good primes 5 <= p < 2^31.
 
     a_p = 0 exactly when #E(F_p) = p + 1, and the quadratic twist then has
     p + 1 points too (Mestre's argument; Cohen, GTM 138).  The short model's
@@ -537,39 +544,43 @@ def _open_primes(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int],
     proves a_p != 0.  One ladder runs per round of _rounds.  A prime where
     it reaches O is open: every a_p = 0 is among them, and a few a_p != 0
     whose P1 has order dividing p + 1.  A prime whose lane is (0 : 0) is in
-    neither list.
+    neither.
     """
-    nonzero, left = [], []
+    nonzero, left = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
     for chunk in _rounds(primes):
         p, a, b = _short_model(curve, chunk)
         (X, Z), _ = _ladder(a, b, p, p + 1)
-        nonzero += p[Z != 0].tolist()
-        left += p[(Z == 0) & (X != 0)].tolist()
-    return nonzero, left
+        nonzero.append(Z != 0)
+        left.append((Z == 0) & (X != 0))
+    return np.concatenate(nonzero), np.concatenate(left)
 
 
-def _order_lanes(p, spf) -> tuple[list[int], list[int], list[int]]:
+def _order_lanes(p, sieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lane, q, d): one entry for each prime power d = q^i dividing p[lane] + 1.
 
-    p + 1 = 2m with m <= bound, so spf, the smallest prime factors to the
-    largest m, factors it.
+    Trial division of every p + 1 at once, by one (lanes, primes) table of
+    remainders over the primes of sieve up to sqrt(max p + 1); the cofactor
+    left above 1 is prime.
     """
-    lane, qs, ds = [], [], []
-    for i, m in enumerate(((p + 1) // 2).tolist()):
-        factors = [2]  # ascending, so the powers of one q are consecutive
-        while m > 1:
-            factors.append(spf.item(m))
-            m //= factors[-1]
-        d = 1
-        for j, q in enumerate(factors):
-            d = d * q if j and factors[j - 1] == q else q
-            lane.append(i)
-            qs.append(q)
-            ds.append(d)
-    return lane, qs, ds
+    n = p + 1
+    small = sieve[: np.searchsorted(sieve, isqrt(int(n.max(initial=1))), side="right")]
+    lane, q = np.nonzero(n[:, None] % small == 0)
+    q = small[q]
+    e, rest, more = np.zeros_like(q), n[lane], np.arange(len(q))
+    while len(more):  # the exponent of each q, one division at a time
+        rest[more] //= q[more]
+        e[more] += 1
+        more = more[rest[more] % q[more] == 0]
+    cofactor = n.copy()
+    np.floor_divide.at(cofactor, lane, q**e)
+    big = np.flatnonzero(cofactor > 1)
+    i = np.arange(int(e.sum())) - np.repeat(np.cumsum(e) - e, e) + 1  # the power of each entry
+    q = np.repeat(q, e)
+    return (np.concatenate([np.repeat(lane, e), big]), np.concatenate([q, cofactor[big]]),
+            np.concatenate([q**i, cofactor[big]]))
 
 
-def _orders(a, b, p, spf):
+def _orders(a, b, p, sieve):
     """ord(P1) and ord(P2) at the lanes where [p + 1]P1 = O, as a (2, lanes) array.
 
     P1 has x(P1) = 1 on y^2 = x^3 + a*x + b, and P2 has x(P2) = 1 on the
@@ -580,8 +591,9 @@ def _orders(a, b, p, spf):
     ord(P) is the number of i with [(p + 1)/q^i]P != O, so ord(P) is the
     product of q over those lanes.  P2's entry is 0 where [p + 1]P2 != O,
     and both entries are -1 where one of the prime's lanes is (0 : 0).
+    sieve holds the primes to sqrt(max p + 1) at least.
     """
-    lane, q, d = (np.array(v, dtype=np.int64) for v in _order_lanes(p, spf))
+    lane, q, d = _order_lanes(p, sieve)
     k, m = len(p), len(lane)
     A, B = np.stack([a, 16 * a % p]), np.stack([b, 64 * b % p])
     point = np.repeat([1, 0, 1], [k, m, m])  # P2 at p + 1, then P1's and P2's order lanes
@@ -596,25 +608,23 @@ def _orders(a, b, p, spf):
     return orders
 
 
-def _settle(
-    curve: WeierstrassCurve, primes: list[int], sieve: list[int]
-) -> tuple[list[int], list[int]]:
-    """(zero, nonzero) among the primes _open_primes leaves open; sieve holds the primes to bound.
+def _settle(curve: WeierstrassCurve, primes: np.ndarray, sieve: np.ndarray) -> np.ndarray:
+    """The verdicts at the primes _open_primes leaves open; sieve holds the primes to bound.
 
-    At such a prime [p + 1]P1 = O.  If [p + 1]P2 != O too, a_p != 0.
-    Otherwise each point's order divides p + 1 and the number of points of
-    E or of its twist, p + 1 - a_p or p + 1 + a_p, so it divides a_p, and so
-    does the lcm L of the two orders (_orders).  A nonzero a_p has a_p^2 <=
-    4p (Hasse), so L^2 > 4p proves a_p = 0.  A prime in neither list goes to
-    _aps.
+    At such a prime [p + 1]P1 = O.  If [p + 1]P2 != O too, a_p != 0
+    (NONZERO_P2).  Otherwise each point's order divides p + 1 and the number
+    of points of E or of its twist, p + 1 - a_p or p + 1 + a_p, so it
+    divides a_p, and so does the lcm L of the two orders (_orders).  A
+    nonzero a_p has a_p^2 <= 4p (Hasse), so L^2 > 4p proves a_p = 0
+    (ZERO_ORDERS).  Any other prime is left EXACT, for _aps.
     """
-    if not primes:
-        return [], []
+    verdicts = np.full(len(primes), EXACT, dtype=np.int8)
     p, a, b = _short_model(curve, primes)
-    orders = _orders(a, b, p, smallest_prime_factors((max(primes) + 1) // 2, sieve))
+    orders = _orders(a, b, p, sieve)
     lcm = np.lcm(orders[0], orders[1])
-    zero = (orders > 0).all(0) & (lcm * lcm > 4 * p)
-    return p[zero].tolist(), p[orders[1] == 0].tolist()
+    verdicts[(orders > 0).all(0) & (lcm * lcm > 4 * p)] = ZERO_ORDERS
+    verdicts[orders[1] == 0] = NONZERO_P2
+    return verdicts
 
 
 def _inert_classes(d: int):
@@ -639,31 +649,30 @@ def _inert_classes(d: int):
     return inert
 
 
-def _deuring(curve: WeierstrassCurve, primes: list[int]) -> tuple[list[int], list[int]]:
-    """(zero, nonzero) at the good primes p >= 5 of primes that do not divide D, for a CM curve.
+def _deuring(curve: WeierstrassCurve, primes: np.ndarray) -> np.ndarray:
+    """The verdicts at good primes p >= 5 of a CM curve: ZERO_DEURING or NONZERO_DEURING.
 
     D is the curve's cm_discriminant.  At a good p not dividing D, E is
     supersingular exactly when p does not split in Q(sqrt(D)), that is when
     (D / p) = -1 (Deuring 1941; Cox, Primes of the Form x^2 + ny^2, section
     14), and for p >= 5 supersingular means a_p = 0, since p | a_p and
     |a_p| <= 2*sqrt(p) < p.  The residue class of p mod |d_K| gives each
-    verdict (_inert_classes).  A prime dividing D is in neither list.
+    verdict (_inert_classes).  A prime dividing D is left EXACT, for _aps.
     """
     d = curve.cm_discriminant
     classes = _inert_classes(d)
-    p = np.array(primes, dtype=np.int64)
-    p = p[d % p != 0]
-    inert = classes[p % len(classes)]
-    return p[inert].tolist(), p[~inert].tolist()
+    verdicts = np.where(classes[primes % len(classes)], ZERO_DEURING, NONZERO_DEURING)
+    verdicts[d % primes == 0] = EXACT
+    return verdicts.astype(np.int8)
 
 
 def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     """p - #{affine points of the model mod p}: a_p at primes p < 2^31 of a minimal model.
 
-    The one router, by whether p divides the discriminant: p = 2 tries its
-    four pairs, the good primes above BSGS_CROSSOVER take one _lane_aps call,
-    a bad prime p >= 5 its reduction type, and every other prime and open
-    lane one _char_sums call.  At a bad p >= 5 the reduction of the model is
+    The one router, by whether p divides the discriminant: p = 2 and 3 try
+    their p^2 pairs, the good primes above BSGS_CROSSOVER take one
+    _lane_aps call, a bad prime p >= 5 its reduction type, and every other
+    prime and open lane one _char_sums call.  At a bad p >= 5 the reduction of the model is
     y^2 = x^3 - 27*c4*x - 54*c6 with a cusp where p | c4 (additive, a_p = 0),
     else a node, split exactly when -c6 is a square mod p (a_p = +1, else
     -1), so no character sum runs there.  Each a_p is checked: a_p^2 <= 4p
@@ -677,18 +686,18 @@ def _aps(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     c4, c6 = curve.c_invariants
     found.update({p: 0 if c4 % p == 0 else 1 if pow(-c6, (p - 1) // 2, p) == 1 else -1
                   for p in bad if p >= 5})
-    summed = [p for p in primes if p != 2 and p not in found]
+    summed = [p for p in primes if p > 3 and p not in found]
     sums = dict(zip(summed, _char_sums(curve, summed)))
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     aps = {}
     for p in primes:
         if p in found:
             ap = found[p]
-        elif p == 2:
-            ap = 2 - sum(
-                (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-                for x in (0, 1)
-                for y in (0, 1)
+        elif p < 5:
+            ap = p - sum(
+                (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+                for x in range(p)
+                for y in range(p)
             )
         else:
             ap = -sums[p]
@@ -740,10 +749,10 @@ def scan_table(curve: WeierstrassCurve, bound: int) -> PrimeEigenvalues:
     Each good prime p >= 5 is decided by theorem: by Deuring's criterion on
     a CM curve (_deuring), else by the ladder from x(P1) = 1 (_open_primes)
     and, where that leaves it open, by the orders of two points (_settle).
-    A prime proven a_p = 0 enters the table as an exact 0, and one proven
-    a_p != 0 is among the table's nonzero primes, with no value.  2, 3, the
-    bad primes, the primes dividing D and any prime left undecided get
-    their exact a_p from one _aps call.
+    Each prime's verdict code (hecke) says which theorem decided it, and no
+    value is kept for those.  2, 3, the bad primes, the primes dividing D
+    and any prime left undecided are EXACT, with their a_p from one _aps
+    call.
     """
     return _table(curve, bound, scan=True)
 
@@ -752,18 +761,16 @@ def _table(curve: WeierstrassCurve, bound: int, scan: bool) -> PrimeEigenvalues:
     if not 1 <= bound < 2**31:
         raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
-    primes = sieve_primes(bound)
-    zero, nonzero = [], []
+    primes = np.array(sieve_primes(bound), dtype=np.int64)
+    verdicts = np.full(len(primes), EXACT, dtype=np.int8)
     if scan:
-        good = [p for p in primes if p >= 5 and level % p]
+        good = np.flatnonzero((primes >= 5) & (_residues(level, primes) != 0))
         if curve.cm_discriminant is not None:
-            zero, nonzero = _deuring(curve, good)
+            verdicts[good] = _deuring(curve, primes[good])
         else:
-            nonzero, left = _open_primes(curve, good)
-            zero, settled = _settle(curve, left, primes)
-            nonzero += settled
-    decided = frozenset(zero).union(nonzero)
-    aps = _aps(curve, [p for p in primes if p not in decided])
-    aps.update(dict.fromkeys(zero, 0))
+            nonzero, left = _open_primes(curve, primes[good])
+            verdicts[good[nonzero]] = NONZERO_P1
+            verdicts[good[left]] = _settle(curve, primes[good[left]], primes)
+    aps = _aps(curve, primes[verdicts == EXACT].tolist())
     return PrimeEigenvalues(weight=2, level=level, table=aps, bound=bound, primes=primes,
-                            nonzero=frozenset(nonzero))
+                            verdicts=verdicts)

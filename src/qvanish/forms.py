@@ -24,6 +24,7 @@ from functools import lru_cache, partial
 from math import comb, prod
 from operator import eq
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -204,23 +205,38 @@ def _crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return big_m, tuple(big_m // m * pow(big_m // m, -1, m) for m in moduli)
 
 
+# The lifts of each lane source, by the prefix of _LIFT_MODULI they read: a
+# scan lifts all its all-lanes-zero indices from the same few lanes, and the
+# entry goes when the source does.
+_LIFTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _lift_lanes(
     level: int, n: int, lane_of: Callable[[int], ResidueSeries] | None
 ) -> tuple[list[ResidueSeries], int, tuple[int, ...]]:
     """(lanes, M, e): the lanes an exact a(1..n) is lifted from, and their CRT basis.
 
     The lanes are those modulo _lift_moduli(k, n), read from lane_of(m), or
-    built to n without it; each must cover n.
+    built to n without it; each must cover n.  The lift read from lane_of is
+    kept (_LIFTS) for every n it serves: past the reach of the prefix one
+    shorter, up to its own reach and the lanes' bound.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    moduli = _lift_moduli(eta_product_spec(level).weight, n)
-    lane_of = lane_of or partial(eta_quotient_mod, level, n)
-    lanes = [lane_of(m) for m in moduli]
+    kept = _LIFTS.setdefault(lane_of, []) if lane_of else []
+    lift = next((lift for lv, lo, hi, lift in kept if lv == level and lo < n <= hi), None)
+    if lift:
+        return lift
+    weight = eta_product_spec(level).weight
+    moduli = _lift_moduli(weight, n)
+    lanes = [(lane_of or partial(eta_quotient_mod, level, n))(m) for m in moduli]
     short = [lane.modulus for lane in lanes if lane.trunc_bound < n]
     if short:
         raise ValueError(f"residue lanes mod {short} do not cover n = {n}")
-    return (lanes, *_crt_basis(moduli))
+    lift = (lanes, *_crt_basis(moduli))
+    hi = min(lift_reach(weight, len(moduli)), *(lane.trunc_bound for lane in lanes))
+    kept.append((level, lift_reach(weight, len(moduli) - 1), hi, lift))
+    return lift
 
 
 def eta_product(level: int, bound: int, modulus: int) -> ResidueSeries:

@@ -7,9 +7,9 @@ chi0(p) p^(k-1) a(p^(r-2)) with chi0(p) = 0 exactly when p divides the level,
 which collapses to a(p^r) = a(p)^r at bad primes.  The recurrence is iterated
 in exact integers; no Satake closed form is evaluated here.  A prime table
 builds its series multiplicatively (arith.multiplicative) from the
-prime-power values over the table's one sieve of primes, and reads a single
-a(n) as the product over n's factorization, found in a smallest-prime-factor
-table over the same sieve.
+prime-power values over the table's one sieve of primes, and reads a(n),
+one or an array of them in one pass, as the product over n's factorization,
+found in a smallest-prime-factor table over the same sieve.
 """
 
 from __future__ import annotations
@@ -46,73 +46,125 @@ def coeff_prime_power(
     return cur
 
 
-@dataclass
+# A table's verdict on each of its primes (PrimeEigenvalues.verdicts): the
+# exact a(p) is in the table, or a(p) = 0 by Deuring's criterion or by the
+# orders of two points, or a(p) != 0 by Deuring's criterion or by the
+# ladder's point P1 or P2 (ec.scan_table).  The order is read: a code below
+# NONZERO_DEURING knows a(p), and one from it on knows only a(p) != 0.
+EXACT, ZERO_DEURING, ZERO_ORDERS, NONZERO_DEURING, NONZERO_P1, NONZERO_P2 = range(6)
+
+
+@dataclass(eq=False)
 class PrimeEigenvalues:
     """Map p -> a(p) for primes p <= bound, with weight and level, and the a(n) it fixes.
 
-    primes are the primes <= bound: sieved here unless the caller that built
-    the table passes the ones it sieved for it.  Each of them is in table,
-    with its exact a(p), or in nonzero: a good prime where a(p) != 0 is
-    proven but not computed, so that a(p^e) != 0 for every e (the
-    classification in vanish, at a prime p >= 5).  In a curve scan's table
-    (ec.scan_table) a 0 may be certified by theorem, Deuring's criterion or
-    the orders of two points, rather than counted.  Only a table without
-    nonzero primes has a series.
+    primes are the primes <= bound, one int64 array: sieved here unless the
+    caller that built the table passes the ones it sieved for it.  verdicts
+    holds one code per prime, EXACT where none is given.  An EXACT prime
+    has its a(p) in table.  A curve scan's table (ec.scan_table) proves the
+    rest by theorem and computes no value there: a(p) = 0 (ZERO_DEURING,
+    ZERO_ORDERS), or a(p) != 0 at a good prime p >= 5 (NONZERO_DEURING,
+    NONZERO_P1, NONZERO_P2), so that a(p^e) != 0 for every e (the
+    classification in vanish).  Only a table without nonzero verdicts has a
+    series.
     """
 
     weight: int
     level: int
     table: dict[int, int]
     bound: int
-    primes: list[int] | None = field(default=None, repr=False)
-    nonzero: frozenset[int] = field(default=frozenset(), repr=False)
+    primes: np.ndarray | None = field(default=None, repr=False)
+    verdicts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.weight < 2 or self.weight % 2:
             raise ValueError("weight must be even and >= 2")
         if self.primes is None:
             self.primes = sieve_primes(self.bound)
-        missing = [p for p in self.primes if p not in self.table and p not in self.nonzero]
+        self.primes = np.asarray(self.primes, dtype=np.int64)
+        if self.verdicts is None:
+            self.verdicts = np.full(len(self.primes), EXACT, dtype=np.int8)
+        if len(self.verdicts) != len(self.primes):
+            raise ValueError("a prime table needs one verdict per prime")
+        missing = [p for p in self.primes[self.verdicts == EXACT].tolist() if p not in self.table]
         if missing:
             raise ValueError(f"prime table is missing primes <= bound: {missing[:5]}")
+        self._spf = np.arange(2)
 
     @cached_property
     def series(self) -> QSeries:
         return qexp_from_primes(self, self.bound)
 
-    @cached_property
-    def _spf(self) -> np.ndarray:
-        """spf[n], the smallest prime factor of n <= bound (spf[1] = 1), from the table's sieve."""
-        return smallest_prime_factors(self.bound, self.primes)
+    def coeff(self, n):
+        """a(n) for an int n; for an int64 array of n, the list of their a(n), in one pass.
 
-    def coeff(self, n: int) -> int:
-        """a(n) = prod a(p^e) over the prime powers p^e || n; a(1) = 1.
-
-        It is 0 as soon as one factor is exactly 0.  Otherwise a factor at a
-        prime the table only certifies nonzero is refused with ValueError.
+        a(n) = prod a(p^e) over the prime powers p^e || n, a(1) = 1, from
+        the smallest prime factors up to the largest n read (kept, and grown
+        to at least twice their reach when a larger n comes).  a(p^e) is the
+        table's a(p) at e = 1 and coeff_prime_power above, with a(p) = 0 at a
+        prime proven zero; it is computed once for each (p, e) of the call.
+        a(n) is 0 as soon as one factor is exactly 0.  Otherwise a factor at
+        a prime proven nonzero only is refused with ValueError, and so is an
+        n outside 1..bound: the first such n of the array raises the error
+        that coeff(n) alone raises.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n > self.bound:
-            raise ValueError(f"n = {n} exceeds the prime-table bound {self.bound}")
-        value, rest, unknown = 1, n, None
-        while rest > 1:
-            p, e = self._spf.item(rest), 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            a_p = self.table.get(p)
-            if a_p is None:
-                unknown = p
-                continue
-            if e > 1:
-                a_p = coeff_prime_power(a_p, p, e, self.weight, not self.level % p)
-            if a_p == 0:
-                return 0
-            value *= a_p
-        if unknown is not None:
-            raise ValueError(f"a({n}) needs a({unknown}), which the table certifies nonzero only")
-        return value
+        if not isinstance(n, np.ndarray):
+            return self.coeff(np.array([n]))[0]
+        outside = (n < 1) | (n > self.bound)
+        at, p, e = self._factors(np.where(outside, 1, n).astype(np.int64))
+        known = self.verdicts[np.searchsorted(self.primes, p)] < NONZERO_DEURING
+        unknown, q = at[~known], p[~known]
+        at, p, e = at[known], p[known], e[known]
+        # a(p^e) once for each distinct (p, e), keyed p * 64 + e (e < 64 for n < 2^63)
+        key = p << 6 | e
+        distinct = np.sort(key)
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[first]
+        values = [self._prime_power(k >> 6, k & 63) for k in distinct.tolist()]
+        which = np.searchsorted(distinct, key)
+        zero = np.bincount(at[np.array([v == 0 for v in values], dtype=bool)[which]],
+                           minlength=len(n)) > 0
+        refused = outside | ~zero & (np.bincount(unknown, minlength=len(n)) > 0)
+        if refused.any():
+            i = int(refused.argmax())
+            if not 1 <= n[i] <= self.bound:
+                raise ValueError("n must be >= 1" if n[i] < 1 else
+                                 f"n = {n[i]} exceeds the prime-table bound {self.bound}")
+            raise ValueError(f"a({n[i]}) needs a({q[unknown == i].max()}), "
+                             "which the table certifies nonzero only")
+        out = (~zero).astype(np.int64).tolist()
+        live = ~zero[at]
+        for i, j in zip(at[live].tolist(), which[live].tolist()):
+            out[i] *= values[j]
+        return out
+
+    def _prime_power(self, p: int, e: int) -> int:
+        """a(p^e) at a prime with a known a(p): the table's, or 0 where it is proven zero."""
+        a_p = self.table.get(p, 0)
+        return a_p if e == 1 else coeff_prime_power(a_p, p, e, self.weight, not self.level % p)
+
+    def _factors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(at, p, e): one entry for each p^e || ns[at], by the smallest prime factors."""
+        top = int(ns.max(initial=1))
+        if len(self._spf) <= top:
+            self._spf = smallest_prime_factors(
+                min(self.bound, max(top, 2 * len(self._spf))), self.primes)
+        live = ns > 1
+        at, rest = np.flatnonzero(live), ns[live]
+        ats, ps, es = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+        while len(rest):  # each round takes every remaining n's smallest prime p, with its e
+            p = self._spf[rest].astype(np.int64)
+            rest //= p
+            e, more = np.ones_like(p), np.flatnonzero(rest % p == 0)
+            while len(more):
+                rest[more] //= p[more]
+                e[more] += 1
+                more = more[rest[more] % p[more] == 0]
+            ats.append(at), ps.append(p), es.append(e)
+            live = rest > 1
+            at, rest = at[live], rest[live]
+        return np.concatenate(ats), np.concatenate(ps), np.concatenate(es)
 
 
 # The benchmark's tracing wraps hecke.CoefficientOracle.coeff, so the name
@@ -126,12 +178,6 @@ def qexp_from_primes(pe: PrimeEigenvalues, bound: int) -> QSeries:
         raise ValueError("bound must be >= 1")
     if bound > pe.bound:
         raise ValueError(f"bound {bound} exceeds prime coverage {pe.bound}")
-    if pe.nonzero:
+    if (pe.verdicts >= NONZERO_DEURING).any():
         raise ValueError("the prime table certifies some a(p) nonzero without their values")
-    table, k, level = pe.table, pe.weight, pe.level
-
-    def prime_power(p: int, e: int) -> int:
-        # a(p) is the table's own; only a higher power runs the recurrence
-        return table[p] if e == 1 else coeff_prime_power(table[p], p, e, k, not level % p)
-
-    return QSeries(tuple(multiplicative(bound, prime_power, pe.primes)))
+    return QSeries(tuple(multiplicative(bound, pe._prime_power, pe.primes)))

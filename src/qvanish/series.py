@@ -23,6 +23,7 @@ resize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,8 +37,12 @@ from .arith import is_prime
 LANE_PRIMES = (998244353, 1004535809, 2147483647)
 
 
+@lru_cache(maxsize=64)
 def is_lane_modulus(m: int) -> bool:
-    """The one rule for a residue modulus, of a lane or of coeffs --mod: an odd prime < 2^31."""
+    """The one rule for a residue modulus, of a lane or of coeffs --mod: an odd prime < 2^31.
+
+    Every ResidueSeries asks it, of the same few moduli, so the recent answers are kept.
+    """
     return m % 2 == 1 and m < 2**31 and is_prime(m)
 
 

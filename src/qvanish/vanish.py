@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .arith import is_prime, multiples
+from .hecke import EXACT, NONZERO_DEURING
 from .series import LANE_PRIMES, QSeries, ResidueSeries, reduce_mod
 
 if TYPE_CHECKING:
@@ -251,38 +252,42 @@ def prime_sieve(pe: PrimeEigenvalues, *, coprime_to: int | None = None) -> ScanR
 
     a(n) is the product of a(p^e) over p^e || n, and classify gives every e
     with a(p^e) = 0, so a(n) = 0 exactly when one p^e || n has such an e.
-    Only a prime with an exact a_p in pe.table can have one: pe.nonzero
-    holds good primes p >= 5 with a_p != 0, where no a(p^e) vanishes.  One
-    boolean per index marks the zeros: a strided pass for each such p^e with
-    p^2 <= bound, and one scatter for the primes above, where e = 1 and
-    a(p) = a_p, so their zeros are read from the table with no classify.
-    There are no lanes, so every nonzero counts as "exact", certified by the
-    table's values and its nonzero certificates.  The zeros the report keeps
-    are read again through pe.coeff, the product over n's factorization, and
-    one that is not 0 raises GuaranteeViolationError.  level and coprime_to
-    are as in first_vanishing, with pe.level as the level.
+    Only a prime with a known a_p can have one: an EXACT one, with its value
+    in pe.table, or one proven a_p = 0; a prime proven nonzero is a good
+    prime p >= 5 with a_p != 0, where no a(p^e) vanishes.  One boolean per
+    index marks the zeros: a strided pass for each such p^e with p^2 <=
+    bound, and one scatter for the primes above, where e = 1 and a(p) =
+    a_p, so their zeros are read from the verdicts and the table with no
+    classify.  There are no lanes, so every nonzero counts as "exact",
+    certified by the table's values and verdicts.  The zeros the report
+    keeps are read again in one pe.coeff call, the product over each one's
+    factorization, and one that is not 0 raises GuaranteeViolationError.
+    level and coprime_to are as in first_vanishing, with pe.level as the
+    level.
     """
-    bound, k, root = pe.bound, pe.weight, isqrt(pe.bound)
+    bound, k = pe.bound, pe.weight
+    root = int(np.searchsorted(pe.primes, isqrt(bound), side="right"))
+    known = pe.verdicts < NONZERO_DEURING  # EXACT, or a proven zero with no table entry
     zero = np.zeros(bound + 1, dtype=bool)
-    for p, a_p in pe.table.items():
-        if p > root:
-            continue
+    for p in pe.primes[:root][known[:root]].tolist():
         top = 1
         while p ** (top + 1) <= bound:
             top += 1
-        for e in zeros_up_to(classify(a_p, p, k, not pe.level % p), top):
+        for e in zeros_up_to(classify(pe.table.get(p, 0), p, k, not pe.level % p), top):
             q = p**e
             hit = np.ones(bound // q, dtype=bool)
             hit[p - 1 :: p] = False  # q*m with p | m has p^(e+1) | q*m
             zero[q::q] |= hit
-    large = [p for p, a_p in pe.table.items() if p > root and a_p == 0]
-    zero[multiples(np.array(large, dtype=np.int64), bound)] = True
-    report = _report(bound, np.flatnonzero(zero), 0, (), coprime_to, pe.level)
-    for n in report.zeros:
-        value = pe.coeff(n)
-        if value != 0:
-            raise GuaranteeViolationError(f"the sieve marks a({n}) zero; its factors give {value}")
-    return report
+    large, exact = pe.primes[root:], pe.verdicts[root:] == EXACT
+    zero_p = known[root:] & ~exact
+    zero_p[exact] = [pe.table[p] == 0 for p in large[exact].tolist()]
+    zero[multiples(large[zero_p], bound)] = True
+    zeros = np.flatnonzero(zero)
+    kept = zeros[:ZEROS_CAP]
+    wrong = next(((n, v) for n, v in zip(kept.tolist(), pe.coeff(kept)) if v != 0), None)
+    if wrong:
+        raise GuaranteeViolationError("the sieve marks a({}) zero; its factors give {}".format(*wrong))
+    return _report(bound, zeros, 0, (), coprime_to, pe.level)
 
 
 def _report(bound, zeros, residue, moduli, coprime_to, level) -> ScanReport:

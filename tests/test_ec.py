@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qvanish
 from qvanish import ec, vanish
-from qvanish.arith import factorize, sieve_primes, smallest_prime_factors
+from qvanish.arith import factorize, sieve_primes
 from qvanish.ec import (
     FIXTURES,
     WeierstrassCurve,
@@ -25,7 +25,9 @@ from qvanish.ec import (
 )
 from qvanish.cli import main
 from qvanish.forms import eta_quotient
-from qvanish.hecke import qexp_from_primes
+from qvanish.hecke import (
+    EXACT, NONZERO_DEURING, NONZERO_P1, NONZERO_P2, ZERO_DEURING, ZERO_ORDERS, qexp_from_primes,
+)
 from qvanish.vanish import prime_sieve
 
 from .oracles import (
@@ -226,7 +228,8 @@ class TestBadPrimes:
             bad = [p for p, _ in factorize(curve.level) if p >= 5]
             got = table(curve, 2000).table
             assert {p: got[p] for p in bad} == {p: p - count_affine_points(*a, p) for p in bad}
-        assert summed
+        # a scan counts 2 and 3 and decides every good prime from 5 on by theorem here
+        assert bool(summed) == (table is prime_table)
         assert [(c.label, p) for c, p in summed if p >= 5 and c.level % p == 0] == []
 
 
@@ -273,6 +276,23 @@ class TestPrimeTable:
 
 def good_primes(curve, lo, hi):
     return [p for p in sieve_primes(hi) if p >= lo and curve.discriminant % p]
+
+
+def by_verdict(scan):
+    """{verdict code: [the primes of a scan table with that verdict]}."""
+    out = {}
+    for p, v in zip(scan.primes.tolist(), scan.verdicts.tolist()):
+        out.setdefault(v, []).append(p)
+    return out
+
+
+def proven(scan, *codes):
+    """The primes of a scan table whose verdict is one of codes."""
+    return [p for v in codes for p in by_verdict(scan).get(v, [])]
+
+
+PROVEN_ZERO = (ZERO_DEURING, ZERO_ORDERS)
+PROVEN_NONZERO = (NONZERO_DEURING, NONZERO_P1, NONZERO_P2)
 
 
 class TestBSGS:
@@ -537,10 +557,9 @@ class TestBSGS:
         monkeypatch.setattr(ec, "_char_sums", counted)
         for c in CURVES:
             assert prime_table(c, bound).table == tables[c.label]
-        # Every odd prime went by the character sum, but the bad ones from 5 on.
+        # Every good prime from 5 on went by the character sum; 2 and 3 are counted.
         assert sorted(calls) == sorted(
-            p for c in CURVES for p in sieve_primes(bound)
-            if p > 2 and (p == 3 or c.discriminant % p)
+            p for c in CURVES for p in sieve_primes(bound) if p > 3 and c.discriminant % p
         )
 
     def test_hasse_guard_above_crossover(self, monkeypatch):
@@ -580,11 +599,14 @@ class TestLadder:
         exact = prime_table(curve, 2000).table
         scan = ec.scan_table(curve, 2000)
         good = good_primes(curve, 5, 2000)
-        assert scan.nonzero <= set(good)
-        assert [p for p in scan.nonzero if exact[p] == 0] == []
-        assert [p for p in good if exact[p] == 0 and p not in scan.table] == []
-        assert scan.table == {p: exact[p] for p in scan.table}
-        assert set(scan.table) | scan.nonzero == set(exact)
+        zero, nonzero = proven(scan, *PROVEN_ZERO), proven(scan, *PROVEN_NONZERO)
+        assert set(zero) | set(nonzero) <= set(good)
+        assert [p for p in nonzero if exact[p] == 0] == []
+        assert [p for p in zero if exact[p] != 0] == []
+        # every other prime is EXACT, with its value in the table and no other entry there
+        assert scan.primes.tolist() == sorted(exact)
+        assert scan.table == {p: exact[p] for p in proven(scan, EXACT)}
+        assert set(by_verdict(scan)) <= {EXACT, *PROVEN_ZERO, *PROVEN_NONZERO}
 
     @pytest.mark.parametrize("curve", [C37, C_ADD], ids=["37a1", "25x"])
     def test_largest_primes_below_2_31(self, curve):
@@ -593,7 +615,7 @@ class TestLadder:
         # at n = p + 1 and at the order lanes' n = (p + 1)/q^i, for P1 and
         # for P2 (the model scaled by u = 2), all in one call; the verdicts
         # agree with ap_good (y^2 = x^3 + 25x has a_p = 0 at p = 3 mod 4)
-        primes = [2147483647, 2147483629, 2147483587, 2147483579, 2147483549]
+        primes = [2147483549, 2147483579, 2147483587, 2147483629, 2147483647]
         lanes = [(q, (q + 1) // d, u) for q in primes for u in (1, 2)
                  for d in [1] + [r**i for r, e in factorize(q + 1) for i in range(1, e + 1)]]
         c4, c6 = curve.c_invariants
@@ -611,8 +633,9 @@ class TestLadder:
         assert len(lanes) > 10 * len(primes)
         aps = {q: ap_good(curve, q) for q in primes}
         assert 0 in aps.values() or curve is C37
-        assert ec._open_primes(curve, primes) == (
-            [q for q in primes if aps[q]], [q for q in primes if aps[q] == 0]
+        nonzero, opened = ec._open_primes(curve, np.array(primes))
+        assert (nonzero.tolist(), opened.tolist()) == (
+            [aps[q] != 0 for q in primes], [aps[q] == 0 for q in primes]
         )
 
     def test_open_primes_with_nonzero_a_p_land_in_nonzero(self, monkeypatch):
@@ -623,8 +646,9 @@ class TestLadder:
         pt = prime_table(C37, 14000)
         exact = pt.table
         good = good_primes(C37, 5, 14000)
-        nonzero, opened = ec._open_primes(C37, good)
-        assert sorted(nonzero + opened) == good
+        nonzero, opened = ec._open_primes(C37, np.array(good))
+        assert (nonzero ^ opened).all()
+        opened = np.array(good)[opened].tolist()
         assert [(p, exact[p]) for p in opened if exact[p]] == [
             (101, 3), (1283, -36), (1301, 30), (10369, 38)
         ]
@@ -634,9 +658,12 @@ class TestLadder:
         monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
         scan = ec.scan_table(C37, 14000)
         assert sent == [2, 3, 37]
-        assert {101, 1283, 1301, 10369} <= scan.nonzero
-        assert scan.table == {p: exact[p] for p in scan.table}
-        assert sorted(scan.table) == sorted([2, 3, 37] + [p for p in opened if not exact[p]])
+        verdicts = by_verdict(scan)
+        assert {101, 1283, 1301, 10369} <= set(verdicts[NONZERO_P2])
+        assert sorted(verdicts[NONZERO_P2] + verdicts[ZERO_ORDERS]) == opened
+        assert verdicts[ZERO_ORDERS] == [p for p in opened if not exact[p]]
+        assert verdicts[NONZERO_P1] == sorted(set(good) - set(opened))
+        assert scan.table == {p: exact[p] for p in [2, 3, 37]}
         monkeypatch.setattr(vanish, "ZEROS_CAP", 14000)  # the whole list is compared
         report = prime_sieve(scan)
         assert report == prime_sieve(pt)
@@ -670,11 +697,13 @@ class TestSettle:
         except ValueError:
             assume(False)
         assume(curve.cm_discriminant is None)
-        sieve = sieve_primes(20000)
-        _, opened = ec._open_primes(curve, good_primes(curve, 5, 20000))
-        zero, nonzero = ec._settle(curve, opened, sieve)
-        assert set(zero).isdisjoint(nonzero) and set(zero) | set(nonzero) <= set(opened)
-        exact = ec._aps(curve, opened)
+        sieve = np.array(sieve_primes(20000))
+        good = np.array(good_primes(curve, 5, 20000))
+        opened = good[ec._open_primes(curve, good)[1]]
+        verdicts = ec._settle(curve, opened, sieve)
+        assert set(verdicts.tolist()) <= {EXACT, ZERO_ORDERS, NONZERO_P2}
+        zero, nonzero = (opened[verdicts == v].tolist() for v in (ZERO_ORDERS, NONZERO_P2))
+        exact = ec._aps(curve, opened.tolist())
         assert [p for p in zero if exact[p] != 0] == []
         assert [p for p in nonzero if exact[p] == 0] == []
 
@@ -697,8 +726,7 @@ class TestSettle:
                 lanes.append((a, b))
                 want.append((order(a, b), second if (p + 1) % second == 0 else 0))
         a, b = (np.array(c, dtype=np.int64) for c in zip(*lanes))
-        spf = smallest_prime_factors((p + 1) // 2, sieve_primes(p))
-        orders = ec._orders(a, b, np.full_like(a, p), spf)
+        orders = ec._orders(a, b, np.full_like(a, p), np.array(sieve_primes(p)))
         assert list(zip(*orders.tolist())) == want
         # both points of order at least 2, and P2 sometimes not dividing p + 1
         assert min(min(w) for w in want) == 0 < min(w[0] for w in want)
@@ -714,17 +742,18 @@ class TestSettle:
         monkeypatch.setattr(ec, "_lane_aps", None)
         scan = ec.scan_table(curve, 14000)
         assert sent == [2, 3, curve.level]
-        assert scan.table == {p: exact[p] for p in scan.table}
-        assert [p for p in scan.nonzero if exact[p] == 0] == []
+        assert scan.table == {p: exact[p] for p in proven(scan, EXACT)}
+        assert [p for p in proven(scan, *PROVEN_NONZERO) if exact[p] == 0] == []
+        assert [p for p in proven(scan, *PROVEN_ZERO) if exact[p] != 0] == []
 
     @pytest.mark.parametrize("stage", ["ladder", "orders"])
     def test_a_lane_at_0_0_sends_its_prime_to_the_router(self, stage, monkeypatch):
         # (0 : 0) never comes from x(P) = 1 on a nonsingular model, so it is
         # forced: on 37a1's lane at p + 1 for a prime the ladder proves
         # nonzero, or on one order lane of a prime the orders prove zero
-        good = good_primes(C37, 5, 14000)
+        good = np.array(good_primes(C37, 5, 14000))
         nonzero, opened = ec._open_primes(C37, good)
-        target = nonzero[10] if stage == "ladder" else opened[-1]
+        target = good[nonzero][10] if stage == "ladder" else good[opened][-1]
         ladder = ec._ladder
 
         def forced(a, b, p, n):
@@ -739,10 +768,10 @@ class TestSettle:
         monkeypatch.setattr(ec, "_ladder", forced)
         monkeypatch.setattr(ec, "_aps", lambda c, primes: sent.extend(primes) or aps(c, primes))
         if stage == "ladder":
-            assert target not in sum(ec._open_primes(C37, good), [])
+            assert not any(mask[good == target] for mask in ec._open_primes(C37, good))
         scan = ec.scan_table(C37, 14000)
         assert sent == [2, 3, 37, target]
-        assert target not in scan.nonzero
+        assert target in proven(scan, EXACT)
         assert scan.table[target] == prime_table(C37, 14000).table[target]
 
 
@@ -764,9 +793,12 @@ class TestDeuring:
             assert curve.cm_discriminant == d
             # the criterion holds for each table entry at its good primes to 1000
             primes = good_primes(curve, 5, 1000)
-            zero, nonzero = ec._deuring(curve, primes)
+            verdicts = ec._deuring(curve, np.array(primes)).tolist()
+            zero = [p for p, v in zip(primes, verdicts) if v == ZERO_DEURING]
+            nonzero = [p for p, v in zip(primes, verdicts) if v == NONZERO_DEURING]
             exact = ec._aps(curve, primes)
             assert sorted(zero + nonzero) == [p for p in primes if d % p]
+            assert [p for p, v in zip(primes, verdicts) if v == EXACT] == [p for p in primes if d % p == 0]
             assert [p for p in zero if exact[p]] == [p for p in nonzero if not exact[p]] == []
         assert [c.cm_discriminant for c in CURVES] == [None, None, None, -3, -4]
 
@@ -777,9 +809,11 @@ class TestDeuring:
         for j, d in ec.CM_J_INVARIANTS.items():
             curve = self.curve_with_j(j) if j not in (0, 1728) else C27 if j == 0 else C_ADD
             assert curve.cm_discriminant == d
-            zero, nonzero = ec._deuring(curve, primes)
-            assert zero == [p for p in primes if d % p and pow(d, (p - 1) // 2, p) == p - 1], d
-            assert nonzero == [p for p in primes if d % p and pow(d, (p - 1) // 2, p) == 1], d
+            verdicts = ec._deuring(curve, np.array(primes)).tolist()
+            want = [EXACT if d % p == 0 else ZERO_DEURING if pow(d, (p - 1) // 2, p) == p - 1
+                    else NONZERO_DEURING for p in primes]
+            assert verdicts == want, d
+            assert {ZERO_DEURING, NONZERO_DEURING} <= set(want), d
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(d=st.integers(-10**6, 10**6).filter(bool), form=st.sampled_from(["x^3+d", "x^3+dx"]))
@@ -787,11 +821,11 @@ class TestDeuring:
         curve = WeierstrassCurve(0, 0, 0, d if form == "x^3+dx" else 0, d if form == "x^3+d" else 0)
         assert curve.cm_discriminant == (-3 if form == "x^3+d" else -4)
         primes = good_primes(curve, 5, 2000)
-        zero, nonzero = ec._deuring(curve, primes)
-        assert sorted(zero + nonzero) == primes
+        verdicts = ec._deuring(curve, np.array(primes)).tolist()
+        assert set(verdicts) <= {ZERO_DEURING, NONZERO_DEURING}
         # ap_good(curve, p) is _aps(curve, [p])[p]; one call takes them all
         exact = ec._aps(curve, primes)
-        assert sorted(zero) == [p for p in primes if exact[p] == 0]
+        assert verdicts == [ZERO_DEURING if exact[p] == 0 else NONZERO_DEURING for p in primes]
 
     @pytest.mark.parametrize("curve", [C27, C_ADD], ids=["27a1", "25x"])
     def test_cm_scan_runs_no_ladder(self, curve, monkeypatch):
@@ -804,8 +838,11 @@ class TestDeuring:
         scan = ec.scan_table(curve, 20000)
         # 2, 3 (which divide D) and the bad prime 5 of y^2 = x^3 + 25x
         assert sent == [2, 3] + ([5] if curve is C_ADD else [])
-        assert scan.table == {p: a for p, a in exact.table.items() if p not in scan.nonzero}
-        assert all(exact.table[p] for p in scan.nonzero)
+        assert scan.table == {p: exact.table[p] for p in sent}
+        verdicts = by_verdict(scan)
+        assert sorted(verdicts) == [EXACT, ZERO_DEURING, NONZERO_DEURING]
+        assert [p for p in verdicts[ZERO_DEURING] if exact.table[p]] == []
+        assert all(exact.table[p] for p in verdicts[NONZERO_DEURING])
         monkeypatch.setattr(vanish, "ZEROS_CAP", 20000)  # the whole list is compared
         report = prime_sieve(scan)
         assert report == prime_sieve(exact) and report.zeros_omitted == 0
@@ -858,10 +895,10 @@ class TestRoute:
         bad = [p for p in primes if curve.discriminant % p == 0]
         ((sent, found),) = lane_calls
         assert sent == [p for p in primes if p > ec.BSGS_CROSSOVER and p not in bad]
-        # one call for every prime the lanes leave, but the bad primes from 5 on
+        # one call for every prime from 5 on that the lanes leave, but the bad ones
         assert summed == [[
             p for p in primes
-            if p > 2 and (p <= ec.BSGS_CROSSOVER or p not in found) and (p == 3 or p not in bad)
+            if p > 3 and (p <= ec.BSGS_CROSSOVER or p not in found) and p not in bad
         ]]
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
@@ -965,11 +1002,14 @@ class TestResultChecks:
         with pytest.raises(ValueError, match="Hasse bound violated at p=5"):
             ap_good(C37, 5)
 
-    def test_bad_prime_value_out_of_range_raises(self, monkeypatch):
-        # a bad prime from 5 on takes its reduction type, so 3 is the one a sum counts
-        monkeypatch.setattr(ec, "_char_sums", lambda curve, primes: [-2 for p in primes])
-        with pytest.raises(ValueError, match="outside"):
-            ap_bad(C27, 3)
+    def test_bad_prime_value_out_of_range_raises(self):
+        # 2 and 3 are counted and a bad prime from 5 on takes its reduction
+        # type, so only a wrong discriminant gets past them: 37a1, which has
+        # a_3 = -3, told that 3 divides its discriminant
+        curve = WeierstrassCurve(0, 0, 1, -1, 0)
+        curve.__dict__["discriminant"] = 3 * 37
+        with pytest.raises(ValueError, match="bad-prime a_p=-3 outside"):
+            ap_bad(curve, 3)
 
     def test_hasse_check_survives_python_O(self):
         script = (

@@ -435,7 +435,8 @@ class TestDeligneLift:
     @staticmethod
     def lanes_read(monkeypatch, level, bound):
         """a(1..bound) lifted through a lane source to bound, and the moduli
-        each index read; building anything else fails."""
+        each index read; building anything else fails.  The source keeps its
+        lifts, so only the first index of each lift prefix reads lanes."""
         lanes = {m: eta_product(level, bound, m) for m in LANE_PRIMES}
         monkeypatch.setattr(forms, "eta_product", None)
         read: list[int] = []
@@ -458,14 +459,28 @@ class TestDeligneLift:
         exact = eta_quotient(2, bound)
         got, reads = self.lanes_read(monkeypatch, 2, bound)
         assert got == list(exact.coeffs[1:])
-        assert reads == [LANE_PRIMES[:1]] * 125 + [LANE_PRIMES[:2]] * 175
+        assert reads == [LANE_PRIMES[:1]] + [()] * 124 + [LANE_PRIMES[:2]] + [()] * 174
 
     def test_delta_reads_a_second_lane_beyond_n_25(self, monkeypatch):
         # one lane covers tau only for n <= 25: 16 n^12 < M^2 stops there
         exact = delta_eta(40)
         got, reads = self.lanes_read(monkeypatch, 1, 40)
         assert got == list(exact.coeffs[1:])
-        assert reads == [LANE_PRIMES[:1]] * 25 + [LANE_PRIMES[:2]] * 15
+        assert reads == [LANE_PRIMES[:1]] + [()] * 24 + [LANE_PRIMES[:2]] + [()] * 14
+
+    def test_kept_lift_serves_only_its_source_and_its_lanes(self):
+        # a source's kept lift is read to its lanes' bound and no further, and
+        # another source of the same level keeps its own
+        p = LANE_PRIMES[0]
+        lanes = {p: eta_quotient_mod(11, 100, p)}
+        first = lambda m: lanes[m]  # noqa: E731
+        assert eta_quotient_coefficient(11, 50, first) == eta_quotient(11, 50)[50]
+        assert eta_quotient_coefficient(11, 100, first) == eta_quotient(11, 100)[100]
+        with pytest.raises(ValueError, match=rf"mod \[{p}\] do not cover n = 101"):
+            eta_quotient_coefficient(11, 101, first)
+        short = {p: eta_quotient_mod(11, 60, p)}
+        with pytest.raises(ValueError, match=rf"mod \[{p}\] do not cover n = 100"):
+            eta_quotient_coefficient(11, 100, lambda m: short[m])
 
     def test_short_lane_refused(self):
         p, q = LANE_PRIMES[:2]

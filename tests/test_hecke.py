@@ -1,16 +1,26 @@
+import math
 import random
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvanish.ec import FIXTURES, prime_table
 from qvanish.forms import delta_eta
 from qvanish.hecke import (
+    EXACT,
+    NONZERO_DEURING,
+    NONZERO_P1,
+    NONZERO_P2,
+    ZERO_DEURING,
+    ZERO_ORDERS,
     PrimeEigenvalues,
     coeff_prime_power,
     qexp_from_primes,
 )
-from qvanish.arith import sieve_primes
+from qvanish.arith import factorize, sieve_primes
 
 from .oracles import multiplicative_by_trial_division, prime_power_coeffs
 from .test_ec import CURVE_IDS, CURVES
@@ -134,19 +144,24 @@ class TestOracle:
             PrimeEigenvalues(weight=2, level=37, table={2: -2}, bound=10)
         with pytest.raises(ValueError, match="missing primes <= bound: \\[7\\]"):
             PrimeEigenvalues(weight=2, level=37, table={2: -2, 3: -3}, bound=10,
-                             nonzero=frozenset({5}))
+                             verdicts=np.array([EXACT, EXACT, NONZERO_P1, EXACT]))
+        with pytest.raises(ValueError, match="one verdict per prime"):
+            PrimeEigenvalues(weight=2, level=37, table={2: -2, 3: -3}, bound=10,
+                             verdicts=np.array([EXACT, EXACT, NONZERO_P1]))
 
     def test_certified_primes_give_zeros_and_refuse_products(self):
-        # 37a1 with a(5) and a(7) only certified nonzero: a(8) = 0 needs neither
+        # 37a1 with a(p) only certified nonzero from 5 on: a(8) = 0 needs none of them
+        verdicts = np.array([EXACT, EXACT] + [NONZERO_P1] * 15)
         pe = PrimeEigenvalues(weight=2, level=37, table={2: -2, 3: -3}, bound=60,
-                              nonzero=frozenset({5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                                                 47, 53, 59}))
-        assert [pe.coeff(n) for n in (1, 2, 3, 4, 6, 8, 9, 24, 40, 56)] == [
-            1, -2, -3, 2, 6, 0, 6, 0, 0, 0
-        ]
+                              verdicts=verdicts)
+        ns = (1, 2, 3, 4, 6, 8, 9, 24, 40, 56)
+        assert [pe.coeff(n) for n in ns] == [1, -2, -3, 2, 6, 0, 6, 0, 0, 0]
+        assert pe.coeff(np.array(ns)) == [1, -2, -3, 2, 6, 0, 6, 0, 0, 0]
         for n in (5, 10, 35, 59):
-            with pytest.raises(ValueError, match="certifies nonzero only"):
+            with pytest.raises(ValueError, match=f"a\\({n}\\) needs .* certifies nonzero only"):
                 pe.coeff(n)
+            with pytest.raises(ValueError, match=f"a\\({n}\\) needs .* certifies nonzero only"):
+                pe.coeff(np.array([8, n, 24]))
         with pytest.raises(ValueError, match="without their values"):
             qexp_from_primes(pe, 10)
 
@@ -159,6 +174,62 @@ class TestOracle:
         pe = prime_table(FIXTURES["37a1"], 5000)
         pe.coeff(4999)
         assert "series" not in vars(pe)
+
+
+@st.composite
+def verdict_tables(draw):
+    """A random weight-2 or weight-12 table with its verdicts: exact a(p), zero at good and
+    bad primes among them, and a(p) proven zero or nonzero without a value at good p >= 5."""
+    k = draw(st.sampled_from([2, 12]))
+    bound = draw(st.integers(1, 700))
+    primes = sieve_primes(bound)
+    level = math.prod(draw(st.lists(st.sampled_from(primes or [1]), max_size=2, unique=True)))
+    table, verdicts = {}, []
+    for p in primes:
+        proven = [ZERO_DEURING, ZERO_ORDERS, NONZERO_DEURING, NONZERO_P1, NONZERO_P2]
+        verdict = draw(st.sampled_from([EXACT] + (proven if p >= 5 and level % p else [])))
+        if verdict == EXACT:
+            options = [0, 1, -1, p ** (k // 2), -(p ** (k // 2))]
+            table[p] = draw(st.sampled_from(options) | st.integers(-(p**k), p**k))
+        verdicts.append(verdict)
+    return PrimeEigenvalues(weight=k, level=level, table=table, bound=bound,
+                            verdicts=np.array(verdicts, dtype=np.int8))
+
+
+class TestBatchedCoeff:
+    @staticmethod
+    def one_by_one(pe, ns):
+        """[pe.coeff(n) for n in ns], or the ValueError the first refused n raises."""
+        try:
+            return [pe.coeff(n) for n in ns]
+        except ValueError as exc:
+            return str(exc)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pe=verdict_tables(), data=st.data())
+    def test_array_equals_one_call_per_index(self, pe, data):
+        # indices in any order, repeated, and their prime powers, as an int64 array
+        index = st.integers(1, pe.bound) | st.sampled_from(
+            [p**e for p in pe.primes.tolist() for e in range(1, 10) if p**e <= pe.bound] or [1])
+        ns = data.draw(st.lists(index, max_size=60))
+        if data.draw(st.booleans()):  # one index out of range
+            ns.insert(data.draw(st.integers(0, len(ns))), data.draw(st.sampled_from(
+                [0, -3, pe.bound + 1, 2**40])))
+        want = self.one_by_one(pe, ns)
+        try:
+            got = pe.coeff(np.array(ns, dtype=np.int64))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        # a factor proven nonzero has no value: it is read as 0, and only where another is 0
+        assert isinstance(want, str) or want == [math.prod(
+            prime_power_coeffs(pe.table.get(p, 0), p, pe.weight, e, bad=pe.level % p == 0)[e]
+            for p, e in factorize(n)) for n in ns]
+
+    def test_exact_values_equal_the_series_in_one_call(self):
+        pe = delta_primes(3000)
+        assert pe.coeff(np.arange(1, 3001)) == list(delta_eta(3000).coeffs[1:])
+        assert pe.coeff(np.zeros(0, dtype=np.int64)) == []
 
 
 class TestQexpFromPrimes:

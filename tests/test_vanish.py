@@ -1,6 +1,7 @@
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -536,16 +537,20 @@ class TestPrimeSieve:
         read = []
         coeff = hecke.PrimeEigenvalues.coeff
         monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
-                            lambda self, n: read.append(n) or coeff(self, n))
+                            lambda self, n: read.append((n.dtype, n.tolist())) or coeff(self, n))
         report = prime_sieve(pe)
-        assert read == report.zeros and report.zeros[-1] == last and report.zeros_omitted > 0
+        # one batched call, on the int64 array of exactly the printed zeros
+        assert read == [(np.dtype(np.int64), report.zeros)]
+        assert report.zeros[-1] == last and report.zeros_omitted > 0
+
+        def wrong_at(m):
+            return lambda self, n: [v or int(x == m) for x, v in zip(n.tolist(), coeff(self, n))]
+
         # a wrong value at the last printed zero raises; the first zero past the cap is not read
-        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
-                            lambda self, n: coeff(self, n) or (n == last))
-        with pytest.raises(GuaranteeViolationError, match=f"a\\({last}\\)"):
+        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff", wrong_at(last))
+        with pytest.raises(GuaranteeViolationError, match=f"a\\({last}\\) zero; its factors give 1"):
             prime_sieve(pe)
-        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff",
-                            lambda self, n: coeff(self, n) or (n == past))
+        monkeypatch.setattr(hecke.PrimeEigenvalues, "coeff", wrong_at(past))
         assert prime_sieve(pe) == report
 
     @pytest.mark.parametrize("cap", [1, 2])

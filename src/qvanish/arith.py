@@ -20,30 +20,40 @@ _MR_LIMIT = 3317044064679887385961981
 TRIAL_DIVISION_LIMIT = 10**6
 
 
-def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, by Eratosthenes on a numpy bool array."""
+def sieve_primes(bound: int) -> np.ndarray:
+    """All primes <= bound, ascending in an int64 array, by Eratosthenes on a numpy bool array."""
     if bound < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).tolist()
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-def smallest_prime_factors(bound: int, primes) -> np.ndarray:
-    """spf[n], the smallest prime factor of n <= bound (spf[1] = 1), from primes.
+def prime_factors(ns: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(at, q, e): one entry for each prime power q^e || ns[at], ns an int64 array of n >= 1.
 
-    primes is a caller's ascending sieve, list or array, which holds every
-    prime up to sqrt(bound): one strided pass per such prime, the largest
-    first, so a smaller prime overwrites the multiples it shares with it.
+    Trial division of every n at once, by one (len(ns), primes) table of
+    remainders over the primes of the caller's ascending sieve up to
+    sqrt(max ns), which it must hold; the cofactor left above 1 is prime.
+    So memory grows with len(ns) times the primes to sqrt(max ns), not with
+    max ns.
     """
-    spf = np.arange(bound + 1, dtype=np.min_scalar_type(bound))
-    primes = np.asarray(primes, dtype=np.int64)
-    for p in reversed(primes[: np.searchsorted(primes, isqrt(bound), side="right")].tolist()):
-        spf[p * p :: p] = p
-    return spf
+    small = primes[: np.searchsorted(primes, isqrt(int(ns.max(initial=1))), side="right")]
+    at, q = np.nonzero(ns[:, None] % small == 0)
+    q = small[q]
+    e, rest, more = np.zeros_like(q), ns[at], np.arange(len(q))
+    while len(more):  # the exponent of each q, one division at a time
+        rest[more] //= q[more]
+        e[more] += 1
+        more = more[rest[more] % q[more] == 0]
+    cofactor = ns.copy()
+    np.floor_divide.at(cofactor, at, q**e)
+    big = np.flatnonzero(cofactor > 1)
+    return (np.concatenate([at, big]), np.concatenate([q, cofactor[big]]),
+            np.concatenate([e, np.ones_like(big)]))
 
 
 def multiples(primes: np.ndarray, bound: int) -> np.ndarray:

@@ -326,7 +326,7 @@ def _eigenform_series(rf: ResolvedForm, bound: int) -> QSeries:
     if rf.newform:
         return qs
     k, level = rf.spec.weight, rf.spec.level
-    primes = {p: qs[p] for p in sieve_primes(bound)}
+    primes = {p: qs[p] for p in sieve_primes(bound).tolist()}
     # At a good p, a(p^2) = a(p)^2 - p^(k-1) has at least m = (k-1)(bits(p)-1) bits; once
     # m >= size it equals no a(n) here, so p^(k-1) is not built and only n < p^2 are compared.
     size = 2 * max(map(abs, qs.coeffs)).bit_length() + 2

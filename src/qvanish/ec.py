@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, sieve_primes
+from .arith import factorize, is_prime, prime_factors, sieve_primes
 from .hecke import (
     EXACT, NONZERO_DEURING, NONZERO_P1, NONZERO_P2, ZERO_DEURING, ZERO_ORDERS, PrimeEigenvalues,
 )
@@ -555,31 +555,6 @@ def _open_primes(curve: WeierstrassCurve, primes: np.ndarray) -> tuple[np.ndarra
     return np.concatenate(nonzero), np.concatenate(left)
 
 
-def _order_lanes(p, sieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lane, q, d): one entry for each prime power d = q^i dividing p[lane] + 1.
-
-    Trial division of every p + 1 at once, by one (lanes, primes) table of
-    remainders over the primes of sieve up to sqrt(max p + 1); the cofactor
-    left above 1 is prime.
-    """
-    n = p + 1
-    small = sieve[: np.searchsorted(sieve, isqrt(int(n.max(initial=1))), side="right")]
-    lane, q = np.nonzero(n[:, None] % small == 0)
-    q = small[q]
-    e, rest, more = np.zeros_like(q), n[lane], np.arange(len(q))
-    while len(more):  # the exponent of each q, one division at a time
-        rest[more] //= q[more]
-        e[more] += 1
-        more = more[rest[more] % q[more] == 0]
-    cofactor = n.copy()
-    np.floor_divide.at(cofactor, lane, q**e)
-    big = np.flatnonzero(cofactor > 1)
-    i = np.arange(int(e.sum())) - np.repeat(np.cumsum(e) - e, e) + 1  # the power of each entry
-    q = np.repeat(q, e)
-    return (np.concatenate([np.repeat(lane, e), big]), np.concatenate([q, cofactor[big]]),
-            np.concatenate([q**i, cofactor[big]]))
-
-
 def _orders(a, b, p, sieve):
     """ord(P1) and ord(P2) at the lanes where [p + 1]P1 = O, as a (2, lanes) array.
 
@@ -587,13 +562,17 @@ def _orders(a, b, p, sieve):
     model scaled by u = 2, y^2 = x^3 + 16a*x + 64b (x(P2) = 1/4 on this
     one); each lies on E or on its quadratic twist.  One _ladder call takes
     [p + 1]P2 and, for P1 and P2 alike, [(p + 1)/q^i]P for every prime
-    power q^i dividing p + 1 (_order_lanes).  Where [p + 1]P = O, v_q of
-    ord(P) is the number of i with [(p + 1)/q^i]P != O, so ord(P) is the
-    product of q over those lanes.  P2's entry is 0 where [p + 1]P2 != O,
-    and both entries are -1 where one of the prime's lanes is (0 : 0).
-    sieve holds the primes to sqrt(max p + 1) at least.
+    power q^i dividing p + 1, from one batched factoring of every p + 1
+    (arith.prime_factors), its q^e expanded into e lanes.  Where
+    [p + 1]P = O, v_q of ord(P) is the number of i with [(p + 1)/q^i]P !=
+    O, so ord(P) is the product of q over those lanes.  P2's entry is 0
+    where [p + 1]P2 != O, and both entries are -1 where one of the prime's
+    lanes is (0 : 0).  sieve holds the primes to sqrt(max p + 1) at least.
     """
-    lane, q, d = _order_lanes(p, sieve)
+    lane, q, e = prime_factors(p + 1, sieve)
+    i = np.arange(int(e.sum())) - np.repeat(np.cumsum(e) - e, e) + 1  # q^i, 1 <= i <= e
+    lane, q = np.repeat(lane, e), np.repeat(q, e)
+    d = q**i
     k, m = len(p), len(lane)
     A, B = np.stack([a, 16 * a % p]), np.stack([b, 64 * b % p])
     point = np.repeat([1, 0, 1], [k, m, m])  # P2 at p + 1, then P1's and P2's order lanes
@@ -610,6 +589,9 @@ def _orders(a, b, p, sieve):
 
 def _settle(curve: WeierstrassCurve, primes: np.ndarray, sieve: np.ndarray) -> np.ndarray:
     """The verdicts at the primes _open_primes leaves open; sieve holds the primes to bound.
+
+    _orders factors every p + 1 by trial division over the primes of sieve
+    to sqrt(max p + 1), so nothing here is sized by the bound.
 
     At such a prime [p + 1]P1 = O.  If [p + 1]P2 != O too, a_p != 0
     (NONZERO_P2).  Otherwise each point's order divides p + 1 and the number
@@ -761,7 +743,7 @@ def _table(curve: WeierstrassCurve, bound: int, scan: bool) -> PrimeEigenvalues:
     if not 1 <= bound < 2**31:
         raise ValueError("bound must be >= 1 and below 2^31")
     level = curve.level
-    primes = np.array(sieve_primes(bound), dtype=np.int64)
+    primes = sieve_primes(bound)
     verdicts = np.full(len(primes), EXACT, dtype=np.int8)
     if scan:
         good = np.flatnonzero((primes >= 5) & (_residues(level, primes) != 0))

@@ -9,7 +9,7 @@ in exact integers; no Satake closed form is evaluated here.  A prime table
 builds its series multiplicatively (arith.multiplicative) from the
 prime-power values over the table's one sieve of primes, and reads a(n),
 one or an array of them in one pass, as the product over n's factorization,
-found in a smallest-prime-factor table over the same sieve.
+found by trial division over the same sieve (arith.prime_factors).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 # factorize is not called here; the name stays importable from hecke because
 # the benchmark's tracing wraps hecke.factorize.
-from .arith import factorize, multiplicative, sieve_primes, smallest_prime_factors  # noqa: F401
+from .arith import factorize, multiplicative, prime_factors, sieve_primes  # noqa: F401
 from .series import QSeries
 
 
@@ -89,7 +89,6 @@ class PrimeEigenvalues:
         missing = [p for p in self.primes[self.verdicts == EXACT].tolist() if p not in self.table]
         if missing:
             raise ValueError(f"prime table is missing primes <= bound: {missing[:5]}")
-        self._spf = np.arange(2)
 
     @cached_property
     def series(self) -> QSeries:
@@ -98,9 +97,10 @@ class PrimeEigenvalues:
     def coeff(self, n):
         """a(n) for an int n; for an int64 array of n, the list of their a(n), in one pass.
 
-        a(n) = prod a(p^e) over the prime powers p^e || n, a(1) = 1, from
-        the smallest prime factors up to the largest n read (kept, and grown
-        to at least twice their reach when a larger n comes).  a(p^e) is the
+        a(n) = prod a(p^e) over the prime powers p^e || n, a(1) = 1, with
+        every n factored at once by trial division over the table's primes
+        up to sqrt(max n) (arith.prime_factors), so nothing is kept between
+        calls and nothing is sized by the largest n.  a(p^e) is the
         table's a(p) at e = 1 and coeff_prime_power above, with a(p) = 0 at a
         prime proven zero; it is computed once for each (p, e) of the call.
         a(n) is 0 as soon as one factor is exactly 0.  Otherwise a factor at
@@ -111,7 +111,7 @@ class PrimeEigenvalues:
         if not isinstance(n, np.ndarray):
             return self.coeff(np.array([n]))[0]
         outside = (n < 1) | (n > self.bound)
-        at, p, e = self._factors(np.where(outside, 1, n).astype(np.int64))
+        at, p, e = prime_factors(np.where(outside, 1, n).astype(np.int64), self.primes)
         known = self.verdicts[np.searchsorted(self.primes, p)] < NONZERO_DEURING
         unknown, q = at[~known], p[~known]
         at, p, e = at[known], p[known], e[known]
@@ -143,28 +143,6 @@ class PrimeEigenvalues:
         """a(p^e) at a prime with a known a(p): the table's, or 0 where it is proven zero."""
         a_p = self.table.get(p, 0)
         return a_p if e == 1 else coeff_prime_power(a_p, p, e, self.weight, not self.level % p)
-
-    def _factors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(at, p, e): one entry for each p^e || ns[at], by the smallest prime factors."""
-        top = int(ns.max(initial=1))
-        if len(self._spf) <= top:
-            self._spf = smallest_prime_factors(
-                min(self.bound, max(top, 2 * len(self._spf))), self.primes)
-        live = ns > 1
-        at, rest = np.flatnonzero(live), ns[live]
-        ats, ps, es = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-        while len(rest):  # each round takes every remaining n's smallest prime p, with its e
-            p = self._spf[rest].astype(np.int64)
-            rest //= p
-            e, more = np.ones_like(p), np.flatnonzero(rest % p == 0)
-            while len(more):
-                rest[more] //= p[more]
-                e[more] += 1
-                more = more[rest[more] % p[more] == 0]
-            ats.append(at), ps.append(p), es.append(e)
-            live = rest > 1
-            at, rest = at[live], rest[live]
-        return np.concatenate(ats), np.concatenate(ps), np.concatenate(es)
 
 
 # The benchmark's tracing wraps hecke.CoefficientOracle.coeff, so the name

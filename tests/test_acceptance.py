@@ -164,7 +164,7 @@ def test_criterion_07_hecke_engine_identity():
     t0 = time.perf_counter()
     bound = 500
     d = delta_eta(bound)
-    table = {p: d[p] for p in sieve_primes(bound)}
+    table = {p: d[p] for p in sieve_primes(bound).tolist()}
     pe = PrimeEigenvalues(weight=12, level=1, table=table, bound=bound)
     ok = qexp_from_primes(pe, bound).coeffs == d.coeffs
 
@@ -193,7 +193,7 @@ def test_criterion_08_eta_quotient_sanity():
         k = 24 // (level + 1)
         qs = eta_quotient(level, 2500)
         ok = ok and qs[1] == 1 and eta_product_spec(level).weight == k
-        for p in sieve_primes(50):
+        for p in sieve_primes(50).tolist():
             if p != level:
                 ok = ok and qs[p * p] == qs[p] ** 2 - p ** (k - 1)
     elapsed = time.perf_counter() - t0
@@ -204,7 +204,7 @@ def test_criterion_09_point_counting_cross_check():
     t0 = time.perf_counter()
     ok = True
     for curve in (FIXTURES["37a1"], FIXTURES["53a1"]):
-        for p in sieve_primes(200):
+        for p in sieve_primes(200).tolist():
             if curve.discriminant % p == 0:
                 continue
             ap = ap_good(curve, p)

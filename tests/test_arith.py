@@ -1,6 +1,8 @@
 import time
+import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,8 @@ from qvanish.arith import (
     factorize,
     is_prime,
     multiplicative,
+    prime_factors,
     sieve_primes,
-    smallest_prime_factors,
 )
 
 from .oracles import multiplicative_by_trial_division, sigma_by_divisors
@@ -31,16 +33,40 @@ def sigma_rule(m):
 def test_sieve_matches_trial_division_every_bound_to_2000():
     primes = [n for n in range(2, 2001) if all(n % d for d in range(2, isqrt(n) + 1))]
     for bound in range(2001):
-        assert sieve_primes(bound) == [p for p in primes if p <= bound]
+        sieved = sieve_primes(bound)
+        assert sieved.dtype == np.int64
+        assert sieved.tolist() == [p for p in primes if p <= bound]
 
 
-def test_smallest_prime_factors_match_trial_division():
-    # from a sieve past the bound too, as a scan's sieve is past sqrt(bound)
-    for bound in (1, 2, 3, 4, 97, 1000):
-        spf = smallest_prime_factors(bound, sieve_primes(2000))
-        assert spf.tolist() == [0, 1] + [
-            next(d for d in range(2, n + 1) if n % d == 0) for n in range(2, bound + 1)
-        ]
+# n at the edges of prime_factors: 1, 2^31 - 1 (prime), 46337^2 (the square of
+# the largest prime below sqrt(2^31)), and 2 * (10^9 + 7), whose prime cofactor
+# is far above sqrt(max n)
+EDGE_NS = [1, 2**31 - 1, 46337**2, 2 * (10**9 + 7)]
+PRIME_POWERS = [p**e for p in sieve_primes(100).tolist() for e in range(1, 31) if p**e < 2**31]
+
+
+class TestPrimeFactors:
+    SIEVE = sieve_primes(46341)  # every prime to sqrt(2^31)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ns=st.lists(st.integers(1, 10**6) | st.sampled_from(EDGE_NS + PRIME_POWERS),
+                       max_size=30).map(lambda ns: ns + ns[::2]))  # every other n repeated
+    def test_equals_factorize(self, ns):
+        at, q, e = prime_factors(np.array(ns, dtype=np.int64), self.SIEVE)
+        assert sorted(zip(at.tolist(), q.tolist(), e.tolist())) == sorted(
+            (i, p, k) for i, n in enumerate(ns) for p, k in factorize(n))
+
+    def test_memory_is_not_sized_by_the_largest_n(self):
+        ns = np.array([2**31 - 1, 2**30, 46337**2], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            at, q, e = prime_factors(ns, self.SIEVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(zip(at.tolist(), q.tolist(), e.tolist())) == [
+            (0, 2**31 - 1, 1), (1, 2, 30), (2, 46337, 2)]
+        assert peak < 2**20
 
 
 class TestMultiplicative:

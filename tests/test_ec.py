@@ -130,7 +130,7 @@ class TestGoodPrimes:
 
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_char_sum_equals_enumeration_to_200(self, curve):
-        for p in sieve_primes(200):
+        for p in sieve_primes(200).tolist():
             if curve.discriminant % p == 0:
                 continue
             ap = ap_good(curve, p)
@@ -153,7 +153,7 @@ class TestCharSums:
             curve.level
         except ValueError:
             assume(False)
-        primes = sieve_primes(600)[1:]  # p = 3 and the odd bad primes included
+        primes = sieve_primes(600).tolist()[1:]  # p = 3 and the odd bad primes included
         assume(any(curve.discriminant % p == 0 for p in primes))
         sums = ec._char_sums(curve, primes)
         assert sums == [count_affine_points(*a, p) - p for p in primes]
@@ -178,7 +178,7 @@ class TestBadPrimes:
     @pytest.mark.parametrize("curve", CURVES, ids=CURVE_IDS)
     def test_every_bad_prime_from_brute_force(self, curve):
         a = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-        bad = [p for p in sieve_primes(200) if curve.discriminant % p == 0]
+        bad = [p for p in sieve_primes(200).tolist() if curve.discriminant % p == 0]
         assert bad
         for p in bad:
             ap = ap_bad(curve, p)
@@ -275,7 +275,7 @@ class TestPrimeTable:
 
 
 def good_primes(curve, lo, hi):
-    return [p for p in sieve_primes(hi) if p >= lo and curve.discriminant % p]
+    return [p for p in sieve_primes(hi).tolist() if p >= lo and curve.discriminant % p]
 
 
 def by_verdict(scan):
@@ -390,7 +390,7 @@ class TestBSGS:
             p: -s for p, s in zip(primes, ec._char_sums(curve, primes))
         }
 
-    @pytest.mark.parametrize("p", [p for p in sieve_primes(60) if p >= 5])
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(60).tolist() if p >= 5])
     def test_annihilators_are_the_multiples_of_the_order(self, p):
         # Every affine point of y^2 = x^3 + a*x + b and of its twist by a
         # non-square d, for a few (a, b) at small p, where small orders and
@@ -499,7 +499,7 @@ class TestBSGS:
         # difference of the baby step (m+1)P; with m = 2 and a giant step c
         # = N - 2, cP = -2P is the difference of the step two later.
         baby, giant = [], []
-        for q in sieve_primes(3000)[100:]:
+        for q in sieve_primes(3000).tolist()[100:]:
             for a in range(1, 4):
                 b = (1 - a) ** 2 * pow(8, -1, q) % q
                 if (4 * a**3 + 27 * b * b) % q == 0:
@@ -559,7 +559,7 @@ class TestBSGS:
             assert prime_table(c, bound).table == tables[c.label]
         # Every good prime from 5 on went by the character sum; 2 and 3 are counted.
         assert sorted(calls) == sorted(
-            p for c in CURVES for p in sieve_primes(bound) if p > 3 and c.discriminant % p
+            p for c in CURVES for p in sieve_primes(bound).tolist() if p > 3 and c.discriminant % p
         )
 
     def test_hasse_guard_above_crossover(self, monkeypatch):
@@ -697,7 +697,7 @@ class TestSettle:
         except ValueError:
             assume(False)
         assume(curve.cm_discriminant is None)
-        sieve = np.array(sieve_primes(20000))
+        sieve = sieve_primes(20000)
         good = np.array(good_primes(curve, 5, 20000))
         opened = good[ec._open_primes(curve, good)[1]]
         verdicts = ec._settle(curve, opened, sieve)
@@ -707,7 +707,7 @@ class TestSettle:
         assert [p for p in zero if exact[p] != 0] == []
         assert [p for p in nonzero if exact[p] == 0] == []
 
-    @pytest.mark.parametrize("p", [p for p in sieve_primes(31) if p >= 5])
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(31).tolist() if p >= 5])
     def test_orders_equal_the_group_law(self, p):
         # Every nonsingular y^2 = x^3 + a*x + b mod p where [p + 1]P1 = O.
         # P1 has x = 1, P2 has x = 1 on the model scaled by u = 2; the point
@@ -726,7 +726,7 @@ class TestSettle:
                 lanes.append((a, b))
                 want.append((order(a, b), second if (p + 1) % second == 0 else 0))
         a, b = (np.array(c, dtype=np.int64) for c in zip(*lanes))
-        orders = ec._orders(a, b, np.full_like(a, p), np.array(sieve_primes(p)))
+        orders = ec._orders(a, b, np.full_like(a, p), sieve_primes(p))
         assert list(zip(*orders.tolist())) == want
         # both points of order at least 2, and P2 sometimes not dividing p + 1
         assert min(min(w) for w in want) == 0 < min(w[0] for w in want)
@@ -805,7 +805,7 @@ class TestDeuring:
     def test_residue_classes_equal_euler_criterion(self):
         # the table of each D's field against (D / p) = D^((p-1)/2) mod p,
         # at every prime 5 <= p < 10^5 that does not divide D
-        primes = sieve_primes(10**5)[2:]
+        primes = sieve_primes(10**5).tolist()[2:]
         for j, d in ec.CM_J_INVARIANTS.items():
             curve = self.curve_with_j(j) if j not in (0, 1728) else C27 if j == 0 else C_ADD
             assert curve.cm_discriminant == d
@@ -891,7 +891,7 @@ class TestRoute:
             ec, "_char_sums", lambda c, primes: summed.append(primes) or char_sums(c, primes)
         )
         prime_table(curve, 20000)
-        primes = sieve_primes(20000)
+        primes = sieve_primes(20000).tolist()
         bad = [p for p in primes if curve.discriminant % p == 0]
         ((sent, found),) = lane_calls
         assert sent == [p for p in primes if p > ec.BSGS_CROSSOVER and p not in bad]
@@ -935,7 +935,7 @@ class TestIdentities:
         # y^2 = x^3 + 25x is the twist by 5 of y^2 = x^3 + x
         twist = identity_table(C_ADD).table
         base = identity_table(WeierstrassCurve(0, 0, 0, 1, 0)).table
-        for p in sieve_primes(IDENTITY_BOUND)[3:]:
+        for p in sieve_primes(IDENTITY_BOUND).tolist()[3:]:
             legendre = 1 if pow(5, (p - 1) // 2, p) == 1 else -1
             assert twist[p] == legendre * base[p], p
 

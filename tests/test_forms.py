@@ -231,7 +231,7 @@ class TestEtaQuotients:
         bound = 10000
         k = 24 // (level + 1)
         qs = eta_quotient(level, bound)
-        for p in sieve_primes(100):
+        for p in sieve_primes(100).tolist():
             if p != level:
                 assert qs[p * p] == qs[p] ** 2 - p ** (k - 1), (level, p)
 

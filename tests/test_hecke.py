@@ -28,7 +28,7 @@ from .test_ec import CURVE_IDS, CURVES
 
 def delta_primes(bound):
     d = delta_eta(bound)
-    table = {p: d[p] for p in sieve_primes(bound)}
+    table = {p: d[p] for p in sieve_primes(bound).tolist()}
     return PrimeEigenvalues(weight=12, level=1, table=table, bound=bound)
 
 
@@ -182,7 +182,7 @@ def verdict_tables(draw):
     bad primes among them, and a(p) proven zero or nonzero without a value at good p >= 5."""
     k = draw(st.sampled_from([2, 12]))
     bound = draw(st.integers(1, 700))
-    primes = sieve_primes(bound)
+    primes = sieve_primes(bound).tolist()
     level = math.prod(draw(st.lists(st.sampled_from(primes or [1]), max_size=2, unique=True)))
     table, verdicts = {}, []
     for p in primes:

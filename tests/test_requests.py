@@ -132,7 +132,7 @@ def check_hecke(coefficients, form):
         for n in range(m + 1, bound // m + 1):
             if gcd(m, n) == 1:
                 assert a[m * n] == a[m] * a[n], (m, n)
-    for p in sieve_primes(isqrt(bound)):
+    for p in sieve_primes(isqrt(bound)).tolist():
         step = p ** (form["weight"] - 1) if form["level"] % p else 0
         q = p
         while q * p <= bound:

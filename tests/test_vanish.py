@@ -493,7 +493,7 @@ def prime_tables(draw):
     periodic a_2 = +-2^(k/2), a_3 = +-3^(k/2), beside small and large values."""
     k = draw(st.sampled_from([2, 4, 12]))
     bound = draw(st.integers(1, 400))
-    primes = sieve_primes(bound)
+    primes = sieve_primes(bound).tolist()
     level = math.prod(draw(st.lists(st.sampled_from(primes or [1]), max_size=3, unique=True)))
     table = {}
     for p in primes:
@@ -574,7 +574,7 @@ class TestPrimeSieve:
         # a_p = 0 at the bad prime 3 <= sqrt(200), where every e vanishes, and
         # above it at the bad prime 17 and the good prime 19
         bound = 200
-        table = {p: 1 for p in sieve_primes(bound)} | {3: 0, 17: 0, 19: 0}
+        table = {p: 1 for p in sieve_primes(bound).tolist()} | {3: 0, 17: 0, 19: 0}
         pe = PrimeEigenvalues(weight=2, level=3 * 17, table=table, bound=bound)
         want = first_vanishing(ScanSource(bound, pe.series.__getitem__), level=pe.level)
         monkeypatch.setattr(vanish, "ZEROS_CAP", bound)
